@@ -11,8 +11,9 @@ from .building import (PolyVertex, apartment_point_of_vertex, act, act_factor,
                        labelling_C, labelling_D, matrix_power, shift_generator,
                        sigma_mu)
 from .errors import WindowError
-from .field import INF, FieldElement
+from .field import FieldElement
 from .lattice import gaussian_binomial
+from .linalg import inverse, matmul, transpose
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +376,6 @@ def _restoring_element(word, descriptor):
     monomial on diagonal classes; its inverse followed by the coordinate
     reversal lands on the basic chamber, and shift powers fix the origin."""
     from .subdivision import chamber_chart
-    from .field import _solve_linear
     delta = basic_chamber(descriptor)
     img_delta = [word.apply(v) for v in delta.vertices()]
     for v in img_delta:
@@ -394,33 +394,17 @@ def _restoring_element(word, descriptor):
                 comps.append(c)
         B, order, js = chamber_chart(comps)
         n = d + 1
-        inv_cols = []
-        for j in range(n):
-            rhs = [model.one() if k == j else model.zero() for k in range(n)]
-            inv_cols.append(_solve_linear(model, [row[:] for row in B], rhs))
-        binv = [[inv_cols[j][k] for j in range(n)] for k in range(n)]
         rev = [[model.one() if i2 + j2 == n - 1 else model.zero()
                 for j2 in range(n)] for i2 in range(n)]
-        g_parts.append(_matmul(model, rev, binv))
+        g_parts.append(matmul(model, rev, inverse(model, B)))
     origin = descriptor.origin()
     h_origin = act(g_parts, word.apply(origin))
     g_full = []
     for i, (model, d) in enumerate(descriptor.factors):
         ell = h_origin.components[i].label()
         smat = matrix_power(model, shift_generator(model, d + 1), (-ell) % (d + 1))
-        g_full.append(_matmul(model, smat, g_parts[i]))
+        g_full.append(matmul(model, smat, g_parts[i]))
     return g_full
-
-
-def _transpose_inverse(model, mat):
-    from .field import _solve_linear
-    n = len(mat)
-    at = [[mat[j][i] for j in range(n)] for i in range(n)]
-    cols = []
-    for j in range(n):
-        rhs = [model.one() if k == j else model.zero() for k in range(n)]
-        cols.append(_solve_linear(model, [row[:] for row in at], rhs))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 def normal_form(word, b):
@@ -458,8 +442,8 @@ def normal_form(word, b):
         assert all(kind == "rotation" and a == 0 for kind, a in cls2)
         g_total = []
         for i, (model, d) in enumerate(descriptor.factors):
-            g2i = _transpose_inverse(model, g2[i]) if r_mask[i] else g2[i]
-            g_total.append(_matmul(model, g2i, g1[i]))
+            g2i = inverse(model, transpose(g2[i])) if r_mask[i] else g2[i]
+            g_total.append(matmul(model, g2i, g1[i]))
     final = AutWord(descriptor, word.gens +
                     [{"kind": "group", "matrices": g_total},
                      {"kind": "lambda", "mask": r_mask}])
@@ -481,13 +465,3 @@ def normal_form(word, b):
     }
     return g_total, r_mask, list(mu), report
 
-
-def _matmul(model, a, b):
-    n = len(a)
-    out = [[model.zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            if a[i][k].valuation() != INF:
-                for j in range(n):
-                    out[i][j] = out[i][j] + a[i][k] * b[k][j]
-    return out

@@ -9,12 +9,13 @@ structure, labelling and projections are computed inside such windows.
 from fractions import Fraction
 
 from .errors import BudgetError
-from .field import INF, FieldElement
+from .field import FieldElement
 from .lattice import (
     VertexClass, all_neighbors, canonical_form, class_pair_min_valuation,
-    det_valuation_exact, pair_index_normalized, solve_in_basis_valuations,
-    standard_vertex, vertex_from_diagonal,
+    pair_index_normalized, solve_in_basis_valuations, standard_vertex,
+    vertex_from_diagonal,
 )
+from .linalg import identity, inverse, matmul, solve, transpose
 
 
 def absolute_ramification(model):
@@ -564,15 +565,9 @@ def project_apartment(x, bases=None):
             exps = tuple(min(vals[i][j] for i in range(c.n)) for j in range(c.n))
             factors.append((None, exps))
         else:
-            from .field import _solve_linear
-            model = c.model
-            prim = c.primitive_matrix()
-            exps = []
-            for j in range(c.n):
-                rhs = [basis[i][j] for i in range(c.n)]
-                sol = _solve_linear(model, [row[:] for row in prim], rhs)
-                exps.append(min(s.valuation() for s in sol))
-            factors.append((basis, tuple(exps)))
+            sols = solve(c.model, c.primitive_matrix(), transpose(basis))
+            exps = tuple(min(s.valuation() for s in sol) for sol in sols)
+            factors.append((basis, exps))
     return ApartmentPoint(factors)
 
 
@@ -581,22 +576,11 @@ def project_apartment(x, bases=None):
 # ---------------------------------------------------------------------------
 
 def act_factor(g, c):
+    """[g L]; canonical_form rejects a singular g, since g L is then singular."""
     model = c.model
-    n = c.n
     g = [[model.element(x) if not isinstance(x, FieldElement) else x for x in row]
          for row in g]
-    if det_valuation_exact(model, g) == INF:
-        raise ValueError("singular matrix")
-    prim = c.primitive_matrix()
-    cols = [[_dot(model, g, prim, i, j) for j in range(n)] for i in range(n)]
-    return canonical_form(model, cols)
-
-
-def _dot(model, a, b, i, j):
-    acc = model.zero()
-    for k in range(len(b)):
-        acc = acc + a[i][k] * b[k][j]
-    return acc
+    return canonical_form(model, matmul(model, g, c.primitive_matrix()))
 
 
 def act(gs, x):
@@ -619,18 +603,12 @@ def shift_generator(model, n):
 
 
 def matrix_power(model, mat, k):
-    n = len(mat)
     if k < 0:
-        from .field import _solve_linear
-        inv_cols = []
-        for j in range(n):
-            rhs = [model.one() if i == j else model.zero() for i in range(n)]
-            inv_cols.append(_solve_linear(model, [row[:] for row in mat], rhs))
-        mat = [[inv_cols[j][i] for j in range(n)] for i in range(n)]
+        mat = inverse(model, mat)
         k = -k
-    out = [[model.one() if i == j else model.zero() for j in range(n)] for i in range(n)]
+    out = identity(model, len(mat))
     for _ in range(k):
-        out = [[_dot(model, out, mat, i, j) for j in range(n)] for i in range(n)]
+        out = matmul(model, out, mat)
     return out
 
 

@@ -13,6 +13,7 @@ from itertools import product
 from .building import ApartmentPoint, absolute_ramification
 from .errors import BudgetError
 from .field import INF, FieldElement, enumerate_residues, expand_over
+from .linalg import rank
 
 
 def root_model(model):
@@ -244,7 +245,7 @@ class RigidPoint:
         model, d = self.descriptor.factors[i]
         vals = [self.K.one()] + list(self.coords[i])
         rows = [expand_over(v, model) for v in vals]
-        return _rank_over(model, rows) == d + 1
+        return rank(model, rows) == d + 1
 
     def value(self, i, j):
         """The coordinate value x_{i,j}, with x_{i,0} = 1."""
@@ -259,29 +260,6 @@ class RigidPoint:
 
     def serialize(self):
         return [[self.K.elem_str(c) for c in factor] for factor in self.coords]
-
-
-def _rank_over(model, rows):
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col].valuation() != INF:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = model.one() / rows[rank][col]
-        rows[rank] = [c * inv for c in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col].valuation() != INF:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .gf import GF
+from .linalg import solve, transpose
 
 INF = math.inf
 
@@ -42,10 +43,6 @@ def padd(gf, a, b):
 
 def pneg(gf, a):
     return tuple(gf.neg(c) for c in a)
-
-
-def psub(gf, a, b):
-    return padd(gf, a, pneg(gf, b))
 
 
 def pmul(gf, a, b):
@@ -590,12 +587,8 @@ class ExtensionDescriptor:
         pnum = self._scoords(num, H)
         pden = self._scoords(den, H)
         # solve (sum_a y_a s^a) * den = num over H, in the ring H[s]/(s^e - t)
-        cols = []
-        for a in range(e):
-            shifted = self._smul_power(pden, a, H)
-            cols.append(shifted)
-        mat = [[cols[a][i] for a in range(e)] for i in range(e)]
-        ys = _solve_linear(H, mat, list(pnum))
+        cols = [self._smul_power(pden, a, H) for a in range(e)]
+        ys = solve(H, transpose(cols), [pnum])[0]
         # descend coefficients from F_{q^f} to F_q
         out = [None] * (e * self.f)
         for a in range(e):
@@ -691,28 +684,6 @@ class ExtensionDescriptor:
 def embed(x, ext):
     """Embed a base-model element into the extension model of ext."""
     return ext.embed(x)
-
-
-def _solve_linear(model, mat, rhs):
-    """Solve the square system mat * y = rhs over a field model, exactly."""
-    n = len(rhs)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col].valuation() != INF:
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("singular system")
-        a[col], a[piv] = a[piv], a[col]
-        inv = model.one() / a[col][col]
-        a[col] = [c * inv for c in a[col]]
-        for r in range(n):
-            if r != col and a[r][col].valuation() != INF:
-                f = a[r][col]
-                a[r] = [a[r][k] - f * a[col][k] for k in range(n + 1)]
-    return [a[i][n] for i in range(n)]
 
 
 def expand_over(y, target_model):

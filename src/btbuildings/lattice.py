@@ -9,18 +9,22 @@ unique, hashable and cheap to produce.  The exposed canonical matrix
 (`VertexClass.matrix()`) is the transposed, min-diagonal-0 rescaling of
 the same data, which is what gets serialized.
 
-Two arithmetic backends share one reduction algorithm: an exact one over
-FieldElement fractions (used for arbitrary group elements, duals and
-embeddings) and a fast one over pi-digit vectors (used for the neighbor
-enumeration and ball construction hot paths).  Digit computations carry a
-guard precision of 2*D+2 digits, D the determinant valuation, which makes
-every pivot valuation and residue exact; the two backends are cross-checked
-in the canonical-form stability suite.
+There is one reduction, `_triangularize_digits`, over pi-digit vectors in
+O/pi^M.  `canonical_form` takes an exact FieldElement basis (group
+elements, duals, embeddings), computes its determinant valuation with the
+exact elimination of `linalg`, scales it to a primitive basis and converts
+the entries to digits; neighbor enumeration builds its generators in digits
+directly.  Both carry a guard precision of 2*D+2 digits, D the determinant
+valuation of the primitive lattice, which makes every pivot valuation and
+residue exact (argued in `canonical_form`); the reduction raises
+ArithmeticError when the precision it is given falls short.  The tests
+check it against an exhaustive span oracle over O/pi^k.
 """
 
 from functools import lru_cache
 
-from .field import INF, FieldElement, LaurentModel, PAdicModel
+from .field import INF, FieldElement, PAdicModel
+from .linalg import det, inverse, solve, transpose
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +230,16 @@ def _triangularize_digits(ops, cols, n):
     vectors, length n).  Returns (exps, lower) of the canonical primitive
     lower-triangular form; the global pi-shift applied is returned too.
 
-    Requires that the guard precision of ops exceeds twice the determinant
-    valuation of the primitive lattice (asserted on every pivot)."""
+    The M - minval digits left after the primitive scaling must be at least
+    2D+1, D the determinant valuation of the primitive lattice (see
+    canonical_form); ArithmeticError otherwise, including when a pivot
+    vanishes modulo pi^M."""
     M = ops.M
     # primitive scaling: shift down by the minimal entry valuation
     minval = min(ops.val(v) for col in cols for v in col)
-    assert minval < M, "zero matrix or precision exhausted"
+    if minval >= M:
+        raise ArithmeticError(f"all generators vanish modulo pi^{M}: a zero "
+                              "matrix, or a guard precision below 2D+1")
     if minval:
         cols = [[ops.shift_down(v, minval) for v in col] for col in cols]
     remaining = list(cols)
@@ -244,7 +252,9 @@ def _triangularize_digits(ops, cols, n):
             v = ops.val(col[r])
             if bestval is None or v < bestval:
                 best, bestval = idx, v
-        assert bestval is not None and bestval < M, "singular generator matrix"
+        if bestval is None or bestval >= M:
+            raise ArithmeticError(f"no pivot in row {r} modulo pi^{M}: singular "
+                                  "generators, or a guard precision below 2D+1")
         piv = remaining.pop(best)
         a = bestval
         unit = ops.shift_down(piv[r], a)
@@ -259,6 +269,9 @@ def _triangularize_digits(ops, cols, n):
                 col[i] = ops.sub(col[i], ops.mul(mu, piv[i]))
         pivots.append(piv)
         exps.append(a)
+    if M - minval < 2 * sum(exps) + 1:
+        raise ArithmeticError(f"guard precision {M - minval} is below 2D+1 "
+                              f"for determinant valuation D = {sum(exps)}")
     # back-reduction: entry (row i, col c) for i > c reduced mod pi^{a_i}
     for c in range(n):
         col = pivots[c]
@@ -272,67 +285,6 @@ def _triangularize_digits(ops, cols, n):
                     col[k] = ops.sub(col[k], ops.mul(mu, ref[k]))
             col[i] = resid
     lower = tuple(tuple(ops.code(pivots[c][i], exps[i]) for i in range(c + 1, n))
-                  for c in range(n))
-    return tuple(exps), lower, minval
-
-
-def _triangularize_exact(model, cols, n):
-    """Same reduction over exact FieldElements.  cols: list of columns of
-    FieldElements.  Returns (exps, lower codes, shift)."""
-    pi = model.uniformizer()
-    minval = min((v.valuation() for col in cols for v in col))
-    assert minval != INF, "zero matrix"
-    if minval:
-        scale = pi ** (-minval)
-        cols = [[v * scale for v in col] for col in cols]
-    else:
-        cols = [list(col) for col in cols]
-    remaining = cols
-    pivots = []
-    exps = []
-    for r in range(n):
-        best = None
-        bestval = INF
-        for idx, col in enumerate(remaining):
-            v = col[r].valuation()
-            if v < bestval:
-                best, bestval = idx, v
-        if best is None or bestval == INF:
-            raise ValueError("singular matrix")
-        piv = remaining.pop(best)
-        a = bestval
-        uinv = pi ** a / piv[r]
-        piv = [v * uinv for v in piv]
-        for col in remaining:
-            if col[r].valuation() == INF:
-                continue
-            mu = col[r] / piv[r]
-            for i in range(r, n):
-                col[i] = col[i] - mu * piv[i]
-        pivots.append(piv)
-        exps.append(a)
-    for c in range(n):
-        col = pivots[c]
-        for i in range(c + 1, n):
-            a_i = exps[i]
-            digs = model.to_digits(col[i], a_i)
-            resid = model.from_digits(digs)
-            mu = (col[i] - resid) / (pi ** a_i)
-            if mu.valuation() != INF:
-                ref = pivots[i]
-                for k in range(i, n):
-                    col[k] = col[k] - mu * ref[k]
-            col[i] = resid
-    q = model.residue_size
-
-    def code_of(x, k):
-        digs = model.to_digits(x, k)
-        acc = 0
-        for d in reversed(digs):
-            acc = acc * q + d
-        return acc
-
-    lower = tuple(tuple(code_of(pivots[c][i], exps[i]) for i in range(c + 1, n))
                   for c in range(n))
     return tuple(exps), lower, minval
 
@@ -456,17 +408,16 @@ class Lattice:
     def __init__(self, model, basis):
         self.model = model
         self.n = len(basis)
-        cols = [[model.element(basis[i][j]) if not isinstance(basis[i][j], FieldElement)
-                 else basis[i][j] for j in range(self.n)] for i in range(self.n)]
-        if det_valuation_exact(model, cols) == INF:
+        rows = _parse_matrix(model, basis)
+        if not det(model, rows):
             raise ValueError("singular basis matrix")
-        self.basis = tuple(tuple(row) for row in cols)
+        self.basis = tuple(tuple(row) for row in rows)
 
     def vertex_class(self):
         return canonical_form(self.model, self.basis)
 
     def det_valuation(self):
-        return det_valuation_exact(self.model, [list(r) for r in self.basis])
+        return det(self.model, self.basis).valuation()
 
     def __eq__(self, other):
         # equality of lattices (not classes): mutual containment
@@ -477,38 +428,35 @@ class Lattice:
         raise TypeError("Lattice is not hashable; use vertex_class()")
 
 
-def det_exact(model, mat):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    out = model.zero()
-    sign = 1
-    for j in range(n):
-        minor = [[mat[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = mat[0][j] * det_exact(model, minor)
-        out = out + term if sign > 0 else out - term
-        sign = -sign
-    return out
-
-
-def det_valuation_exact(model, mat):
-    return det_exact(model, mat).valuation()
+def _parse_matrix(model, mat):
+    return [[x if isinstance(x, FieldElement) else model.element(x) for x in row]
+            for row in mat]
 
 
 def canonical_form(model, basis):
     """Canonical homothety-class representative of the lattice whose columns
-    are `basis` (FieldElements or parseable strings); errors on singular."""
-    n = len(basis)
-    cols = []
-    for j in range(n):
-        col = []
-        for i in range(n):
-            x = basis[i][j]
-            col.append(x if isinstance(x, FieldElement) else model.element(x))
-        cols.append(col)
-    if det_valuation_exact(model, [[cols[j][i] for j in range(n)] for i in range(n)]) == INF:
+    are `basis` (FieldElements or parseable strings); errors on singular.
+
+    The basis is scaled by pi^(-m), m its minimal entry valuation, to a
+    primitive basis T with entries in O and D = v(det T).  Every pivot
+    valuation a_r is read after shifting down by the earlier ones, so the
+    forward pass of the reduction loses at most a_0 + .. + a_{n-1} = D
+    digits; the back-reduction of a column reads the residue mod pi^(a_k)
+    after losing a_{c+1} + .. + a_{k-1} more, so a_k plus the losses stay
+    within 2D.  2D+1 digits thus fix every pivot and residue exactly; the
+    digit backend carries 2D+2."""
+    rows = _parse_matrix(model, basis)
+    dv = det(model, rows).valuation()
+    if dv == INF:
         raise ValueError("singular matrix")
-    exps, lower, _ = _triangularize_exact(model, cols, n)
+    n = len(rows)
+    minval = min(x.valuation() for row in rows for x in row)
+    if minval:
+        scale = model.uniformizer() ** (-minval)
+        rows = [[x * scale for x in row] for row in rows]
+    ops = digit_ops(model, 2 * (dv - n * minval) + 2)
+    cols = [[ops.from_field(x) for x in col] for col in zip(*rows)]
+    exps, lower, _ = _triangularize_digits(ops, cols, n)
     return VertexClass(model, exps, lower)
 
 
@@ -530,17 +478,8 @@ def standard_vertex(model, n):
 
 def _contains(M, L):
     """M >= L for Lattice instances (exact solve)."""
-    from .field import _solve_linear
-    model = M.model
-    n = M.n
-    mat = [list(r) for r in M.basis]
-    for j in range(n):
-        rhs = [L.basis[i][j] for i in range(n)]
-        x = _solve_linear(model, mat, rhs)
-        for c in x:
-            if c.valuation() != INF and c.valuation() < 0:
-                return False
-    return True
+    coords = solve(M.model, M.basis, transpose(L.basis))
+    return all(c.valuation() >= 0 for col in coords for c in col)
 
 
 def index(M, L):
@@ -548,24 +487,16 @@ def index(M, L):
     if not _contains(M, L):
         raise ValueError("containment failure: M does not contain L")
     v = L.det_valuation() - M.det_valuation()
-    assert v >= 0 and v != INF
+    if v < 0:
+        raise ArithmeticError(f"negative index {v} of a contained lattice")
     return v
 
 
 def dual(v):
-    """Class of the dual lattice for the standard bilinear form sum a_j b_j."""
-    from .field import _solve_linear
+    """Class of the dual lattice for the standard bilinear form sum a_j b_j:
+    its basis is the columns of (T^T)^{-1}, T the primitive matrix."""
     model = v.model
-    n = v.n
-    prim = v.primitive_matrix()
-    # dual basis: columns of (A^T)^{-1}
-    at = [[prim[j][i] for j in range(n)] for i in range(n)]
-    cols = []
-    for j in range(n):
-        rhs = [model.one() if i == j else model.zero() for i in range(n)]
-        cols.append(_solve_linear(model, [row[:] for row in at], rhs))
-    basis = [[cols[j][i] for j in range(n)] for i in range(n)]
-    return canonical_form(model, basis)
+    return canonical_form(model, inverse(model, transpose(v.primitive_matrix())))
 
 
 def label(v):
@@ -667,15 +598,13 @@ def all_neighbors(v, ops=None):
 def solve_in_basis_valuations(v, targets=None, ops=None):
     """Valuation matrix of T^{-1} (T the primitive column matrix of v):
     entry [i][j] = v((T^{-1})_{ij}), or the valuations of T^{-1}*target
-    columns when targets (digit columns) are given.  Values are exact."""
+    columns when targets (digit columns of `ops`, which must then be given)
+    are given.  Values are exact."""
     model = v.model
     n = v.n
     D = v.det_valuation()
     if ops is None:
-        bound = 2 * D + 2
-        if targets is not None:
-            bound = 2 * (D + max((_col_maxval(c) for c in targets), default=0)) + 2
-        ops = digit_ops(model, bound)
+        ops = digit_ops(model, 2 * D + 2)
     tcols = v.digit_columns(ops)
     if targets is None:
         targets = []
@@ -688,10 +617,6 @@ def solve_in_basis_valuations(v, targets=None, ops=None):
         y = _forward_solve_scaled(ops, tcols, col, D)
         vals.append([ops.val(yi) - D if ops.val(yi) < ops.M else INF for yi in y])
     return [[vals[j][i] for j in range(len(targets))] for i in range(n)]
-
-
-def _col_maxval(col):
-    return 0
 
 
 def _forward_solve_scaled(ops, tcols, b, D):

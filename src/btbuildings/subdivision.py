@@ -12,6 +12,7 @@ from .building import (ApartmentPoint, PolyVertex, _chain_order,
 from .errors import BudgetError
 from .field import INF
 from .lattice import canonical_form, pair_index_normalized
+from .linalg import solve, transpose
 
 
 # ---------------------------------------------------------------------------
@@ -147,17 +148,16 @@ def chamber_chart(comps):
     T0 = L0.primitive_matrix()
     gf = model.residue_gf()
     # residue coordinates of M_k's generators in L0/pi L0
-    from .field import _solve_linear
     flags = []
     shift = 0
     pi = model.uniformizer()
     for k in range(1, len(chain)):
         shift += _containment_shift(chain[k - 1], chain[k])
-        Tk = chain[k].primitive_matrix()
+        scale = pi ** shift
+        rhs = [[x * scale for x in col]
+               for col in transpose(chain[k].primitive_matrix())]
         vecs = []
-        for j in range(n):
-            rhs = [Tk[i][j] * pi ** shift for i in range(n)]
-            sol = _solve_linear(model, [row[:] for row in T0], rhs)
+        for sol in solve(model, T0, rhs):
             row = []
             for x in sol:
                 if x.valuation() != INF and x.valuation() < 0:

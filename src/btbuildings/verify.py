@@ -28,6 +28,7 @@ from .field import (INF, ExtensionDescriptor, LaurentModel, PAdicModel,
 from .lattice import (all_neighbors, canonical_form, dual, gaussian_binomial,
                       neighbors_by_colength, pair_index_normalized,
                       standard_vertex, vertex_from_diagonal)
+from .linalg import det, identity, matmul
 from .subdivision import (Marking, delta_restrict, eta_chambers,
                           eta_membership, nu_embed, nu_embed_point,
                           skeleton_distance, subdivide_ball,
@@ -53,7 +54,11 @@ class Config:
         return random.Random(self.seed)
 
 
-def _random_element(model, rng):
+# ---------------------------------------------------------------------------
+# random fixtures, shared with the tests
+# ---------------------------------------------------------------------------
+
+def random_element(model, rng):
     if isinstance(model, PAdicModel):
         num = rng.randrange(-400, 400)
         den = rng.randrange(1, 400)
@@ -66,36 +71,35 @@ def _random_element(model, rng):
     return model.element(num, den)
 
 
-def _random_o_element(model, rng):
+def random_o_element(model, rng):
     if isinstance(model, PAdicModel):
         return model.element(rng.randrange(0, 8))
     return model.from_digits([rng.randrange(model.q) for _ in range(3)])
 
 
-def _random_unimodular(model, n, rng, steps=6):
-    mat = [[model.one() if i == j else model.zero() for j in range(n)]
-           for i in range(n)]
+def random_unimodular(model, n, rng, steps=6):
+    """A product of random elementary column operations over O."""
+    mat = identity(model, n)
     for _ in range(steps):
         a, b = rng.randrange(n), rng.randrange(n)
         if a == b:
             continue
-        c = _random_o_element(model, rng)
+        c = random_o_element(model, rng)
         for i in range(n):
             mat[i][a] = mat[i][a] + c * mat[i][b]
     return mat
 
 
-def _random_vertex(model, n, rng, spread=2):
+def random_vertex(model, n, rng, spread=2):
+    """[g D] for a random diagonal lattice D and unimodular g."""
     exps = tuple(rng.randrange(0, spread + 1) for _ in range(n))
     diag = vertex_from_diagonal(model, exps)
-    g = _random_unimodular(model, n, rng)
-    prim = diag.primitive_matrix()
-    cols = [[sum((g[i][k] * prim[k][j] for k in range(n)), model.zero())
-             for j in range(n)] for i in range(n)]
-    return canonical_form(model, cols)
+    g = random_unimodular(model, n, rng)
+    return canonical_form(model, matmul(model, g, diag.primitive_matrix()))
 
 
-def _window_exps(n, spread):
+def window_exps(n, spread):
+    """Primitive exponent vectors in [0, spread]^n with minimum 0."""
     out = []
     for exps in product(range(spread + 1), repeat=n):
         if min(exps) == 0:
@@ -114,8 +118,8 @@ def suite_valuation_axioms(config):
     checked = 0
     for model in models:
         for _ in range(1000):
-            x = _random_element(model, rng)
-            y = _random_element(model, rng)
+            x = random_element(model, rng)
+            y = random_element(model, rng)
             vx, vy = valuation(x), valuation(y)
             if valuation(x * y) != vx + vy:
                 return _fail("product rule", model=repr(model))
@@ -156,7 +160,7 @@ def suite_embed(config):
         ext = ExtensionDescriptor(base, e=e, f=f)
         seen = {}
         for _ in range(80):
-            x = _random_element(base, rng)
+            x = random_element(base, rng)
             y = ext.embed(x)
             vx = valuation(x)
             if valuation(y) != (INF if vx == INF else e * vx):
@@ -180,12 +184,11 @@ def suite_canonical_stability(config):
     for model, n in cases:
         pi = model.uniformizer()
         for _ in range(125):
-            v = _random_vertex(model, n, rng)
-            prim = v.primitive_matrix()
-            g = _random_unimodular(model, n, rng)
+            v = random_vertex(model, n, rng)
+            g = random_unimodular(model, n, rng)
             scale = pi ** rng.randrange(-2, 3)
-            cols = [[sum((prim[i][k] * g[k][j] for k in range(n)), model.zero())
-                     * scale for j in range(n)] for i in range(n)]
+            cols = [[x * scale for x in row]
+                    for row in matmul(model, v.primitive_matrix(), g)]
             if canonical_form(model, cols) != v:
                 return _fail("canonical form changed", model=repr(model), n=n)
             total += 1
@@ -249,7 +252,7 @@ def suite_label_shift(config):
     for model, n in [(PAdicModel.get(2), 2), (PAdicModel.get(2), 3),
                      (LaurentModel.get(3), 3)]:
         for _ in range(6):
-            v = _random_vertex(model, n, rng)
+            v = random_vertex(model, n, rng)
             for w in range(1, n):
                 for nb in neighbors_by_colength(v, w):
                     if nb.label() != (v.label() + w) % n:
@@ -262,17 +265,14 @@ def suite_label_shift(config):
 # building suites
 # ---------------------------------------------------------------------------
 
-def _ball_cases(config, max_d=2, q_only_2=True, r2=True):
-    cases = [BuildingDescriptor([(PAdicModel.get(2), 1)]),
-             BuildingDescriptor([(PAdicModel.get(2), 2)])]
-    if r2:
-        cases.append(BuildingDescriptor([(PAdicModel.get(2), 1),
-                                         (PAdicModel.get(2), 1)]))
-    return cases
+def _ball_cases():
+    model = PAdicModel.get(2)
+    return [BuildingDescriptor([(model, 1)]), BuildingDescriptor([(model, 2)]),
+            BuildingDescriptor([(model, 1), (model, 1)])]
 
 
 def suite_labelling_propagation(config):
-    for descriptor in _ball_cases(config):
+    for descriptor in _ball_cases():
         b = ball(descriptor, descriptor.origin(), 2, detail="faces",
                  budget=config.budget)
         result = _gallery_propagate(b)
@@ -396,7 +396,7 @@ def suite_projection_agreement(config, cases=None):
         descriptor = BuildingDescriptor([(model, d)])
         b = ball(descriptor, descriptor.origin(), 2, detail="vertices",
                  budget=max(config.budget, 20000))
-        window = _window_exps(d + 1, 3)
+        window = window_exps(d + 1, 3)
         apt_exps = [tuple(-m for m in w) for w in window]
         for x in b.vertices:
             c = x.components[0]
@@ -426,7 +426,7 @@ def suite_projection_agreement(config, cases=None):
     descriptor = BuildingDescriptor([(model, 1), (model, 1)])
     bp = ball(descriptor, descriptor.origin(), 2, detail="vertices",
               budget=config.budget)
-    window = _window_exps(2, 3)
+    window = window_exps(2, 3)
     apt_exps = [tuple(-m for m in w) for w in window]
     for x in bp.vertices:
         want_factors = []
@@ -445,23 +445,22 @@ def suite_projection_agreement(config, cases=None):
 
 def suite_label_equivariance(config):
     rng = config.rng()
-    from .lattice import det_exact
     model = PAdicModel.get(2)
     for _ in range(50):
-        x = PolyVertex((_random_vertex(model, 3, rng),))
-        g = _random_unimodular(model, 3, rng)
+        x = PolyVertex((random_vertex(model, 3, rng),))
+        g = random_unimodular(model, 3, rng)
         k = rng.randrange(0, 3)
         pi = model.uniformizer()
         g = [[g[i][j] * (pi ** k if j == 0 else model.one()) for j in range(3)]
              for i in range(3)]
-        vdet = det_exact(model, g).valuation()
+        vdet = det(model, g).valuation()
         if labelling_C(act([g], x))[0] != (labelling_C(x)[0] + vdet) % 3:
             return _fail("label equivariance", k=k)
     return _ok(samples=50)
 
 
 def suite_directed_edges(config):
-    for descriptor in _ball_cases(config):
+    for descriptor in _ball_cases():
         b = ball(descriptor, descriptor.origin(), 1, budget=config.budget)
         edge_set = {(a, c) for (a, c, _f) in b.edges} | \
                    {(c, a) for (a, c, _f) in b.edges}
@@ -487,13 +486,13 @@ def suite_involution(config):
     # lambda^2 = id and label reversal on r <= 2 products, d <= 2
     descriptor = BuildingDescriptor([(model, 2), (model, 1)])
     for _ in range(200):
-        x = PolyVertex((_random_vertex(model, 3, rng),
-                        _random_vertex(model, 2, rng)))
+        x = PolyVertex((random_vertex(model, 3, rng),
+                        random_vertex(model, 2, rng)))
         if involution_lambda(involution_lambda(x, [1, 1]), [1, 1]) != x:
             return _fail("lambda^2 != id")
     for _ in range(50):
-        x = PolyVertex((_random_vertex(model, 3, rng),
-                        _random_vertex(model, 2, rng)))
+        x = PolyVertex((random_vertex(model, 3, rng),
+                        random_vertex(model, 2, rng)))
         lx = involution_lambda(x, [1, 0])
         cl, c = labelling_C(lx), labelling_C(x)
         if cl[0] != (-c[0]) % 3 or cl[1] != c[1]:
@@ -752,7 +751,7 @@ def suite_label_action_stability(config):
                                           [{"kind": "shift", "factor": 0,
                                             "power": 0}]), b)
         for _ in range(4):
-            g = _random_unimodular(model, 3, rng, steps=3)
+            g = random_unimodular(model, 3, rng, steps=3)
             word = AutWord(descriptor,
                            [{"kind": "group", "matrices": [g]}] + gens)
             _, _, cls = label_action(word, b)

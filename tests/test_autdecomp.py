@@ -12,8 +12,7 @@ from btbuildings.building import (
     in_standard_apartment, labelling_C, sigma_mu)
 from btbuildings.errors import WindowError
 from btbuildings.field import LaurentModel, PAdicModel
-
-from tutil import random_unimodular
+from btbuildings.verify import random_unimodular
 
 Q2 = PAdicModel.get(2)
 F2T = LaurentModel.get(2)

@@ -12,8 +12,8 @@ from btbuildings.building import (
 from btbuildings.errors import BudgetError
 from btbuildings.field import LaurentModel, PAdicModel
 from btbuildings.lattice import canonical_form, standard_vertex, vertex_from_diagonal
-
-from tutil import apartment_vertex_window, random_unimodular, random_vertex
+from btbuildings.linalg import det
+from btbuildings.verify import random_unimodular, random_vertex, window_exps
 
 Q2 = PAdicModel.get(2)
 Q3 = PAdicModel.get(3)
@@ -123,7 +123,7 @@ def test_project_apartment_example_and_argmin_oracle():
 
     # f-argmin oracle over the apartment window for every vertex of a radius-2 ball
     b = ball(B1, B1.origin(), 2, detail="vertices")
-    window = apartment_vertex_window(Q2, 2, 3)
+    window = [vertex_from_diagonal(Q2, e) for e in window_exps(2, 3)]
     for x in b.vertices:
         pt = project_apartment(x)
         fvals = sorted((distance_f(x, PolyVertex((y,))), y.sort_key(), y)
@@ -186,8 +186,7 @@ def test_label_equivariance_under_g():
         k = rng.randrange(0, 3)
         g = [[g[i][j] * (pi ** k if j == 0 else Q2.one()) for j in range(3)]
              for i in range(3)]
-        from btbuildings.lattice import det_exact
-        vdet = det_exact(Q2, g).valuation()
+        vdet = det(Q2, g).valuation()
         assert labelling_C(act([g], x))[0] == (labelling_C(x)[0] + vdet) % 3
 
 

@@ -7,6 +7,7 @@ from btbuildings.field import (
     INF, ExtensionDescriptor, LaurentModel, PAdicModel,
     embed, enumerate_residues, expand_over, valuation,
 )
+from btbuildings.verify import random_element
 
 
 Q2 = PAdicModel.get(2)
@@ -27,25 +28,12 @@ def test_valuation_examples():
     assert valuation(F3T.uniformizer()) == 1
 
 
-def _random_element(model, rng):
-    if isinstance(model, PAdicModel):
-        num = rng.randrange(-400, 400)
-        den = rng.randrange(1, 400)
-        return model.element(Fraction(num, den))
-    deg = rng.randrange(0, 4)
-    num = tuple(rng.randrange(model.q) for _ in range(deg + 1))
-    den = ()
-    while not any(den):
-        den = tuple(rng.randrange(model.q) for _ in range(rng.randrange(0, 4) + 1))
-    return model.element(num, den)
-
-
 @pytest.mark.parametrize("model", [Q2, Q3, F2T, F3T, F4T])
 def test_valuation_axioms_random(model):
     rng = random.Random(20240901)
     for _ in range(1000):
-        x = _random_element(model, rng)
-        y = _random_element(model, rng)
+        x = random_element(model, rng)
+        y = random_element(model, rng)
         vx, vy = valuation(x), valuation(y)
         assert valuation(x * y) == vx + vy
         s = x + y
@@ -112,8 +100,8 @@ def test_embed_hom_and_valuation_scaling(e, f):
     rng = random.Random(31337 + 10 * e + f)
     seen = set()
     for _ in range(60):
-        x = _random_element(F2T, rng)
-        y = _random_element(F2T, rng)
+        x = random_element(F2T, rng)
+        y = random_element(F2T, rng)
         ex, ey = embed(x, ext), embed(y, ext)
         assert embed(x + y, ext) == ex + ey
         assert embed(x * y, ext) == ex * ey
@@ -129,7 +117,7 @@ def test_expand_roundtrip():
     basis_pows = [(a, b) for a in range(2) for b in range(2)]
     w_img = E.gf.from_coeffs([0, 1])
     for _ in range(40):
-        y = _random_element(E, rng)
+        y = random_element(E, rng)
         coords = ext.expand(y)
         acc = E.zero()
         for (a, b), c in zip(basis_pows, coords):
@@ -165,7 +153,7 @@ def test_parse_print_roundtrip():
     rng = random.Random(99)
     for model in (Q2, F2T, F3T, F4T):
         for _ in range(80):
-            x = _random_element(model, rng)
+            x = random_element(model, rng)
             assert model.elem_parse(str(x)) == x
 
 

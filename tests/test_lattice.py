@@ -5,10 +5,12 @@ import pytest
 
 from btbuildings.field import INF, LaurentModel, PAdicModel
 from btbuildings.lattice import (
-    Lattice, adjacent, all_neighbors, canonical_form, dual, gaussian_binomial,
-    index, neighbors_by_colength, pair_index_normalized, standard_vertex,
-    subspace_rrefs, vertex_from_diagonal,
+    Lattice, _triangularize_digits, adjacent, all_neighbors, canonical_form,
+    digit_ops, dual, gaussian_binomial, index, neighbors_by_colength,
+    pair_index_normalized, standard_vertex, subspace_rrefs,
 )
+from btbuildings.linalg import matmul
+from btbuildings.verify import random_unimodular, random_vertex
 
 Q2 = PAdicModel.get(2)
 Q3 = PAdicModel.get(3)
@@ -67,53 +69,64 @@ def test_canonical_spec_matrix_example():
     assert a == b
 
 
-def _random_unimodular(model, n, rng):
-    # product of elementary column matrices and unit scalings
-    mat = [[model.one() if i == j else model.zero() for j in range(n)] for i in range(n)]
-    for _ in range(6):
-        a, b = rng.randrange(n), rng.randrange(n)
-        if a == b:
-            continue
-        c = _random_o_element(model, rng)
-        for i in range(n):
-            mat[i][a] = mat[i][a] + c * mat[i][b]
-    return mat
-
-
-def _random_o_element(model, rng):
-    if isinstance(model, PAdicModel):
-        return model.element(rng.randrange(0, 8) + rng.randrange(0, 2))
-    return model.from_digits([rng.randrange(model.q) for _ in range(3)])
-
-
-def _random_vertex(model, n, rng, spread=2):
-    exps = [rng.randrange(0, spread + 1) for _ in range(n)]
-    diag = vertex_from_diagonal(model, tuple(exps))
-    g = _random_unimodular(model, n, rng)
-    prim = diag.primitive_matrix()
-    cols = [[sum_entries(model, prim, g, i, j) for j in range(n)] for i in range(n)]
-    return canonical_form(model, cols)
-
-
-def sum_entries(model, a, b, i, j):
-    acc = model.zero()
-    for k in range(len(a)):
-        acc = acc + a[i][k] * b[k][j]
-    return acc
-
-
 @pytest.mark.parametrize("model,n", [(Q2, 2), (Q2, 3), (F2T, 2), (F3T, 3)])
 def test_canonical_stability_under_column_ops_and_scaling(model, n):
     rng = random.Random(12345)
     pi = model.uniformizer()
     for _ in range(125):
-        v = _random_vertex(model, n, rng)
-        prim = v.primitive_matrix()
-        g = _random_unimodular(model, n, rng)
+        v = random_vertex(model, n, rng)
+        g = random_unimodular(model, n, rng)
         scale = pi ** rng.randrange(-2, 3)
-        cols = [[sum_entries(model, prim, g, i, j) * scale for j in range(n)]
-                for i in range(n)]
+        cols = [[x * scale for x in row]
+                for row in matmul(model, v.primitive_matrix(), g)]
         assert canonical_form(model, cols) == v
+
+
+@pytest.mark.parametrize("model,n", [(Q2, 2), (Q2, 3), (F2T, 2), (F3T, 2)])
+def test_canonical_form_matches_span_oracle(model, n):
+    # raw bases g * diag(pi^e) * h * pi^(-k), g and h unimodular: entries of
+    # negative valuation, and mostly non-diagonal classes.  Exponents in
+    # [0, 2] with a primitive determinant valuation D <= 3 keep the
+    # exhaustive oracle at depth D+1 small.
+    rng = random.Random(4711 + n)
+    pi = model.uniformizer()
+    nondiagonal = 0
+    for _ in range(24):
+        exps = [rng.randrange(0, 3) for _ in range(n)]
+        while sum(exps) - n * min(exps) > 3:
+            exps = [rng.randrange(0, 3) for _ in range(n)]
+        diag = [[pi ** exps[i] if i == j else model.zero() for j in range(n)]
+                for i in range(n)]
+        shift = pi ** -(max(exps) + rng.randrange(1, 3))
+        raw = matmul(model, matmul(model, random_unimodular(model, n, rng), diag),
+                     random_unimodular(model, n, rng))
+        raw = [[x * shift for x in row] for row in raw]
+        minval = min(x.valuation() for row in raw for x in row)
+        assert minval < 0
+        v = canonical_form(model, raw)
+        nondiagonal += not v.is_diagonal()
+        depth = v.det_valuation() + 1
+        prim = [[x * pi ** -minval for x in row] for row in raw]
+        want = lattice_span_mod(model, [list(c) for c in zip(*prim)], depth)
+        got = lattice_span_mod(model, [list(c) for c in zip(*v.primitive_matrix())],
+                               depth)
+        assert got == want
+    assert nondiagonal >= 4
+
+
+@pytest.mark.parametrize("model", [Q2, F2T])
+def test_reduction_below_guard_precision_raises(model):
+    # diag(1, pi^3) needs 2*3+1 digits; with fewer the reduction must refuse
+    # rather than return a class it cannot certify
+    def cols(ops):
+        one = ops.residue_coeff(1)
+        return [[one, ops.zero()], [ops.zero(), ops.shift_up(one, 3)]]
+    for M in (3, 4, 6):
+        ops = digit_ops(model, M)
+        with pytest.raises(ArithmeticError):
+            _triangularize_digits(ops, cols(ops), 2)
+    ops = digit_ops(model, 7)
+    assert _triangularize_digits(ops, cols(ops), 2)[0] == (0, 3)
 
 
 def test_index_examples():
@@ -154,7 +167,7 @@ def test_dual_examples():
     rng = random.Random(777)
     for model, n in [(Q2, 2), (F3T, 3)]:
         for _ in range(20):
-            v = _random_vertex(model, n, rng)
+            v = random_vertex(model, n, rng)
             assert dual(dual(v)) == v
 
 
@@ -164,7 +177,7 @@ def test_label_examples():
     assert v.label() == 1
     rng = random.Random(4242)
     for _ in range(30):
-        w = _random_vertex(Q2, 3, rng)
+        w = random_vertex(Q2, 3, rng)
         assert dual(w).label() == (-w.label()) % 3
 
 
@@ -242,7 +255,7 @@ def test_neighbor_labels_shift_by_colength():
     rng = random.Random(31)
     for model, n in [(Q2, 2), (Q2, 3), (F3T, 3)]:
         for _ in range(6):
-            v = _random_vertex(model, n, rng)
+            v = random_vertex(model, n, rng)
             for w in range(1, n):
                 for nb in neighbors_by_colength(v, w):
                     assert nb.label() == (v.label() + w) % n
@@ -288,12 +301,12 @@ def test_all_neighbors_order():
 
 
 def test_digit_and_exact_backends_agree():
-    # neighbors come out of the digit-vector reduction; recanonicalizing
-    # their primitive matrices through the exact-element path must agree
+    # canonical form is idempotent: recanonicalizing a neighbor's primitive
+    # matrix (exact elements, converted to digits) gives the neighbor back
     rng = random.Random(2025)
     for model, n in [(Q2, 2), (Q3, 3), (F2T, 3), (F3T, 2)]:
         for _ in range(4):
-            v = _random_vertex(model, n, rng)
+            v = random_vertex(model, n, rng)
             for nb in all_neighbors(v)[:12]:
                 assert canonical_form(model, nb.primitive_matrix()) == nb
 
@@ -302,7 +315,7 @@ def test_serialization_roundtrip():
     rng = random.Random(8)
     for model, n in [(Q2, 2), (F3T, 2), (F2T, 3)]:
         for _ in range(10):
-            v = _random_vertex(model, n, rng)
+            v = random_vertex(model, n, rng)
             flat = v.serialize()
             mat = [[model.elem_parse(flat[i * n + j]) for j in range(n)] for i in range(n)]
             # the serialized matrix rows generate the lattice: transpose for input

@@ -16,8 +16,7 @@ from btbuildings.subdivision import (
     eta_integer_points, eta_membership, nu_embed, nu_embed_point,
     skeleton_distance, subdivide_ball, subdivide_chambers,
     verify_induced_structure)
-
-from tutil import random_vertex
+from btbuildings.verify import random_unimodular
 
 Q2 = PAdicModel.get(2)
 F2T = LaurentModel.get(2)
@@ -209,7 +208,6 @@ def test_delta_nu_identity_on_vertices():
         pt = ApartmentPoint([(None, exps)])
         assert delta_restrict(nu_embed_point(pt, EXT_RAM), EXT_RAM) == pt
     # with a nonstandard basis defined over the base
-    from tutil import random_unimodular
     basis = random_unimodular(F2T, 2, random.Random(9))
     pt = ApartmentPoint([(basis, (0, 2))])
     back = delta_restrict(nu_embed_point(pt, EXT_RAM), EXT_RAM)
