@@ -101,7 +101,9 @@ def decompose_hom(f, sizes_in, sizes_out):
             u = base[:i] + (t,) + base[i + 1:]
             img = f[u]
             diff = [j for j in range(len(sizes_out)) if img[j] != fb[j]]
-            assert len(diff) == 1  # edge preservation already verified
+            if len(diff) != 1:  # edge preservation already verified
+                raise ArithmeticError(
+                    "an edge image changes several coordinates")
             if axis is None:
                 axis = diff[0]
             elif axis != diff[0]:
@@ -319,7 +321,8 @@ def label_action(word, b):
         img = word.apply(v)
         if img in b.vid:
             expected = dec.apply(labelling_C(v))
-            assert labelling_C(img) == expected, "C o phi != C o phi o D o C"
+            if labelling_C(img) != expected:
+                raise ArithmeticError("C o phi != C o phi o D o C")
     return dec.mu, dec.gs, classification
 
 
@@ -348,7 +351,9 @@ def _signature_check(word, b, dec, classification):
                     f"{counts[i].get(w)} vs image offset {expected_w} count "
                     f"{img_counts[j].get(expected_w)}")
             q = b.descriptor.models[i].residue_size
-            assert counts[i].get(w) == gaussian_binomial(m, w, q)
+            if counts[i].get(w) != gaussian_binomial(m, w, q):
+                raise ArithmeticError(
+                    f"factor {i}: offset {w} count is not a Gaussian binomial")
 
 
 def _offset_counts(b, v):
@@ -439,7 +444,9 @@ def normal_form(word, b):
         mu, gs, cls2 = label_action(
             AutWord(descriptor, with_lambda.gens +
                     [{"kind": "group", "matrices": g2}]), b)
-        assert all(kind == "rotation" and a == 0 for kind, a in cls2)
+        if any(kind != "rotation" or a != 0 for kind, a in cls2):
+            raise ArithmeticError(
+                "restoring element leaves a reflection or shift")
         g_total = []
         for i, (model, d) in enumerate(descriptor.factors):
             g2i = inverse(model, transpose(g2[i])) if r_mask[i] else g2[i]

@@ -18,18 +18,6 @@ from .lattice import (
 from .linalg import identity, inverse, matmul, solve, transpose
 
 
-def absolute_ramification(model):
-    """Ramification of the model over the root of its extension tower."""
-    e = 1
-    while getattr(model, "tower", None):
-        tower = model.tower
-        if tower[0] == "helper":
-            break
-        model = tower[0]
-        e *= tower[1]
-    return e
-
-
 class BuildingDescriptor:
     """Product of the buildings of SL_{d_i+1} over the fields k_i."""
 
@@ -369,6 +357,8 @@ class Ball:
     def __init__(self, descriptor, center, radius, detail="edges", budget=2000):
         if detail not in ("vertices", "edges", "faces"):
             raise ValueError(f"unknown detail level {detail!r}")
+        if radius < 0:
+            raise ValueError(f"radius must be >= 0, got {radius}")
         descriptor.check_vertex(center)
         self.descriptor = descriptor
         self.center = center
@@ -484,7 +474,7 @@ class Ball:
             edges.append({
                 "from": u, "to": v_, "factor": i,
                 "directed": fuv == 1,
-                "length": str(Fraction(1, absolute_ramification(m))),
+                "length": str(Fraction(1, m.ramification)),
             })
         obj = {"descriptor": desc,
                "center": 0,

@@ -189,6 +189,8 @@ def _build_rigid_point(args, descriptor):
 
 
 def cmd_omega(args):
+    if args.depth < 1:
+        raise ValueError(f"--depth must be >= 1, got {args.depth}")
     descriptor = build_descriptor(args)
     x, K = _build_rigid_point(args, descriptor)
     results = []
@@ -230,23 +232,12 @@ def cmd_retract(args):
 
 
 def cmd_verify(args):
-    factors = None
-    try:
-        factors = list(build_descriptor(args).factors)
-    except ValueError:
-        factors = None
-    config = Config(factors=factors, radius=args.radius, depth=args.depth,
-                    budget=args.budget, seed=args.seed)
+    config = Config(budget=args.budget, seed=args.seed)
     kwargs = {}
     if args.suite == "gaussian-binomials" and args.q:
         kwargs = {"qs": tuple(int(q) for q in args.q.split(",")),
                   "dmax": int(args.d.split(",")[0])}
-        from .verify import suite_gaussian_binomials
-        report = suite_gaussian_binomials(config, **kwargs)
-        report["suite"] = args.suite
-        report["seed"] = config.seed
-    else:
-        report = run_suite(args.suite, config)
+    report = run_suite(args.suite, config, **kwargs)
     emit(args, report)
     return 0 if report["passed"] else 1
 

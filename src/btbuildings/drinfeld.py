@@ -10,45 +10,11 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from .building import ApartmentPoint, absolute_ramification
+from .building import ApartmentPoint
 from .errors import BudgetError
-from .field import INF, FieldElement, enumerate_residues, expand_over
+from .field import (INF, FieldElement, enumerate_residues, expand_over,
+                    tower_embed)
 from .linalg import rank
-
-
-def root_model(model):
-    while getattr(model, "tower", None):
-        if model.tower[0] == "helper":
-            break
-        model = model.tower[0]
-    return model
-
-
-def tower_chain(model):
-    """Extension descriptors from the root up to the model."""
-    from .field import ExtensionDescriptor
-    chain = []
-    m = model
-    while getattr(m, "tower", None) and m.tower[0] != "helper":
-        base, e, f = m.tower
-        chain.append(ExtensionDescriptor(base, e=e, f=f, var=m.var))
-        m = base
-    chain.reverse()
-    return chain
-
-
-def tower_embed(x, target):
-    """Embed x upward along the tower into the target model."""
-    if x.model is target:
-        return x
-    chain = tower_chain(target)
-    models = [root_model(target)] + [ext.extension for ext in chain]
-    if x.model not in models:
-        raise ValueError("no tower path from the element's model to the target")
-    start = models.index(x.model)
-    for ext in chain[start:]:
-        x = ext.embed(x)
-    return x
 
 
 def val_root(x):
@@ -57,7 +23,7 @@ def val_root(x):
     v = x.valuation()
     if v == INF:
         return INF
-    return Fraction(v, absolute_ramification(x.model))
+    return Fraction(v, x.model.ramification)
 
 
 class AbsValue:
@@ -297,6 +263,29 @@ def unimodular_count(q, n, dim):
     return total
 
 
+def _combine(coeffs, values, K):
+    """sum_j a_j v_j in K over the nonzero coefficients a_j, which may lie
+    in any model below K in its tower."""
+    acc = K.zero()
+    for a, v in zip(coeffs, values):
+        if a.valuation() != INF:
+            acc = acc + tower_embed(a, K) * v
+    return acc
+
+
+def _min_term(coeffs, values, e):
+    """(v, j): the least root valuation v(a_j)/e + v(v_j) over the nonzero
+    a_j, and the first index j that attains it."""
+    vmin, jmin = INF, None
+    for j, (a, v) in enumerate(zip(coeffs, values)):
+        va = a.valuation()
+        if va != INF:
+            tv = Fraction(va) / e + val_root(v)
+            if tv < vmin:
+                vmin, jmin = tv, j
+    return vmin, jmin
+
+
 def omega_membership(x, n, closed=True, budget=200000):
     """x in X[n] (closed) or X(n) (strict): the defining inequality checked
     on all unimodular alpha per factor, enumerated modulo pi_i^n."""
@@ -308,16 +297,11 @@ def omega_membership(x, n, closed=True, budget=200000):
         if count > budget:
             raise BudgetError(
                 f"factor {i} needs {count} unimodular vectors (> budget {budget})")
-        e_i = absolute_ramification(model)
-        vals = [val_root(x.value(i, j)) for j in range(d + 1)]
-        min_val = min(vals)
-        bound = Fraction(n, e_i) + min_val
+        values = [x.value(i, j) for j in range(d + 1)]
+        bound = (Fraction(n, model.ramification)
+                 + min(val_root(v) for v in values))
         for alpha in unimodular_representatives(model, n, d + 1):
-            acc = x.K.zero()
-            for j, a in enumerate(alpha):
-                if a.valuation() != INF:
-                    acc = acc + tower_embed(a, x.K) * x.value(i, j)
-            v = val_root(acc)
+            v = val_root(_combine(alpha, values, x.K))
             if closed:
                 if not v <= bound:
                     return False
@@ -340,7 +324,7 @@ def tau_coordinates(x):
     tau_Lambda(tau(x))."""
     factors = []
     for i, (model, d) in enumerate(x.descriptor.factors):
-        e_i = absolute_ramification(model)
+        e_i = model.ramification
         exps = []
         for j in range(d + 1):
             v = val_root(x.value(i, j))
@@ -373,8 +357,8 @@ def diagonalize_norm(x, i, n, budget=200000, max_rounds=None):
     count = unimodular_count(q, n + 1, d + 1)
     if count > budget:
         raise BudgetError(f"diagonalization needs {count} vectors (> budget)")
-    e_i = absolute_ramification(model)
-    e_K = absolute_ramification(x.K)
+    e_i = model.ramification
+    e_K = x.K.ramification
     basis = [[model.one() if k == j else model.zero() for k in range(d + 1)]
              for j in range(d + 1)]  # rows: coordinates of v_j in the T-basis
     values = [x.value(i, j) for j in range(d + 1)]
@@ -385,18 +369,8 @@ def diagonalize_norm(x, i, n, budget=200000, max_rounds=None):
     for _round in range(max_rounds):
         violation = None
         for alpha in alphas:
-            acc = x.K.zero()
-            vmin = INF
-            jstar = None
-            for j, a in enumerate(alpha):
-                va = a.valuation()
-                if va == INF:
-                    continue
-                term_val = Fraction(va) / e_i + val_root(values[j])
-                acc = acc + tower_embed(a, x.K) * values[j]
-                if term_val < vmin:
-                    vmin = term_val
-                    jstar = j
+            acc = _combine(alpha, values, x.K)
+            vmin, jstar = _min_term(alpha, values, e_i)
             if val_root(acc) > vmin:
                 violation = (alpha, jstar)
                 break
@@ -405,18 +379,12 @@ def diagonalize_norm(x, i, n, budget=200000, max_rounds=None):
             return basis, exps
         alpha, jstar = violation
         astar = alpha[jstar]
-        new_row = [model.zero()] * (d + 1)
-        for j, a in enumerate(alpha):
-            if a.valuation() == INF:
-                continue
-            c = a / astar
-            for k in range(d + 1):
-                new_row[k] = new_row[k] + c * basis[j][k]
-        new_value = x.K.zero()
-        for j, a in enumerate(alpha):
-            if a.valuation() != INF:
-                new_value = new_value + tower_embed(a / astar, x.K) * values[j]
-        assert val_root(new_value) > val_root(values[jstar])
+        coeffs = [a / astar if a.valuation() != INF else a for a in alpha]
+        new_row = [_combine(coeffs, column, model) for column in zip(*basis)]
+        new_value = _combine(coeffs, values, x.K)
+        if not val_root(new_value) > val_root(values[jstar]):
+            raise ArithmeticError("a violating combination did not raise "
+                                  "the valuation of its basis vector")
         # keep the coefficient row unimodular so the X[n] certificate keeps
         # bounding the values (termination argument)
         mv = min(c.valuation() for c in new_row if c.valuation() != INF)
@@ -433,29 +401,14 @@ def verify_diagonal(x, i, basis, depth, budget=200000):
     """Independent re-verification of the diagonality property at the given
     depth: all unimodular a mod pi_i^{depth} satisfy the max-property."""
     model, d = x.descriptor.factors[i]
-    e_i = absolute_ramification(model)
-    values = []
-    for j in range(d + 1):
-        acc = x.K.zero()
-        for k in range(d + 1):
-            c = basis[j][k]
-            if c.valuation() != INF:
-                acc = acc + tower_embed(c, x.K) * x.value(i, k)
-        values.append(acc)
+    xs = [x.value(i, k) for k in range(d + 1)]
+    values = [_combine(row, xs, x.K) for row in basis]
     count = unimodular_count(model.residue_size, depth, d + 1)
     if count > budget:
         raise BudgetError(f"verification needs {count} vectors (> budget)")
     for alpha in unimodular_representatives(model, depth, d + 1):
-        acc = x.K.zero()
-        vmin = INF
-        for j, a in enumerate(alpha):
-            if a.valuation() == INF:
-                continue
-            acc = acc + tower_embed(a, x.K) * values[j]
-            tv = Fraction(a.valuation()) / e_i + val_root(values[j])
-            if tv < vmin:
-                vmin = tv
-        if val_root(acc) != vmin:
+        vmin, _j = _min_term(alpha, values, model.ramification)
+        if val_root(_combine(alpha, values, x.K)) != vmin:
             return False
     return True
 
@@ -478,7 +431,7 @@ class GaussSeminorm:
     def from_apartment_point(cls, descriptor, point):
         data = []
         for (model, d), (basis, exps) in zip(descriptor.factors, point.factors):
-            e_i = absolute_ramification(model)
+            e_i = model.ramification
             data.append((basis, tuple(Fraction(v) / e_i for v in exps)))
         return cls(descriptor, data)
 

@@ -7,9 +7,12 @@ preserved with no precision management.
 
 Laurent-model elements are reduced ratios of polynomials over F_q with
 a monic denominator; p-adic elements are Fractions.  Equal-characteristic
-extensions F_{q^f}(s), s^e = t, are themselves Laurent models and carry
-a pointer to their base, so elements can be embedded upward and expanded
-downward exactly.
+extensions F_{q^f}(s), s^e = t, are themselves Laurent models.  Every
+model knows its place in its extension tower: `ext` is the
+ExtensionDescriptor of the step below it (None on a root), `root` the
+bottom of the tower and `ramification` the absolute ramification index
+over the root.  `tower_embed` walks the tower upward and `expand_over`
+downward, one `ext` at a time, exactly.
 """
 
 import math
@@ -98,6 +101,8 @@ class PAdicModel:
     """Q with the p-adic valuation, standing in for Q_p."""
 
     kind = "padic"
+    ext = None
+    ramification = 1
     _cache = {}
 
     @classmethod
@@ -113,7 +118,7 @@ class PAdicModel:
             raise ValueError(f"p must be prime, got {p}")
         self.p = p
         self.residue_size = p
-        self.tower = None
+        self.root = self
 
     def key(self):
         return ("padic", self.p)
@@ -196,31 +201,28 @@ class LaurentModel:
     kind = "laurent"
     _cache = {}
 
-    @staticmethod
-    def _tower_key(tower):
-        if tower is None:
-            return None
-        if tower[0] == "helper":
-            return ("helper", tower[1])
-        return tower[0].key() + (tower[1], tower[2])
-
     @classmethod
-    def get(cls, q, var="t", tower=None):
-        key = (q, var, cls._tower_key(tower))
-        m = cls._cache.get(key)
-        if m is None:
-            m = cls._cache[key] = cls(q, var, tower)
-        return m
+    def get(cls, q, var="t", ext=None):
+        m = cls(q, var, ext)
+        return cls._cache.setdefault(m.key(), m)
 
-    def __init__(self, q, var="t", tower=None):
+    def __init__(self, q, var="t", ext=None):
         self.gf = GF.get(q)
         self.q = q
         self.residue_size = q
         self.var = var
-        self.tower = tower  # None, or (base_model, e, f)
+        self.ext = ext  # the step below this model, None on a root
+        if ext is None:
+            self.root, self.ramification = self, 1
+            self._key = ("laurent", q, var, None)
+        else:
+            base = ext.base
+            self.root = base.root
+            self.ramification = base.ramification * ext.e
+            self._key = ("laurent", q, var, base.key() + (ext.e, ext.f))
 
     def key(self):
-        return ("laurent", self.q, self.var, self._tower_key(self.tower))
+        return self._key
 
     def __repr__(self):
         return f"LaurentModel(q={self.q}, var={self.var!r})"
@@ -512,24 +514,13 @@ def enumerate_residues(model, m):
 
 class ExtensionDescriptor:
     """Equal-characteristic extension of a Laurent model: residue degree f,
-    ramification index e, uniformizer s with s^e = t."""
-
-    _cache = {}
-
-    def __new__(cls, base, e=1, f=1, var=None):
-        if isinstance(base, PAdicModel):
-            raise ValueError("extensions are unsupported in the p-adic model")
-        key = (base.key(), e, f, var)
-        inst = cls._cache.get(key)
-        if inst is not None:
-            return inst
-        inst = super().__new__(cls)
-        cls._cache[key] = inst
-        return inst
+    ramification index e, uniformizer s with s^e = t.  Descriptors with
+    equal parameters share one extension model, whose `ext` is the first
+    of them."""
 
     def __init__(self, base, e=1, f=1, var=None):
-        if getattr(self, "_ready", False):
-            return
+        if isinstance(base, PAdicModel):
+            raise ValueError("extensions are unsupported in the p-adic model")
         if e < 1 or f < 1:
             raise ValueError("e and f must be >= 1")
         self.base = base
@@ -541,9 +532,10 @@ class ExtensionDescriptor:
             except ValueError:
                 i = 0
             var = _EXT_VARS[i + 1] if i + 1 < len(_EXT_VARS) else base.var + "'"
-        self.extension = LaurentModel.get(base.q ** f, var=var, tower=(base, e, f))
+        self.extension = LaurentModel.get(base.q ** f, var=var, ext=self)
+        # F_{q^f}(t): the extension's residue field over the base variable
+        self._helper = LaurentModel.get(self.extension.q, var=base.var)
         self._coef_emb = base.gf.embedding_into(self.extension.gf)
-        self._ready = True
 
     @property
     def degree(self):
@@ -571,17 +563,12 @@ class ExtensionDescriptor:
 
     # -- descent: exact coordinates of an extension element over the base --
 
-    def _helper_model(self):
-        # F_{q^f}(t): same residue field as the extension, base variable
-        return LaurentModel.get(self.extension.q, var=self.base.var,
-                                tower=("helper", self.base.key()))
-
     def expand(self, y):
         """Coordinates of y in the base-module basis {s^a w^b} (a < e, b < f),
         as a list of e*f base elements, indexed a*f + b."""
         if y.model is not self.extension:
             raise ValueError("element not of the extension model")
-        H = self._helper_model()
+        H = self._helper
         e = self.e
         num, den = y.raw
         pnum = self._scoords(num, H)
@@ -677,7 +664,8 @@ class ExtensionDescriptor:
         table = {}
         for coords, acc in stack:
             table[acc] = coords
-        assert len(table) == gf_big.q
+        if len(table) != gf_big.q:
+            raise ArithmeticError("the basis {W^b} does not span F_{q^f}")
         return table
 
 
@@ -686,19 +674,30 @@ def embed(x, ext):
     return ext.embed(x)
 
 
+def tower_embed(x, target):
+    """Embed x upward along the extension tower into the target model."""
+    steps = []
+    model = target
+    while model is not x.model:
+        if model.ext is None:
+            raise ValueError(
+                "no tower path from the element's model to the target")
+        steps.append(model.ext)
+        model = model.ext.base
+    for ext in reversed(steps):
+        x = ext.embed(x)
+    return x
+
+
 def expand_over(y, target_model):
     """Coordinates of y over target_model, descending the extension tower
     one level at a time.  Returns a list of target-model elements."""
-    model = y.model
-    if model is target_model:
+    if y.model is target_model:
         return [y]
-    tower = model.tower
-    if not tower or tower[0] == "helper":
+    ext = y.model.ext
+    if ext is None:
         raise ValueError("no tower path to the target model")
-    base, e, f = tower
-    ext = ExtensionDescriptor(base, e=e, f=f, var=model.var)
-    coords = ext.expand(y)
     out = []
-    for c in coords:
+    for c in ext.expand(y):
         out.extend(expand_over(c, target_model))
     return out

@@ -256,7 +256,9 @@ class GF:
             if acc == 0:
                 gen_img = c
                 break
-        assert gen_img is not None
+        if gen_img is None:
+            raise ArithmeticError(
+                f"the modulus of {self!r} has no root in {other!r}")
         table = [0] * self.q
         for a in range(self.q):
             acc = 0

@@ -517,7 +517,8 @@ def gaussian_binomial(n, w, q):
     for i in range(1, w + 1):
         num *= q ** (n - w + i) - 1
         den *= q ** i - 1
-    assert num % den == 0
+    if num % den:
+        raise ArithmeticError("Gaussian binomial is not an integer")
     return num // den
 
 
@@ -546,7 +547,9 @@ def subspace_rrefs(q, n, k):
                 c, val = divmod(c, q)
                 rows[r][j] = val
             out.append(tuple(tuple(r) for r in rows))
-    assert len(out) == gaussian_binomial(n, n - k, q)
+    if len(out) != gaussian_binomial(n, n - k, q):
+        raise ArithmeticError(
+            "subspace count differs from the Gaussian binomial")
     return tuple(out)
 
 

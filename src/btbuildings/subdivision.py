@@ -106,7 +106,8 @@ def _barycentric_of_point(z, N):
     for m in range(1, d + 1):
         lam[m] = Fraction(z[d + 1 - m] - z[d - m], N)
     lam[0] = 1 - sum(lam[1:])
-    assert all(x >= 0 for x in lam) and sum(lam) == 1
+    if any(x < 0 for x in lam) or sum(lam) != 1:
+        raise ArithmeticError("point lies outside the dilated simplex")
     return tuple(lam)
 
 
@@ -177,7 +178,8 @@ def chamber_chart(comps):
             if not _in_span(gf, echelon, cand):
                 picked.append(cand)
                 echelon = _row_space(gf, echelon + [cand])
-    assert len(picked) == n
+    if len(picked) != n:
+        raise ArithmeticError("flag vectors do not span the residue space")
     picked.reverse()
     B = [[None] * n for _ in range(n)]
     for j, r in enumerate(picked):
@@ -191,7 +193,8 @@ def chamber_chart(comps):
     for k, cls in enumerate(chain):
         exps = [1] * js[k] + [0] * (n - js[k])
         cols = [[B[i][j] * pi ** exps[j] for j in range(n)] for i in range(n)]
-        assert canonical_form(model, cols) == cls, "chart verification failed"
+        if canonical_form(model, cols) != cls:
+            raise ArithmeticError("chart verification failed")
     return B, order, js
 
 
@@ -280,7 +283,8 @@ def subdivide_chambers(descriptor, chambers, marking):
             N = marking.per_factor[i]
             d = len(fverts) - 1
             B, order, js = chamber_chart(list(fverts))
-            assert js == list(range(d + 1)), "chamber chain must have unit steps"
+            if js != list(range(d + 1)):
+                raise ArithmeticError("chamber chain must have unit steps")
             chain = [fverts[j] for j in order]
             pt_index = {}
             plist = []
@@ -383,7 +387,8 @@ def skeleton_distance(x, y):
     if x == y:
         return 0
     s = pair_index_normalized(x, y) + pair_index_normalized(y, x)
-    assert s % x.n == 0
+    if s % x.n:
+        raise ArithmeticError("pair indices do not sum to a multiple of n")
     return s // x.n
 
 
@@ -446,7 +451,8 @@ def _image_vertex_of_factor_point(fpoint, ext):
         for j in range(j0, n):
             coords[j] += lam
     scaled = [x * e for x in coords]
-    assert all(x.denominator == 1 for x in scaled), "point is not 1/e-integral"
+    if any(x.denominator != 1 for x in scaled):
+        raise ArithmeticError("point is not 1/e-integral")
     pi_big = ext.extension.uniformizer()
     Bk = [[ext.embed(B[i][j]) for j in range(n)] for i in range(n)]
     cols = [[Bk[i][j] * pi_big ** (-int(scaled[j])) for j in range(n)]

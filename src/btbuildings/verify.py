@@ -36,19 +36,11 @@ from .subdivision import (Marking, delta_restrict, eta_chambers,
 
 
 class Config:
-    """CLI/suite configuration: field models, dimensions, budgets, seed."""
+    """Suite configuration: the budget and the seed of the suite's RNG."""
 
-    def __init__(self, factors=None, radius=2, depth=3, budget=20000,
-                 seed=0, out_format="json"):
-        self.factors = factors or [(PAdicModel.get(2), 1)]
-        self.radius = radius
-        self.depth = depth
+    def __init__(self, budget=20000, seed=0):
         self.budget = budget
         self.seed = seed
-        self.out_format = out_format
-
-    def descriptor(self):
-        return BuildingDescriptor(self.factors)
 
     def rng(self):
         return random.Random(self.seed)
@@ -980,10 +972,10 @@ SUITES = {
 }
 
 
-def run_suite(name, config):
+def run_suite(name, config, **kwargs):
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
-    report = SUITES[name](config)
+    report = SUITES[name](config, **kwargs)
     report["suite"] = name
     report["seed"] = config.seed
     return report

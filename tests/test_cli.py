@@ -21,6 +21,7 @@ def test_verify_gaussian_binomials(capsys):
     obj = json.loads(out)
     assert obj["passed"]
     assert any(c["enumerated"] == 15 for c in obj["counts"])
+    assert obj["suite"] == "gaussian-binomials" and obj["seed"] == 0
 
 
 def test_eta_command(capsys):
@@ -136,6 +137,21 @@ def test_exit_codes(capsys):
     # unknown suite
     code, _out = run_cli(["verify", "no-such-suite"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--radius", "-1", "ball"],
+    ["--field", "laurent:2", "--d", "1", "--radius", "-1",
+     "subdivide", "--marking", "2"],
+    ["--d", "1,1", "--radius", "-1", "normal-form",
+     "--word", '[{"kind":"exchange","mu":[1,0]}]'],
+    ["--field", "laurent:2", "--d", "1", "omega", "--point", '[["s"]]',
+     "--depth", "0"],
+])
+def test_negative_radius_and_depth_below_one_are_input_errors(argv, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
 
 
 def test_global_flags_after_subcommand(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from btbuildings.field import (
     INF, ExtensionDescriptor, LaurentModel, PAdicModel,
-    embed, enumerate_residues, expand_over, valuation,
+    embed, enumerate_residues, expand_over, tower_embed, valuation,
 )
 from btbuildings.verify import random_element
 
@@ -147,6 +147,95 @@ def test_expand_over_two_levels():
     assert len(coords) == 4
     nonzero = [c for c in coords if valuation(c) != INF]
     assert nonzero == [F2T.element("1+t")]
+
+
+# -- two-level towers: F_2((t)) -e=2-> -f=2-> and F_3((t)) -f=2-> -e=2-> ------
+
+def _towers():
+    ram = ExtensionDescriptor(F2T, e=2, f=1)
+    t1 = [F2T, ram.extension,
+          ExtensionDescriptor(ram.extension, e=1, f=2).extension]
+    unram = ExtensionDescriptor(F3T, e=1, f=2)
+    t2 = [F3T, unram.extension,
+          ExtensionDescriptor(unram.extension, e=2, f=1).extension]
+    return [(t1, [1, 2, 2]), (t2, [1, 1, 2])]
+
+
+@pytest.mark.parametrize("tower,ram", _towers())
+def test_tower_levels_know_root_and_ramification(tower, ram):
+    root = tower[0]
+    assert root.ext is None
+    for level, (model, e) in enumerate(zip(tower, ram)):
+        assert model.root is root
+        assert model.ramification == e
+        if level:
+            assert model.ext.base is tower[level - 1]
+            assert model.ext.extension is model
+            assert (model.ramification
+                    == model.ext.base.ramification * model.ext.e)
+    assert Q2.ext is None and Q2.root is Q2 and Q2.ramification == 1
+
+
+@pytest.mark.parametrize("tower,ram", _towers())
+def test_tower_expand_over_inverts_tower_embed(tower, ram):
+    root, K = tower[0], tower[-1]
+    rng = random.Random(4242 + root.q)
+    degree = 4  # e*f over the root on both towers
+    for _ in range(15):
+        x = random_element(root, rng)
+        coords = expand_over(tower_embed(x, K), root)
+        assert coords == [x] + [root.zero()] * (degree - 1)
+        middle = tower_embed(x, tower[1])
+        assert tower_embed(middle, K) == tower_embed(x, K)
+        assert expand_over(middle, root)[0] == x
+    with pytest.raises(ValueError):
+        tower_embed(K.one(), root)
+
+
+@pytest.mark.parametrize("tower,ram", _towers())
+def test_tower_expand_over_is_linear_over_the_root(tower, ram):
+    root, K = tower[0], tower[-1]
+    rng = random.Random(777 + root.q)
+    for _ in range(10):
+        c = random_element(root, rng)
+        y1, y2 = random_element(K, rng), random_element(K, rng)
+        lhs = expand_over(tower_embed(c, K) * y1 + y2, root)
+        rhs = [c * a + b for a, b in zip(expand_over(y1, root),
+                                         expand_over(y2, root))]
+        assert lhs == rhs
+
+
+def test_expand_with_the_residue_extension_already_in_use():
+    """F_4((t)) is the descent helper of F_2((t)) -f=2->; a caller that
+    holds it keeps a root model, and expansion stays exact."""
+    F4 = LaurentModel.get(4)
+    held = F4.element("w*t") / F4.element("1+t")
+    ext = ExtensionDescriptor(F2T, e=2, f=2)
+    E = ext.extension
+    w_img = E.gf.from_coeffs([0, 1])
+    rng = random.Random(5)
+    for _ in range(20):
+        y = random_element(E, rng)
+        acc = E.zero()
+        for i, c in enumerate(ext.expand(y)):
+            a, b = divmod(i, ext.f)
+            acc = acc + (embed(c, ext) * E.uniformizer() ** a
+                         * E.element((E.gf.pow(w_img, b),)))
+        assert acc == y
+    assert F4.ext is None and F4.root is F4
+    assert held == F4.element("w*t") / F4.element("1+t")
+    with pytest.raises(ValueError):
+        expand_over(held, F2T)
+
+
+def test_equal_descriptors_share_the_extension_model():
+    a = ExtensionDescriptor(F3T, e=2, f=2)
+    b = ExtensionDescriptor(F3T, e=2, f=2)
+    assert a.extension is b.extension
+    assert b.extension.ext.e == 2 and b.extension.ext.f == 2
+    assert ExtensionDescriptor(F3T, e=2, f=1).extension is not a.extension
+    y = embed(F3T.element("1+t"), b)
+    assert a.in_base(y) == F3T.element("1+t")
 
 
 def test_parse_print_roundtrip():

@@ -9,6 +9,7 @@ from btbuildings.building import (
     ball, basic_chamber, is_face, project_apartment)
 from btbuildings.errors import BudgetError
 from btbuildings.field import ExtensionDescriptor, LaurentModel, PAdicModel
+from btbuildings import subdivision
 from btbuildings.lattice import (all_neighbors, canonical_form, standard_vertex,
                                  vertex_from_diagonal)
 from btbuildings.subdivision import (
@@ -83,8 +84,19 @@ def test_chamber_chart_on_random_chambers():
     assert chambers
     for ch in chambers[:10]:
         comps = list(ch.factors[0])
-        B, order, js = chamber_chart(comps)  # asserts internally
+        B, order, js = chamber_chart(comps)  # verifies the chart itself
         assert js == [0, 1, 2]
+
+
+def test_chamber_chart_rejects_a_wrong_class(monkeypatch):
+    """The chart check is an explicit raise, so it also runs under -O."""
+    B2 = BuildingDescriptor([(Q2, 2)])
+    b = ball(B2, B2.origin(), 1, detail="faces")
+    comps = list(b.chambers[0].factors[0])
+    far = vertex_from_diagonal(Q2, (0, 5, 9))
+    monkeypatch.setattr(subdivision, "canonical_form", lambda model, cols: far)
+    with pytest.raises(ArithmeticError, match="chart verification failed"):
+        chamber_chart(comps)
 
 
 # -- subdivision -------------------------------------------------------------
