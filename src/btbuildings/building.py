@@ -104,10 +104,7 @@ class PolyFace:
 
     def vertices(self):
         """All product vertices of the face, in lexicographic factor order."""
-        out = [()]
-        for f in self.factors:
-            out = [t + (v,) for t in out for v in f]
-        return [PolyVertex(t) for t in out]
+        return [PolyVertex(t) for t in _product_tuples(self.factors)]
 
 
 class ApartmentPoint:
@@ -214,22 +211,24 @@ def _containment_shift(x, y):
 
 
 def _chain_order(comps):
-    """An ordering of distinct classes realizing L_0 >= .. >= L_m >= pi L_0,
-    or None.  Consecutive minimal shifts are optimal, so trying orderings is
-    a complete decision procedure."""
-    from itertools import permutations
-    m = len(comps)
-    if m == 1:
+    """The ordering of distinct classes, starting at comps[0], that realizes
+    L_0 > .. > L_m > pi L_0, or None.
+
+    Along such a chain the colength of L_k in L_0 is the label offset
+    (label(L_k) - label(L_0)) mod n, and it strictly increases.  So the
+    labels fix the only candidate order (equal labels rule out a chain), and
+    with consecutive minimal shifts one containment check along it decides."""
+    if len(comps) == 1:
         return (0,)
-    for perm in permutations(range(m)):
-        shifts = 0
-        ok = True
-        for k in range(1, m):
-            s = _containment_shift(comps[perm[k - 1]], comps[perm[k]])
-            shifts += s
-        if 1 - shifts >= _containment_shift(comps[perm[-1]], comps[perm[0]]):
-            return perm
-        # shifts telescope, so only the total matters; all orders checked
+    n, l0 = comps[0].n, comps[0].label()
+    offsets = [(c.label() - l0) % n for c in comps]
+    if len(set(offsets)) < len(comps):
+        return None
+    order = tuple(sorted(range(len(comps)), key=offsets.__getitem__))
+    shifts = sum(_containment_shift(comps[a], comps[b])
+                 for a, b in zip(order, order[1:]))
+    if 1 - shifts >= _containment_shift(comps[order[-1]], comps[order[0]]):
+        return order
     return None
 
 
@@ -328,22 +327,19 @@ class FactorBall:
 
     def _enumerate_faces(self):
         """All faces with >= 2 vertices inside the window, as sorted id
-        tuples, via clique extension filtered by the chain condition."""
+        tuples.  The building is a flag complex, so these are the cliques of
+        the window's 1-skeleton; a clique has at most d+1 vertices."""
         faces = []
         n = self.d + 1
+        adjset = {u: set(vs) for u, vs in self.adj.items()}
 
         def extend(clique, candidates):
             for idx, c in enumerate(candidates):
                 new = clique + (c,)
-                comps = [self.vertices[i] for i in new]
-                if _chain_order(comps) is None:
-                    continue
                 faces.append(new)
                 if len(new) < n:
-                    nxt = [x for x in candidates[idx + 1:] if x in self._adjset[c]]
-                    extend(new, nxt)
+                    extend(new, [x for x in candidates[idx + 1:] if x in adjset[c]])
 
-        self._adjset = {u: set(vs) for u, vs in self.adj.items()}
         for u in range(len(self.vertices)):
             extend((u,), [v for v in self.adj[u] if v > u])
         return faces
@@ -382,21 +378,19 @@ class Ball:
         self.vertices = []
         self.vid = {}
         self.dist = []
-        self._ftuple = []
+        tid = {}
         for t, dtot in tuples:
             v = PolyVertex(tuple(fbs[i].vertices[t[i]] for i in range(r)))
-            self.vid[v] = len(self.vertices)
+            tid[t] = self.vid[v] = len(self.vertices)
             self.vertices.append(v)
             self.dist.append(dtot)
-            self._ftuple.append(t)
         self.labels = [labelling_C(v) for v in self.vertices]
         self.edges = []
         if self.detail != "vertices":
-            for uid, t in enumerate(self._ftuple):
+            for t, uid in tid.items():
                 for i in range(r):
                     for nb in fbs[i].adj[t[i]]:
-                        t2 = t[:i] + (nb,) + t[i + 1:]
-                        vid = self._tuple_id(t2)
+                        vid = tid.get(t[:i] + (nb,) + t[i + 1:])
                         if vid is not None and vid > uid:
                             self.edges.append((uid, vid, i))
         self.chambers = None
@@ -404,34 +398,23 @@ class Ball:
         if self.detail == "faces":
             self._assemble_faces()
 
-    def _tuple_id(self, t):
-        v = PolyVertex(tuple(self.factor_balls[i].vertices[t[i]]
-                             for i in range(len(t))))
-        return self.vid.get(v)
-
     def _assemble_faces(self):
+        """Products of factor faces inside the window.  The window holds the
+        index tuples with sum_i dist_i <= radius, so a product of factor
+        faces t_i lies in it iff sum_i max_{u in t_i} dist_i(u) <= radius."""
         r = self.descriptor.r
         fbs = self.factor_balls
-        per_factor = []
-        for fb in fbs:
-            singletons = [(u,) for u in range(len(fb.vertices))]
-            per_factor.append(singletons + [tuple(sorted(f)) for f in fb.faces])
         self.faces = []
         self.chambers = []
-        stack = [((), 0)]
-        for i, choices in enumerate(per_factor):
-            stack = [(t + (c,), dim + len(c) - 1) for t, dim in stack for c in choices]
-        for t, dim in stack:
-            ids = []
-            ok = True
-            for combo in _product_tuples([list(c) for c in t]):
-                v = PolyVertex(tuple(fbs[i].vertices[combo[i]] for i in range(r)))
-                vid = self.vid.get(v)
-                if vid is None:
-                    ok = False
-                    break
-                ids.append(vid)
-            if not ok or dim == 0:
+        stack = [((), 0, 0)]
+        for fb in fbs:
+            choices = [(c, max(fb.dist[u] for u in c))
+                       for c in [(u,) for u in range(len(fb.vertices))] + fb.faces]
+            stack = [(t + (c,), dim + len(c) - 1, reach + far)
+                     for t, dim, reach in stack for c, far in choices
+                     if reach + far <= self.radius]
+        for t, dim, _reach in stack:
+            if dim == 0:
                 continue
             face = PolyFace([[fbs[i].vertices[u] for u in t[i]] for i in range(r)])
             self.faces.append(face)
@@ -465,10 +448,11 @@ class Ball:
             })
         edges = []
         for (a, b, i) in self.edges:
-            fab = pair_index_normalized(self.vertices[a].components[i],
-                                        self.vertices[b].components[i])
-            fba = pair_index_normalized(self.vertices[b].components[i],
-                                        self.vertices[a].components[i])
+            # on an edge f(a, b) lies in 1..n-1 and is congruent to the
+            # label difference mod n, and f(a, b) + f(b, a) = n
+            n = self.descriptor.dims[i] + 1
+            fab = (self.labels[b][i] - self.labels[a][i]) % n
+            fba = n - fab
             u, v_, fuv = (a, b, fab) if fab <= fba else (b, a, fba)
             m = self.descriptor.models[i]
             edges.append({

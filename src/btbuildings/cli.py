@@ -49,11 +49,14 @@ def parse_vertex(descriptor, text):
     obj = json.loads(text)
     if isinstance(obj, dict):
         obj = obj["matrix_per_factor"]
+    if not isinstance(obj, list) or len(obj) != descriptor.r:
+        raise ValueError(f"vertex must be a list of {descriptor.r} factor matrices")
     comps = []
     for (model, d), flat in zip(descriptor.factors, obj):
         n = d + 1
-        if len(flat) != n * n:
-            raise ValueError(f"matrix must have {n * n} entries")
+        if (not isinstance(flat, list) or len(flat) != n * n
+                or not all(isinstance(x, str) for x in flat)):
+            raise ValueError(f"matrix must be a list of {n * n} strings")
         mat = [[model.elem_parse(flat[i * n + j]) for j in range(n)]
                for i in range(n)]
         cols = [[mat[j][i] for j in range(n)] for i in range(n)]
@@ -106,6 +109,8 @@ def cmd_involution(args):
     x = parse_vertex(descriptor, args.vertex)
     mask = [int(b) for b in args.mask.split(",")] if args.mask \
         else [1] * descriptor.r
+    if len(mask) != descriptor.r or any(b not in (0, 1) for b in mask):
+        raise ValueError(f"--mask must list {descriptor.r} entries, each 0 or 1")
     img = involution_lambda(x, mask)
     emit(args, {"image": [c.serialize() for c in img.components],
                 "label": list(labelling_C(img))})

@@ -1,17 +1,19 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from btbuildings.building import (
-    ApartmentPoint, Ball, BuildingDescriptor, PolyVertex, act,
-    apartment_point_of_vertex, ball, basic_chamber, distance_f,
-    in_standard_apartment, involution_lambda, is_directed_edge, is_face,
-    labelling_C, labelling_D, matrix_power, project_apartment,
-    shift_generator, sigma_mu)
+    ApartmentPoint, Ball, BuildingDescriptor, PolyFace, PolyVertex,
+    _chain_order, _containment_shift, act, apartment_point_of_vertex, ball,
+    basic_chamber, distance_f, in_standard_apartment, involution_lambda,
+    is_directed_edge, is_face, labelling_C, labelling_D, matrix_power,
+    project_apartment, shift_generator, sigma_mu)
 from btbuildings.errors import BudgetError
 from btbuildings.field import LaurentModel, PAdicModel
-from btbuildings.lattice import canonical_form, standard_vertex, vertex_from_diagonal
+from btbuildings.lattice import (
+    canonical_form, pair_index_normalized, standard_vertex, vertex_from_diagonal)
 from btbuildings.linalg import det
 from btbuildings.verify import random_unimodular, random_vertex, window_exps
 
@@ -19,6 +21,7 @@ Q2 = PAdicModel.get(2)
 Q3 = PAdicModel.get(3)
 F2T = LaurentModel.get(2)
 F3T = LaurentModel.get(3)
+F4T = LaurentModel.get(4)
 
 B1 = BuildingDescriptor([(Q2, 1)])
 B2 = BuildingDescriptor([(Q2, 2)])
@@ -292,3 +295,155 @@ def test_matrix_power_inverse():
     prod = matrix_power(Q2, f, 0)
     x = PolyVertex((random_vertex(Q2, 3, random.Random(3)),))
     assert act([finv], act([f], x)) == x
+
+
+# ---------------------------------------------------------------------------
+# oracles for chain order, faces, assembly and edge export
+# ---------------------------------------------------------------------------
+
+def _chain_order_by_permutations(comps):
+    """Reference: the first of all m! orderings whose consecutive minimal
+    containment shifts close up to L_0 > .. > L_m > pi L_0."""
+    for perm in itertools.permutations(range(len(comps))):
+        shifts = sum(_containment_shift(comps[a], comps[b])
+                     for a, b in zip(perm, perm[1:]))
+        if 1 - shifts >= _containment_shift(comps[perm[-1]], comps[perm[0]]):
+            return perm
+    return None
+
+
+def _chain_filtered_faces(fb):
+    """Reference: clique extension that keeps a clique only if the
+    permutation search finds a chain order for it."""
+    faces = []
+    adjset = {u: set(vs) for u, vs in fb.adj.items()}
+
+    def extend(clique, candidates):
+        for idx, c in enumerate(candidates):
+            new = clique + (c,)
+            if _chain_order_by_permutations([fb.vertices[i] for i in new]) is None:
+                continue
+            faces.append(new)
+            if len(new) < fb.d + 1:
+                extend(new, [x for x in candidates[idx + 1:] if x in adjset[c]])
+
+    for u in range(len(fb.vertices)):
+        extend((u,), [v for v in fb.adj[u] if v > u])
+    return faces
+
+
+def _faces_by_lookup(b):
+    """Reference: every product of factor simplices all of whose product
+    vertices are window vertices, in lexicographic order of the choices."""
+    fbs = b.factor_balls
+    per_factor = [[(u,) for u in range(len(fb.vertices))] + list(fb.faces)
+                  for fb in fbs]
+    faces, chambers = [], []
+    for t in itertools.product(*per_factor):
+        if all(len(c) == 1 for c in t):
+            continue
+        if all(PolyVertex(tuple(fb.vertices[u] for fb, u in zip(fbs, combo)))
+               in b.vid for combo in itertools.product(*t)):
+            face = PolyFace([[fb.vertices[u] for u in c] for fb, c in zip(fbs, t)])
+            faces.append(face)
+            if face.dim_vector() == b.descriptor.dims:
+                chambers.append(face)
+    return faces, chambers
+
+
+# single-factor windows (model, d, radius) around seeded centers
+_WINDOWS = [(Q2, 2, 2), (Q3, 2, 2), (Q2, 3, 1), (F2T, 3, 1), (F4T, 2, 1)]
+
+
+@pytest.fixture(scope="module")
+def windows():
+    rng = random.Random(404)
+    out = []
+    for model, d, radius in _WINDOWS:
+        D = BuildingDescriptor([(model, d)])
+        center = PolyVertex((random_vertex(model, d + 1, rng),))
+        out.append(Ball(D, center, radius, detail="faces", budget=10**6))
+    return out
+
+
+def _chain_samples(fb, rng):
+    """Grown cliques, arbitrary subsets, sets with a repeated label and
+    singletons of distinct window vertices."""
+    n = fb.d + 1
+    verts = fb.vertices
+    samples = [[rng.randrange(len(verts))] for _ in range(5)]
+    for _ in range(30):
+        clique = [rng.randrange(len(verts))]
+        size = rng.randrange(2, n + 1)
+        while len(clique) < size:
+            common = set(fb.adj[clique[0]]).intersection(*(fb.adj[u] for u in clique[1:]))
+            if not common:
+                break
+            clique.append(rng.choice(sorted(common)))
+        rng.shuffle(clique)
+        samples.append(clique)
+    for _ in range(40):
+        samples.append(rng.sample(range(len(verts)), rng.randrange(2, n + 1)))
+    by_label = {}
+    for u, c in enumerate(verts):
+        by_label.setdefault(c.label(), []).append(u)
+    repeatable = [us for us in by_label.values() if len(us) > 1]
+    for _ in range(15):
+        pair = rng.sample(rng.choice(repeatable), 2)
+        rest = rng.sample(range(len(verts)), rng.randrange(0, n - 1))
+        samples.append(pair + [u for u in rest if u not in pair])
+    return [[verts[u] for u in s] for s in samples]
+
+
+def test_chain_order_matches_permutation_search(windows):
+    rng = random.Random(505)
+    chains = non_chains = repeated = 0
+    for b in windows:
+        fb = b.factor_balls[0]
+        for comps in _chain_samples(fb, rng):
+            ref = _chain_order_by_permutations(comps)
+            assert _chain_order(comps) == ref
+            if len({c.label() for c in comps}) < len(comps):
+                repeated += 1
+                assert ref is None
+            elif ref is None:
+                non_chains += 1
+            elif len(comps) > 1:
+                chains += 1
+    assert chains >= 100 and non_chains >= 50 and repeated >= 50
+
+
+def test_clique_faces_equal_chain_filtered_faces(windows):
+    for b in windows:
+        fb = b.factor_balls[0]
+        assert fb.faces == _chain_filtered_faces(fb)
+        assert len(fb.faces) > len(b.edges)
+
+
+# radius r: a chamber of r factor edges reaches distance r
+@pytest.mark.parametrize("factors", [
+    [(Q2, 2), (Q2, 2)],
+    [(F2T, 1), (Q3, 1), (F3T, 1)],
+])
+def test_ball_faces_equal_per_combination_lookup(factors):
+    D = BuildingDescriptor(factors)
+    b = Ball(D, D.origin(), D.r, detail="faces", budget=10**6)
+    faces, chambers = _faces_by_lookup(b)
+    assert b.faces == faces
+    assert b.chambers == chambers
+    assert chambers and all(b.contains_face(f) for f in faces)
+
+
+def test_exported_edges_follow_directed_distance(windows):
+    D = BuildingDescriptor([(F2T, 1), (Q3, 1), (F3T, 1)])
+    balls = windows + [Ball(D, D.origin(), 2), ball(B11, B11.origin(), 2)]
+    for b in balls:
+        edges = b.to_json_obj()["edges"]
+        assert len(edges) == len(b.edges) > 0
+        for (a, c, i), e in zip(b.edges, edges):
+            fac = pair_index_normalized(b.vertices[a].components[i],
+                                        b.vertices[c].components[i])
+            fca = pair_index_normalized(b.vertices[c].components[i],
+                                        b.vertices[a].components[i])
+            u, v, f = (a, c, fac) if fac <= fca else (c, a, fca)
+            assert (e["from"], e["to"], e["factor"], e["directed"]) == (u, v, i, f == 1)

@@ -154,6 +154,25 @@ def test_negative_radius_and_depth_below_one_are_input_errors(argv, capsys):
     assert out == ""
 
 
+_V = '["1","0","0","2"]'
+
+
+@pytest.mark.parametrize("argv", [
+    ["--d", "1,1", "label", "--vertex", f"[{_V}]"],
+    ["--d", "1", "--radius", "1", "ball", "--vertex", f"[{_V},{_V}]"],
+    ["--d", "1,1", "project", "--vertex", f"[{_V}]"],
+    ["--d", "1", "project", "--vertex", "5"],
+    ["--d", "1", "project", "--vertex", "[5]"],
+    ["--d", "1", "project", "--vertex", "[[1,0,0,2]]"],
+    ["--d", "1", "involution", "--vertex", f"[{_V}]", "--mask", "0,1"],
+    ["--d", "1", "involution", "--vertex", f"[{_V}]", "--mask", "7"],
+])
+def test_vertex_and_mask_must_fit_the_descriptor(argv, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+
+
 def test_global_flags_after_subcommand(capsys):
     code, out = run_cli(["verify", "eta-counts", "--seed", "5"], capsys)
     assert code == 0
