@@ -435,7 +435,7 @@ def normal_form(word, b):
     r_mask = [1 if kind == "reflection" else 0 for kind, _a in classification]
     for (kind, a) in classification:
         if a != 0:
-            raise AssertionError("origin fix failed; label action has a != 0")
+            raise ArithmeticError("origin fix failed; label action has a != 0")
     g_total = g1
     if any(r_mask):
         with_lambda = AutWord(descriptor, corrected.gens +

@@ -191,7 +191,7 @@ class RigidPoint:
     independence of {1, x_{i,1}, .., x_{i,d_i}} by exact expansion of K
     over k_i."""
 
-    def __init__(self, descriptor, K, coords, validate=True):
+    def __init__(self, descriptor, K, coords):
         self.descriptor = descriptor
         self.K = K
         self.coords = tuple(tuple(K.element(c) if not isinstance(c, FieldElement)
@@ -201,11 +201,10 @@ class RigidPoint:
         for (model, d), factor in zip(descriptor.factors, self.coords):
             if len(factor) != d:
                 raise ValueError("coordinate count must equal the dimension")
-        if validate:
-            for i, (model, d) in enumerate(descriptor.factors):
-                if not self._factor_independent(i):
-                    raise ValueError(
-                        f"factor {i}: coordinates lie on a rational hyperplane")
+        for i in range(descriptor.r):
+            if not self._factor_independent(i):
+                raise ValueError(
+                    f"factor {i}: coordinates lie on a rational hyperplane")
 
     def _factor_independent(self, i):
         model, d = self.descriptor.factors[i]
@@ -339,7 +338,7 @@ def tau_coordinates(x):
 # norm diagonalization
 # ---------------------------------------------------------------------------
 
-def diagonalize_norm(x, i, n, budget=200000, max_rounds=None):
+def diagonalize_norm(x, i, n, budget=200000):
     """A k_i-basis (v_0..v_d) and exponents making the restriction of the
     evaluation seminorm diagonal: |sum a_j v_j(x)| = max_j |a_j| |v_j(x)|,
     verified on all unimodular a mod pi_i^{n+1}.
@@ -362,8 +361,7 @@ def diagonalize_norm(x, i, n, budget=200000, max_rounds=None):
     basis = [[model.one() if k == j else model.zero() for k in range(d + 1)]
              for j in range(d + 1)]  # rows: coordinates of v_j in the T-basis
     values = [x.value(i, j) for j in range(d + 1)]
-    if max_rounds is None:
-        max_rounds = (d + 1) * (n + 2) * e_K * 4 + 16
+    max_rounds = (d + 1) * (n + 2) * e_K * 4 + 16
     alphas = unimodular_representatives(model, n + 1, d + 1)
     pi = model.uniformizer()
     for _round in range(max_rounds):
@@ -394,7 +392,7 @@ def diagonalize_norm(x, i, n, budget=200000, max_rounds=None):
             new_value = new_value * tower_embed(pi ** (-mv), x.K)
         basis[jstar] = new_row
         values[jstar] = new_value
-    raise AssertionError("diagonalization did not terminate within the bound")
+    raise ArithmeticError("diagonalization did not terminate within the bound")
 
 
 def verify_diagonal(x, i, basis, depth, budget=200000):
@@ -426,14 +424,6 @@ class GaussSeminorm:
         self.descriptor = descriptor
         self.data = tuple((basis, tuple(Fraction(v) for v in exps))
                           for basis, exps in data)
-
-    @classmethod
-    def from_apartment_point(cls, descriptor, point):
-        data = []
-        for (model, d), (basis, exps) in zip(descriptor.factors, point.factors):
-            e_i = model.ramification
-            data.append((basis, tuple(Fraction(v) / e_i for v in exps)))
-        return cls(descriptor, data)
 
 
 def gauss_eval(b, p, K):

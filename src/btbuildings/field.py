@@ -6,7 +6,8 @@ this package touches only finitely many digits, so exactness is
 preserved with no precision management.
 
 Laurent-model elements are reduced ratios of polynomials over F_q with
-a monic denominator; p-adic elements are Fractions.  Equal-characteristic
+a monic denominator (polynomial arithmetic and series division from
+`gf`); p-adic elements are Fractions.  Equal-characteristic
 extensions F_{q^f}(s), s^e = t, are themselves Laurent models.  Every
 model knows its place in its extension tower: `ext` is the
 ExtensionDescriptor of the step below it (None on a root), `root` the
@@ -15,82 +16,14 @@ over the root.  `tower_embed` walks the tower upward and `expand_over`
 downward, one `ext` at a time, exactly.
 """
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .gf import GF
+from .gf import (INF, GF, from_base, is_prime, padd, pdivmod, pgcd, pmul,
+                 pneg, pord, ptrim, series_div, to_base)
 from .linalg import solve, transpose
 
-INF = math.inf
-
 _EXT_VARS = ("t", "s", "u", "v", "z")
-
-
-# ---------------------------------------------------------------------------
-# polynomials over GF(q): tuples (c_0, c_1, ..) of GF ints, trimmed
-# ---------------------------------------------------------------------------
-
-def ptrim(c):
-    i = len(c)
-    while i and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
-def padd(gf, a, b):
-    n = max(len(a), len(b))
-    return ptrim([gf.add(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
-                  for i in range(n)])
-
-
-def pneg(gf, a):
-    return tuple(gf.neg(c) for c in a)
-
-
-def pmul(gf, a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = gf.add(out[i + j], gf.mul(ai, bj))
-    return ptrim(out)
-
-
-def pdivmod(gf, a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    binv = gf.inv(b[-1])
-    a = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        c = gf.mul(a[-1], binv)
-        k = len(a) - len(b)
-        if c:
-            q[k] = c
-            for i, bi in enumerate(b):
-                a[k + i] = gf.sub(a[k + i], gf.mul(c, bi))
-        a.pop()
-    return ptrim(q), ptrim(a)
-
-
-def pgcd(gf, a, b):
-    while b:
-        a, b = b, pdivmod(gf, a, b)[1]
-    if a:
-        lead_inv = gf.inv(a[-1])
-        a = tuple(gf.mul(c, lead_inv) for c in a)  # monic
-    return a
-
-
-def pord(a):
-    """Index of the first nonzero coefficient; INF for the zero polynomial."""
-    for i, c in enumerate(a):
-        if c:
-            return i
-    return INF
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +46,6 @@ class PAdicModel:
         return m
 
     def __init__(self, p):
-        from .gf import is_prime
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         self.p = p
@@ -157,39 +89,33 @@ class PAdicModel:
             v -= 1
         return v
 
-    def to_digits(self, x, n):
-        """First n base-p digits of x (requires v(x) >= 0)."""
+    def residue(self, x, n):
+        """x mod p^n as an int in [0, p^n) (requires v(x) >= 0)."""
         raw = x.raw
         if raw != 0 and self.val(raw) < 0:
             raise ValueError("negative valuation, not in O")
         mod = self.p ** n
-        a = raw.numerator % mod
-        b = pow(raw.denominator % mod, -1, mod)
-        val = (a * b) % mod
-        out = []
-        for _ in range(n):
-            val, r = divmod(val, self.p)
-            out.append(r)
-        return out
+        return raw.numerator * pow(raw.denominator, -1, mod) % mod
+
+    def to_digits(self, x, n):
+        """First n base-p digits of x (requires v(x) >= 0)."""
+        return to_base(self.residue(x, n), self.p, n)
 
     def from_digits(self, digits, shift=0):
-        acc = 0
-        for d in reversed(digits):
-            acc = acc * self.p + d
+        acc = from_base(digits, self.p)
         return FieldElement(self, Fraction(acc) * Fraction(self.p) ** shift)
 
     def elem_str(self, x):
         return str(x.raw)
 
     def elem_parse(self, s):
-        return FieldElement(self, Fraction(s.replace(" ", "")))
+        try:
+            return FieldElement(self, Fraction(s.replace(" ", "")))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {s!r}") from None
 
     def residue_gf(self):
         return GF.get(self.p)
-
-    def residue_of_unit(self, x):
-        """Image in the residue field of an element with v >= 0."""
-        return self.to_digits(x, 1)[0]
 
     def lift_residue(self, r):
         return self.element(r)
@@ -279,17 +205,7 @@ class LaurentModel:
         if pord(num) < pord(den):
             raise ValueError("negative valuation, not in O")
         k = pord(den)
-        num = num[k:] if k else num
-        den = den[k:] if k else den
-        gf = self.gf
-        inv0 = gf.inv(den[0])
-        series = [0] * n
-        for i in range(n):
-            acc = num[i] if i < len(num) else 0
-            for j in range(1, min(i, len(den) - 1) + 1):
-                acc = gf.sub(acc, gf.mul(den[j], series[i - j]))
-            series[i] = gf.mul(acc, inv0)
-        return series
+        return series_div(self.gf, num[k:], den[k:], n)
 
     def from_digits(self, digits, shift=0):
         num = ptrim(digits)
@@ -346,6 +262,8 @@ class LaurentModel:
                 break
         num = self._poly_parse(num_s)
         den = self._poly_parse(den_s) if den_s is not None else (1,)
+        if not den:
+            raise ValueError(f"zero denominator in {s!r}")
         return self.element(num, den)
 
     def _poly_parse(self, s):
@@ -390,9 +308,6 @@ class LaurentModel:
 
     def residue_gf(self):
         return self.gf
-
-    def residue_of_unit(self, x):
-        return self.to_digits(x, 1)[0]
 
     def lift_residue(self, r):
         return self.element((r,)) if r else self.zero()
@@ -501,15 +416,7 @@ def enumerate_residues(model, m):
     if m < 1:
         raise ValueError("m must be >= 1")
     q = model.residue_size
-    out = []
-    for code in range(q ** m):
-        digits = []
-        c = code
-        for _ in range(m):
-            c, r = divmod(c, q)
-            digits.append(r)
-        out.append(model.from_digits(digits))
-    return out
+    return [model.from_digits(to_base(code, q, m)) for code in range(q ** m)]
 
 
 class ExtensionDescriptor:

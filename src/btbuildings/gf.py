@@ -5,9 +5,18 @@ its base-p digits are the coefficients of 1, w, .., w^{m-1}.  The modulus
 g is the lexicographically smallest monic irreducible of degree m over
 F_p, coefficients compared low-degree-first, so the encoding (and hence
 every enumeration order downstream) is deterministic.
+
+This module also owns the encodings built on F_q: the base-b digit codec
+(`to_base`/`from_base`, low digit first) behind GF elements, pi-adic digit
+vectors and residue codes; the polynomial toolkit over a GF (tuples
+(c_0, c_1, ..) of GF ints, trimmed); and the truncated power-series
+division that gives t-adic digits and unit inverses.
 """
 
+import math
 from functools import lru_cache
+
+INF = math.inf
 
 _TABLE_CAP = 256  # build full mul/inv tables up to this field size
 
@@ -42,38 +51,100 @@ def prime_power(q):
     return q, 1  # q itself prime
 
 
-# -- polynomial helpers over F_p; polys are tuples (c_0, c_1, ..) trimmed --
+# -- the digit codec: ints <-> base-b digit lists, low digit first --
 
-def _ptrim(c):
+def to_base(code, base, k):
+    """The k lowest base-b digits of code, low digit first."""
+    out = []
+    for _ in range(k):
+        code, r = divmod(code, base)
+        out.append(r)
+    return out
+
+
+def from_base(digits, base):
+    """Inverse of to_base: the int whose base-b digits (low first) are given."""
+    acc = 0
+    for d in reversed(digits):
+        acc = acc * base + d
+    return acc
+
+
+# -- polynomials over a GF: tuples (c_0, c_1, ..) of GF ints, trimmed --
+
+def ptrim(c):
     i = len(c)
-    while i > 0 and c[i - 1] == 0:
+    while i and c[i - 1] == 0:
         i -= 1
     return tuple(c[:i])
 
 
-def _pmul(a, b, p):
+def padd(gf, a, b):
+    n = max(len(a), len(b))
+    return ptrim([gf.add(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
+                  for i in range(n)])
+
+
+def pneg(gf, a):
+    return tuple(gf.neg(c) for c in a)
+
+
+def pmul(gf, a, b):
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
+                out[i + j] = gf.add(out[i + j], gf.mul(ai, bj))
+    return ptrim(out)
 
 
-def _pmod(a, g, p):
-    # g monic
+def pdivmod(gf, a, b):
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    binv = gf.inv(b[-1])
     a = list(a)
-    dg = len(g) - 1
-    while len(a) > dg:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dg
-            for i in range(dg):
-                a[shift + i] = (a[shift + i] - lead * g[i]) % p
+    q = [0] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        c = gf.mul(a[-1], binv)
+        k = len(a) - len(b)
+        if c:
+            q[k] = c
+            for i, bi in enumerate(b):
+                a[k + i] = gf.sub(a[k + i], gf.mul(c, bi))
         a.pop()
-    return _ptrim(a)
+    return ptrim(q), ptrim(a)
+
+
+def pgcd(gf, a, b):
+    while b:
+        a, b = b, pdivmod(gf, a, b)[1]
+    if a:
+        lead_inv = gf.inv(a[-1])
+        a = tuple(gf.mul(c, lead_inv) for c in a)  # monic
+    return a
+
+
+def pord(a):
+    """Index of the first nonzero coefficient; INF for the zero polynomial."""
+    for i, c in enumerate(a):
+        if c:
+            return i
+    return INF
+
+
+def series_div(gf, num, den, n):
+    """The first n coefficients of the power series num/den; den[0] != 0."""
+    inv0 = gf.inv(den[0])
+    out = []
+    for i in range(n):
+        acc = num[i] if i < len(num) else 0
+        for j in range(1, min(i, len(den) - 1) + 1):
+            if den[j] and out[i - j]:
+                acc = gf.sub(acc, gf.mul(den[j], out[i - j]))
+        out.append(gf.mul(acc, inv0) if acc else 0)
+    return out
 
 
 def _is_irreducible(g, p):
@@ -81,14 +152,10 @@ def _is_irreducible(g, p):
     dg = len(g) - 1
     if dg < 1:
         return False
+    fp = GF.get(p)
     for dd in range(1, dg // 2 + 1):
         for code in range(p ** dd):
-            c, divisor = code, []
-            for _ in range(dd):
-                c, r = divmod(c, p)
-                divisor.append(r)
-            divisor.append(1)
-            if not _pmod(g, tuple(divisor), p):
+            if not pdivmod(fp, g, tuple(to_base(code, p, dd)) + (1,))[1]:
                 return False
     return True
 
@@ -100,16 +167,11 @@ def smallest_irreducible(p, m):
     if m == 1:
         return (0, 1)  # x itself
     for code in range(p ** m):
-        digits = []
-        c = code
-        for _ in range(m):
-            c, r = divmod(c, p)
-            digits.append(r)
         # low-degree-first lex order: c_0 is the most significant comparison key
-        g = tuple(reversed(digits)) + (1,)
+        g = tuple(reversed(to_base(code, p, m))) + (1,)
         if _is_irreducible(g, p):
             return g
-    raise AssertionError("no irreducible found")  # cannot happen
+    raise ArithmeticError(f"no monic irreducible of degree {m} over F_{p}")
 
 
 class GF:
@@ -141,29 +203,23 @@ class GF:
     # -- encoding helpers --
 
     def to_coeffs(self, a):
-        out = []
-        for _ in range(self.m):
-            a, r = divmod(a, self.p)
-            out.append(r)
-        return out
+        return to_base(a, self.p, self.m)
 
     def from_coeffs(self, c):
-        a = 0
-        for d in reversed(c[: self.m]):
-            a = a * self.p + d
-        return a
+        return from_base(c[: self.m], self.p)
 
-    def _poly_of(self, a):
-        return _ptrim(self.to_coeffs(a))
+    def _poly_mul(self, a, b):
+        """a*b as polynomials in w over F_p, reduced mod the modulus."""
+        fp = GF.get(self.p)
+        prod = pmul(fp, ptrim(self.to_coeffs(a)), ptrim(self.to_coeffs(b)))
+        return self.from_coeffs(pdivmod(fp, prod, self.modulus)[1])
 
     def _build_tables(self):
         q = self.q
         mul = [[0] * q for _ in range(q)]
         for a in range(q):
-            pa = self._poly_of(a)
             for b in range(a, q):
-                c = self.from_coeffs(list(_pmod(_pmul(pa, self._poly_of(b), self.p),
-                                                self.modulus, self.p)) + [0] * self.m)
+                c = self._poly_mul(a, b)
                 mul[a][b] = c
                 mul[b][a] = c
         self._mul_table = mul
@@ -210,9 +266,7 @@ class GF:
             return (a * b) % self.p
         if self._mul_table is not None:
             return self._mul_table[a][b]
-        c = _pmod(_pmul(self._poly_of(a), self._poly_of(b), self.p),
-                  self.modulus, self.p)
-        return self.from_coeffs(list(c) + [0] * self.m)
+        return self._poly_mul(a, b)
 
     def inv(self, a):
         if a == 0:
@@ -269,38 +323,3 @@ class GF:
                 img = other.mul(img, gen_img)
             table[a] = acc
         return table
-
-    # -- printing / parsing in the generator symbol "w" --
-
-    def elem_str(self, a):
-        if self.m == 1:
-            return str(a)
-        terms = []
-        for i, c in enumerate(self.to_coeffs(a)):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                head = "" if c == 1 else f"{c}*"
-                terms.append(f"{head}w" if i == 1 else f"{head}w^{i}")
-        return "+".join(terms) if terms else "0"
-
-    def elem_parse(self, s):
-        s = s.replace(" ", "")
-        if not s:
-            raise ValueError("empty GF element")
-        acc = 0
-        for term in s.split("+"):
-            if not term:
-                raise ValueError(f"bad GF element: {s!r}")
-            if "w" not in term:
-                acc = self.add(acc, int(term) % self.p if self.m > 1 else int(term) % self.p)
-                continue
-            head, _, tail = term.partition("w")
-            coef = int(head.rstrip("*")) if head.rstrip("*") else 1
-            exp = int(tail[1:]) if tail.startswith("^") else (1 if not tail else None)
-            if exp is None:
-                raise ValueError(f"bad GF element term: {term!r}")
-            acc = self.add(acc, self.mul(coef % self.p, self.pow(self.from_coeffs([0, 1]), exp)))
-        return acc

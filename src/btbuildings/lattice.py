@@ -24,6 +24,7 @@ check it against an exhaustive span oracle over O/pi^k.
 from functools import lru_cache
 
 from .field import INF, FieldElement, PAdicModel
+from .gf import from_base, series_div, to_base
 from .linalg import det, inverse, solve, transpose
 
 
@@ -45,18 +46,10 @@ class PadDigitOps:
         return 0
 
     def from_field(self, x):
-        digs = self.model.to_digits(x, self.M)
-        acc = 0
-        for d in reversed(digs):
-            acc = acc * self.p + d
-        return acc
+        return self.model.residue(x, self.M)
 
     def to_field(self, a, shift=0):
-        digs = []
-        for _ in range(self.M):
-            a, r = divmod(a, self.p)
-            digs.append(r)
-        return self.model.from_digits(digs, shift)
+        return self.model.from_digits(to_base(a, self.p, self.M), shift)
 
     def val(self, a):
         if a == 0:
@@ -179,37 +172,19 @@ class LauDigitOps:
 
     def unit_inv(self, a):
         out = self._inv_cache.get(a)
-        if out is not None:
-            return out
-        gf = self.gf
-        M = self.M
-        inv0 = gf.inv(a[0])
-        series = [inv0] + [0] * (M - 1)
-        for i in range(1, M):
-            acc = 0
-            for j in range(1, i + 1):
-                if a[j] and series[i - j]:
-                    acc = gf.add(acc, gf.mul(a[j], series[i - j]))
-            series[i] = gf.neg(gf.mul(inv0, acc))
-        out = tuple(series)
-        self._inv_cache[a] = out
+        if out is None:
+            out = self._inv_cache[a] = tuple(series_div(self.gf, (1,), a, self.M))
         return out
 
     def trunc(self, a, k):
         return a[:k] + (0,) * (self.M - k)
 
     def code(self, a, k):
-        acc = 0
-        for c in reversed(a[:k]):
-            acc = acc * self.q + c
-        return acc
+        return from_base(a[:k], self.q)
 
     def from_code(self, code, k):
-        digs = []
-        for _ in range(min(k, self.M)):
-            code, r = divmod(code, self.q)
-            digs.append(r)
-        return tuple(digs) + (0,) * (self.M - len(digs))
+        k = min(k, self.M)
+        return tuple(to_base(code, self.q, k)) + (0,) * (self.M - k)
 
     def residue_coeff(self, r):
         return (r,) + (0,) * (self.M - 1)
@@ -375,12 +350,7 @@ class VertexClass:
 
     def _decode(self, code, k):
         model = self.model
-        q = model.residue_size
-        digs = []
-        for _ in range(k):
-            code, r = divmod(code, q)
-            digs.append(r)
-        return model.from_digits(digs)
+        return model.from_digits(to_base(code, model.residue_size, k))
 
     def serialize(self):
         """Row-major list of element strings of the canonical matrix."""
@@ -528,8 +498,6 @@ def subspace_rrefs(q, n, k):
     deterministically ordered (pivot set lexicographic, then free entries in
     counting order).  Rows are tuples of GF ints."""
     from itertools import combinations
-    from .gf import GF
-    gf = GF.get(q)
     out = []
     for pivots in combinations(range(n), k):
         free_pos = []
@@ -542,9 +510,7 @@ def subspace_rrefs(q, n, k):
             rows = [[0] * n for _ in range(k)]
             for r, p in enumerate(pivots):
                 rows[r][p] = 1
-            c = code
-            for (r, j) in free_pos:
-                c, val = divmod(c, q)
+            for (r, j), val in zip(free_pos, to_base(code, q, nfree)):
                 rows[r][j] = val
             out.append(tuple(tuple(r) for r in rows))
     if len(out) != gaussian_binomial(n, n - k, q):
@@ -553,7 +519,7 @@ def subspace_rrefs(q, n, k):
     return tuple(out)
 
 
-def neighbors_by_colength(v, w, ops=None):
+def neighbors_by_colength(v, w):
     """All classes [L'] with L > L' > pi L of colength w, in deterministic
     (subspace-enumeration) order.  Count is the Gaussian binomial C(d+1,w)_q."""
     n = v.n
@@ -563,8 +529,7 @@ def neighbors_by_colength(v, w, ops=None):
     q = model.residue_size
     k = n - w
     D_new = v.det_valuation() + w
-    if ops is None or ops.M < 2 * D_new + 2:
-        ops = digit_ops(model, 2 * D_new + 2)
+    ops = digit_ops(model, 2 * D_new + 2)
     tcols = v.digit_columns(ops)
     out = []
     for rref in subspace_rrefs(q, n, k):
@@ -586,11 +551,11 @@ def neighbors_by_colength(v, w, ops=None):
     return out
 
 
-def all_neighbors(v, ops=None):
+def all_neighbors(v):
     """Sublattice neighbors of all colengths 1..d, deterministic order."""
     out = []
     for w in range(1, v.n):
-        out.extend(neighbors_by_colength(v, w, ops=ops))
+        out.extend(neighbors_by_colength(v, w))
     return out
 
 

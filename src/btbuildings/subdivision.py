@@ -68,10 +68,14 @@ def eta_membership(vertex, N):
     return vertex[d] <= vertex[0] + N
 
 
-def eta_chambers(d, N, d_bound=4, n_bound=6):
+_ETA_D_BOUND = 4
+_ETA_N_BOUND = 6
+
+
+def eta_chambers(d, N):
     """The alcoves whose closed chamber lies inside eta_N, canonical names,
     ordered by their sorted vertex sets.  |result| = N^d."""
-    if d > d_bound or N > n_bound:
+    if d > _ETA_D_BOUND or N > _ETA_N_BOUND:
         raise BudgetError(f"eta_chambers bounds exceeded: d={d}, N={N}")
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -167,17 +171,18 @@ def chamber_chart(comps):
             vecs.append(row)
         flags.append(_row_space(gf, vecs))
     js = [0] + [n - len(f) for f in flags]
-    # adapted residue basis: the last n - js[k] vectors span W_k; membership
-    # is tested against an echelonized copy of the picked vectors
+    # adapted residue basis: the last n - js[k] vectors span W_k; a
+    # candidate is picked when it raises the rank of the picked vectors
     picked = []
     echelon = []
     spans = flags[::-1] + [_row_space(gf, [[1 if i == j else 0 for i in range(n)]
                                            for j in range(n)])]
     for space in spans:
         for cand in space:
-            if not _in_span(gf, echelon, cand):
+            grown = _row_space(gf, echelon + [cand])
+            if len(grown) > len(echelon):
                 picked.append(cand)
-                echelon = _row_space(gf, echelon + [cand])
+                echelon = grown
     if len(picked) != n:
         raise ArithmeticError("flag vectors do not span the residue space")
     picked.reverse()
@@ -214,16 +219,6 @@ def _row_space(gf, vecs):
             basis.append(tuple(gf.mul(inv, x) for x in v))
             basis.sort(key=lambda b: next(i for i, x in enumerate(b) if x))
     return basis
-
-
-def _in_span(gf, basis, v):
-    v = list(v)
-    for b in basis:
-        lead = next(i for i, x in enumerate(b) if x)
-        if v[lead]:
-            c = gf.mul(v[lead], gf.inv(b[lead]))
-            v = [gf.sub(x, gf.mul(c, y)) for x, y in zip(v, b)]
-    return not any(v)
 
 
 class SubdividedComplex:
@@ -272,38 +267,56 @@ class SubdividedComplex:
         }
 
 
+def _alcove_template(d, N):
+    """The subdivision of one chamber of a d-dimensional factor with edge
+    number N, independent of the chamber: per integer point of eta_N its
+    barycentric weights over the chain vertices and its chart coordinates,
+    and per alcove the indices of its points."""
+    points = eta_integer_points(d, N)
+    pt_index = {z: k for k, z in enumerate(points)}
+    weights = [(_barycentric_of_point(z, N), tuple(Fraction(zi, N) for zi in z))
+               for z in points]
+    alcoves = [[pt_index[v] for v in chart.vertices()]
+               for chart in eta_chambers(d, N)]
+    return weights, alcoves
+
+
+def _chamber_chain(fverts, d):
+    """The vertices of a chamber of a d-dimensional factor in chain order;
+    their label offsets from the first must be exactly 0..d (unit steps)."""
+    order = _chain_order(fverts)
+    if order is None:
+        raise ValueError("vertex set is not a face chain")
+    chain = [fverts[j] for j in order]
+    n, l0 = chain[0].n, chain[0].label()
+    if [(c.label() - l0) % n for c in chain] != list(range(d + 1)):
+        raise ArithmeticError("chamber chain must have unit steps")
+    return chain
+
+
 def subdivide_chambers(descriptor, chambers, marking):
     """Replace each closed chamber product(F_i) by product(F_i[M_i])."""
     if len(marking.per_factor) != descriptor.r:
         raise ValueError("marking factor count mismatch")
     sub = SubdividedComplex(descriptor, marking)
+    templates = []
+    if chambers:  # eta_chambers rejects a marking only when it is used
+        templates = [(d, *_alcove_template(d, N))
+                     for d, N in zip(descriptor.dims, marking.per_factor)]
     for chamber_id, chamber in enumerate(chambers):
         factor_data = []
-        for i, fverts in enumerate(chamber.factors):
-            N = marking.per_factor[i]
-            d = len(fverts) - 1
-            B, order, js = chamber_chart(list(fverts))
-            if js != list(range(d + 1)):
-                raise ArithmeticError("chamber chain must have unit steps")
-            chain = [fverts[j] for j in order]
-            pt_index = {}
+        for fverts, (d, weights, alcoves) in zip(chamber.factors, templates):
+            chain = _chamber_chain(list(fverts), d)
             plist = []
-            for z in eta_integer_points(d, N):
-                lam = _barycentric_of_point(z, N)
-                key = tuple(sorted(((chain[m], lam[m]) for m in range(d + 1)
-                                    if lam[m] > 0),
+            for lam, coords in weights:
+                key = tuple(sorted(((c, w) for c, w in zip(chain, lam) if w > 0),
                                    key=lambda cl: cl[0].sort_key()))
-                coords = tuple(Fraction(zi, N) for zi in z)
-                pt_index[z] = len(plist)
                 plist.append((key, coords))
-            alcoves = [[pt_index[v] for v in chart.vertices()]
-                       for chart in eta_chambers(d, N)]
             factor_data.append((plist, alcoves))
         # assemble product points per alcove product
         alcove_lists = [fd[1] for fd in factor_data]
         plists = [fd[0] for fd in factor_data]
         for combo in product(*alcove_lists):
-            ids = {}
             vertex_tuples = list(product(*combo))
             pids = []
             for vt in vertex_tuples:
@@ -392,7 +405,7 @@ def skeleton_distance(x, y):
     return s // x.n
 
 
-def verify_induced_structure(b, ext, report_limit=1):
+def verify_induced_structure(b, ext):
     """Check that nu maps every subdivided chamber of B_{k'}[e] to a chamber
     of B_k.  Returns a report dict with pass/fail and the first failure."""
     from .building import BuildingDescriptor, is_face
@@ -422,7 +435,7 @@ def verify_induced_structure(b, ext, report_limit=1):
             if tuple(dims) != big.dims:
                 failures.append({"subchamber": list(ch),
                                  "reason": f"image has dimension {dims}, not a chamber"})
-        if failures and len(failures) >= report_limit:
+        if failures:
             break
     return {
         "passed": not failures,

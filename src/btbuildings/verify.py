@@ -379,11 +379,9 @@ def suite_apartment_rigidity(config):
                window_vertices=len(window))
 
 
-def suite_projection_agreement(config, cases=None):
-    if cases is None:
-        cases = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]
+def suite_projection_agreement(config):
     checked = 0
-    for q, d in cases:
+    for q, d in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]:
         model = LaurentModel.get(q) if q != 2 else PAdicModel.get(2)
         descriptor = BuildingDescriptor([(model, d)])
         b = ball(descriptor, descriptor.origin(), 2, detail="vertices",
@@ -688,7 +686,11 @@ def suite_aut_decomposition(config):
     return _ok(automorphisms_checked=200)
 
 
-def suite_aut_order(config, cap=500000, decompose_sample=400):
+_AUT_ORDER_CAP = 500000
+_AUT_DECOMPOSE_SAMPLE = 400
+
+
+def suite_aut_order(config):
     """Exhaustive counts vs the closed formula for every factor profile with
     product <= 16 whose automorphism count is within the cap, and
     decompose_hom reconstruction of the exhaustively-found automorphisms
@@ -706,14 +708,14 @@ def suite_aut_order(config, cap=500000, decompose_sample=400):
     skipped = []
     for sizes in sorted(profiles):
         want = expected_aut_order(sizes)
-        if want > cap:
+        if want > _AUT_ORDER_CAP:
             skipped.append({"sizes": list(sizes), "formula": want})
             continue
-        auts = graph_automorphisms_bruteforce(sizes, cap=cap)
+        auts = graph_automorphisms_bruteforce(sizes, cap=_AUT_ORDER_CAP)
         if len(auts) != want:
             return _fail("order mismatch", sizes=list(sizes), got=len(auts),
                          want=want)
-        step = max(1, len(auts) // decompose_sample)
+        step = max(1, len(auts) // _AUT_DECOMPOSE_SAMPLE)
         decomposed = 0
         for f in auts[::step]:
             dec = decompose_hom(f, sizes, sizes)

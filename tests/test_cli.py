@@ -173,6 +173,20 @@ def test_vertex_and_mask_must_fit_the_descriptor(argv, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["--d", "1", "project", "--vertex", '[["1/0","0","0","2"]]'],
+    ["--field", "laurent:2", "--d", "1", "project",
+     "--vertex", '[["t/0","0","0","1"]]'],
+    ["--field", "laurent:2", "--d", "1", "omega", "--point", '[["1/0"]]'],
+    ["--d", "1", "normal-form", "--word",
+     '[{"kind":"group","matrices":[["1/0","0","0","1"]]}]'],
+])
+def test_zero_denominator_is_an_input_error(argv, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+
+
 def test_global_flags_after_subcommand(capsys):
     code, out = run_cli(["verify", "eta-counts", "--seed", "5"], capsys)
     assert code == 0

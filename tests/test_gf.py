@@ -1,0 +1,133 @@
+"""The F_q layer against sympy's galoistools (test-only oracle): GF(q)
+multiplication and inverse tables, the multiplication fallback above the
+table cap, the choice of modulus, the polynomial toolkit, the digit codec
+and the truncated series division."""
+
+import random
+from itertools import product
+
+import pytest
+from sympy.polys import galoistools as gt
+from sympy.polys.domains import ZZ
+
+from btbuildings.gf import (
+    GF, from_base, padd, pdivmod, pgcd, pmul, pneg, pord, ptrim, series_div,
+    smallest_irreducible, to_base,
+)
+
+
+def _high(low):
+    """Low-degree-first coefficients -> galoistools' high-first list."""
+    return gt.gf_strip(list(reversed(list(low))))
+
+
+def _low(high):
+    return ptrim(list(reversed(high)))
+
+
+def _oracle_mul(F, a, b):
+    prod = gt.gf_mul(_high(F.to_coeffs(a)), _high(F.to_coeffs(b)), F.p, ZZ)
+    rem = gt.gf_rem(prod, _high(F.modulus), F.p, ZZ)
+    return F.from_coeffs(list(_low(rem)))
+
+
+def _oracle_inv(F, a):
+    s, _t, h = gt.gf_gcdex(_high(F.to_coeffs(a)), _high(F.modulus), F.p, ZZ)
+    assert h == [1]
+    return F.from_coeffs(list(_low(s)))
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+def test_mul_and_inv_tables_match_sympy(q):
+    F = GF.get(q)
+    assert F._mul_table is not None and F._inv_table is not None
+    assert gt.gf_irreducible_p(_high(F.modulus), F.p, ZZ)
+    for a in range(q):
+        for b in range(q):
+            assert F.mul(a, b) == _oracle_mul(F, a, b)
+        if a:
+            assert F.inv(a) == _oracle_inv(F, a)
+
+
+def test_mul_fallback_above_the_table_cap_matches_sympy():
+    F = GF.get(512)
+    assert F._mul_table is None
+    assert gt.gf_irreducible_p(_high(F.modulus), F.p, ZZ)
+    rng = random.Random(512)
+    for _ in range(300):
+        a, b = rng.randrange(512), rng.randrange(512)
+        assert F.mul(a, b) == _oracle_mul(F, a, b)
+    for a in [1, 2, 511] + [rng.randrange(1, 512) for _ in range(20)]:
+        assert F.inv(a) == _oracle_inv(F, a)
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
+                                 (3, 2), (3, 3), (3, 4), (5, 2), (5, 3),
+                                 (7, 2)])
+def test_smallest_irreducible_is_irreducible_and_least(p, m):
+    g = smallest_irreducible(p, m)
+    assert len(g) == m + 1 and g[-1] == 1
+    # the first irreducible in lexicographic order on (c_0, .., c_{m-1})
+    first = next(c + (1,) for c in product(range(p), repeat=m)
+                 if gt.gf_irreducible_p(_high(c + (1,)), p, ZZ))
+    assert g == first
+
+
+@pytest.mark.parametrize("base,k", [(2, 5), (3, 3), (4, 3), (9, 2)])
+def test_codec_round_trips(base, k):
+    for code in range(base ** k):
+        digits = to_base(code, base, k)
+        assert len(digits) == k and all(0 <= x < base for x in digits)
+        assert from_base(digits, base) == code
+        assert sum(x * base ** i for i, x in enumerate(digits)) == code
+    # k digits keep the residue mod base^k; trailing zero digits change nothing
+    assert from_base(to_base(base ** k + 5, base, k), base) == 5
+    assert from_base(to_base(5, base, k) + [0, 0], base) == 5
+    assert to_base(6, 2, 4) == [0, 1, 1, 0]
+
+
+def _random_poly(rng, q, length):
+    return ptrim([rng.randrange(q) for _ in range(length)])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_polynomial_toolkit_matches_sympy_over_prime_fields(p):
+    F = GF.get(p)
+    rng = random.Random(p)
+    for _ in range(200):
+        a = _random_poly(rng, p, rng.randrange(0, 7))
+        b = _random_poly(rng, p, rng.randrange(1, 5)) or (1,)
+        assert pmul(F, a, b) == _low(gt.gf_mul(_high(a), _high(b), p, ZZ))
+        assert padd(F, a, b) == _low(gt.gf_add(_high(a), _high(b), p, ZZ))
+        assert pneg(F, a) == _low(gt.gf_neg(_high(a), p, ZZ))
+        quo, rem = gt.gf_div(_high(a), _high(b), p, ZZ)
+        assert pdivmod(F, a, b) == (_low(quo), _low(rem))
+        assert pgcd(F, a, b) == _low(gt.gf_gcd(_high(a), _high(b), p, ZZ))
+    assert pord(()) == float("inf") and pord((0, 0, 3)) == 2
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_pdivmod_reconstructs_over_prime_power_fields(q):
+    F = GF.get(q)
+    rng = random.Random(q)
+    for _ in range(200):
+        a = _random_poly(rng, q, rng.randrange(0, 7))
+        b = _random_poly(rng, q, rng.randrange(1, 5)) or (1,)
+        quo, rem = pdivmod(F, a, b)
+        assert len(rem) < len(b)
+        assert padd(F, pmul(F, quo, b), rem) == a
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_series_div_times_den_is_num_mod_t_n(q):
+    F = GF.get(q)
+    rng = random.Random(1000 + q)
+    for _ in range(200):
+        n = rng.randrange(1, 9)
+        num = _random_poly(rng, q, rng.randrange(0, 7))
+        den = (rng.randrange(1, q),) + tuple(rng.randrange(q)
+                                             for _ in range(rng.randrange(0, 6)))
+        s = series_div(F, num, den, n)
+        assert len(s) == n
+        prod = list(pmul(F, ptrim(s), den)) + [0] * n
+        assert prod[:n] == list(num[:n]) + [0] * (n - len(num[:n]))

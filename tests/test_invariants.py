@@ -1,5 +1,6 @@
-"""Internal invariants are explicit raises, not `assert` statements, so
-they still hold under `python -O`."""
+"""Internal invariants are explicit raises of a specific error, not
+`assert` statements or `AssertionError`, so they still hold under
+`python -O` and do not pose as test failures."""
 
 import ast
 from pathlib import Path
@@ -7,10 +8,27 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "btbuildings"
 
 
-def test_no_assert_statements_in_the_package():
+def _find(pred):
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
+                  if pred(node)]
+    return found
+
+
+def test_no_assert_statements_in_the_package():
+    found = _find(lambda node: isinstance(node, ast.Assert))
     assert not found, f"assert statements vanish under -O: {found}"
+
+
+def _raises_assertion_error(node):
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def test_no_assertion_error_raised_in_the_package():
+    found = _find(_raises_assertion_error)
+    assert not found, f"raise ArithmeticError or ValueError instead: {found}"

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,6 +10,7 @@ from btbuildings.building import (
     ball, basic_chamber, is_face, project_apartment)
 from btbuildings.errors import BudgetError
 from btbuildings.field import ExtensionDescriptor, LaurentModel, PAdicModel
+from btbuildings.gf import GF
 from btbuildings import subdivision
 from btbuildings.lattice import (all_neighbors, canonical_form, standard_vertex,
                                  vertex_from_diagonal)
@@ -159,6 +161,101 @@ def test_subdivision_json():
     assert obj["marking"] == [2]
     assert len(obj["vertices"]) == 3
     assert all("coords" in v and "carrier" in v for v in obj["vertices"])
+
+
+def _subdivide_by_charts(descriptor, chambers, marking):
+    """Reference: the subdivision with the chain order and unit steps of
+    every factor chamber taken from its `chamber_chart`, and the alcove
+    template rebuilt per chamber and factor."""
+    sub = subdivision.SubdividedComplex(descriptor, marking)
+    charts = {}
+    for chamber_id, chamber in enumerate(chambers):
+        factor_data = []
+        for i, fverts in enumerate(chamber.factors):
+            N = marking.per_factor[i]
+            d = len(fverts) - 1
+            if fverts not in charts:
+                charts[fverts] = chamber_chart(list(fverts))
+            _B, order, js = charts[fverts]
+            assert js == list(range(d + 1))
+            chain = [fverts[j] for j in order]
+            pt_index, plist = {}, []
+            for z in eta_integer_points(d, N):
+                lam = subdivision._barycentric_of_point(z, N)
+                key = tuple(sorted(((chain[m], lam[m]) for m in range(d + 1)
+                                    if lam[m] > 0),
+                                   key=lambda cl: cl[0].sort_key()))
+                pt_index[z] = len(plist)
+                plist.append((key, tuple(Fraction(zi, N) for zi in z)))
+            alcoves = [[pt_index[v] for v in chart.vertices()]
+                       for chart in eta_chambers(d, N)]
+            factor_data.append((plist, alcoves))
+        r = descriptor.r
+        for combo in product(*(alcoves for _plist, alcoves in factor_data)):
+            ids = {}
+            for vt in product(*combo):
+                ids[vt] = sub._point_id(
+                    tuple(factor_data[i][0][vt[i]][0] for i in range(r)),
+                    tuple(factor_data[i][0][vt[i]][1] for i in range(r)),
+                    chamber_id)
+            sub.subchambers.append(tuple(sorted(set(ids.values()))))
+            for vt in ids:
+                for i in range(r):
+                    for other in combo[i]:
+                        b = ids[vt[:i] + (other,) + vt[i + 1:]]
+                        if ids[vt] != b:
+                            sub.edges.add((min(ids[vt], b), max(ids[vt], b), i))
+    sub.subchambers = sorted(set(sub.subchambers))
+    return sub
+
+
+@pytest.mark.parametrize("factors,radius,marking,flip", [
+    ([(Q2, 2), (Q2, 2)], 2, [2, 2], False),
+    ([(F2T, 2)], 1, [3], False),
+    ([(F2T, 2)], 1, [3], True),
+])
+def test_subdivision_equals_the_chamber_chart_reference(factors, radius,
+                                                        marking, flip):
+    B = BuildingDescriptor(factors)
+    b = ball(B, B.origin(), radius, detail="faces", budget=20000)
+    chambers = b.chambers
+    assert chambers
+    if flip:
+        # windows list factor chambers in chain order; reversed, the chain
+        # order has to be found
+        chambers = [SimpleNamespace(factors=tuple(f[::-1] for f in ch.factors))
+                    for ch in chambers]
+    want = _subdivide_by_charts(B, chambers, Marking(marking))
+    got = subdivide_chambers(B, chambers, Marking(marking))
+    assert got.to_json_obj() == want.to_json_obj()
+    assert got.charts == want.charts
+
+
+def test_row_space_spans_the_input():
+    """_row_space returns echelon rows (leading 1, increasing leads) whose
+    span is the span of the input and which are independent."""
+    rng = random.Random(7)
+    for q, n in [(2, 4), (3, 3), (4, 3)]:
+        gf = GF.get(q)
+
+        def span(vecs):
+            out = set()
+            for coeffs in product(range(q), repeat=len(vecs)):
+                acc = [0] * n
+                for c, v in zip(coeffs, vecs):
+                    acc = [gf.add(x, gf.mul(c, y)) for x, y in zip(acc, v)]
+                out.add(tuple(acc))
+            return out
+
+        for _ in range(40):
+            vecs = [[rng.randrange(q) for _ in range(n)]
+                    for _ in range(rng.randrange(0, 4))]
+            basis = subdivision._row_space(gf, vecs)
+            leads = [next(i for i, x in enumerate(b) if x) for b in basis]
+            assert leads == sorted(set(leads))
+            assert all(b[k] == 1 for b, k in zip(basis, leads))
+            assert span(basis) == span(vecs)
+            assert len(span(basis)) == q ** len(basis)
 
 
 # -- nu and delta ------------------------------------------------------------
