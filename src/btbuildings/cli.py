@@ -237,6 +237,12 @@ def cmd_retract(args):
 
 
 def cmd_verify(args):
+    ignored = args.given & {"field", "d", "r", "radius", "depth"}
+    if args.suite == "gaussian-binomials" and args.q:
+        ignored.discard("d")
+    if ignored:
+        raise ValueError("verify does not read "
+                         + ", ".join(f"--{k}" for k in sorted(ignored)))
     config = Config(budget=args.budget, seed=args.seed)
     kwargs = {}
     if args.suite == "gaussian-binomials" and args.q:
@@ -253,22 +259,21 @@ _COMMON_DEFAULTS = {
 }
 
 
-def _add_common(parser, suppress):
+def _add_common(parser):
+    """The common flags, accepted before and after the subcommand.  They
+    default to absent, so that `main` can tell which were given."""
     S = argparse.SUPPRESS
-    dv = (lambda key: S) if suppress else _COMMON_DEFAULTS.get
-    parser.add_argument("--field", default=dv("field"),
+    parser.add_argument("--field", default=S,
                         help="comma list of padic:p | laurent:q (default padic:2)")
-    parser.add_argument("--d", default=dv("d"),
+    parser.add_argument("--d", default=S,
                         help="comma list of factor dimensions")
-    parser.add_argument("--r", type=int, default=dv("r"),
-                        help="factor count check")
-    parser.add_argument("--radius", type=int, default=dv("radius"))
-    parser.add_argument("--depth", type=int, default=dv("depth"))
-    parser.add_argument("--seed", type=int, default=dv("seed"))
-    parser.add_argument("--budget", type=int, default=dv("budget"))
-    parser.add_argument("--format", choices=["json", "dot"],
-                        default=dv("format"))
-    parser.add_argument("--out", default=dv("out"),
+    parser.add_argument("--r", type=int, default=S, help="factor count check")
+    parser.add_argument("--radius", type=int, default=S)
+    parser.add_argument("--depth", type=int, default=S)
+    parser.add_argument("--seed", type=int, default=S)
+    parser.add_argument("--budget", type=int, default=S)
+    parser.add_argument("--format", choices=["json", "dot"], default=S)
+    parser.add_argument("--out", default=S,
                         help="write the artifact to a file")
 
 
@@ -277,12 +282,12 @@ def make_parser():
         prog="btb", allow_abbrev=False,
         description="Exact computations on Bruhat-Tits buildings, their "
                     "products, and rigid points of Drinfeld spaces")
-    _add_common(p, suppress=False)
+    _add_common(p)
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kw):
         s = sub.add_parser(name, allow_abbrev=False, **kw)
-        _add_common(s, suppress=True)
+        _add_common(s)
         return s
 
     s = add_parser("ball", help="window of the building around a vertex")
@@ -352,6 +357,10 @@ def make_parser():
 def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
+    args.given = {k for k in _COMMON_DEFAULTS if hasattr(args, k)}
+    for k, v in _COMMON_DEFAULTS.items():
+        if k not in args.given:
+            setattr(args, k, v)
     try:
         return args.func(args)
     except BudgetError as ex:

@@ -14,6 +14,8 @@ from .building import ApartmentPoint
 from .errors import BudgetError
 from .field import (INF, FieldElement, enumerate_residues, expand_over,
                     tower_embed)
+from .lattice import (VertexClass, _triangularize_digits, digit_ops,
+                      solve_in_basis_valuations)
 from .linalg import rank
 
 
@@ -285,37 +287,130 @@ def _min_term(coeffs, values, e):
     return vmin, jmin
 
 
+def _basis_valuations(K, k):
+    """v_K of the basis {s^a w^b} of K over k, in the order of
+    `expand_over`: per tower step (a, b) with index a*f + b, then the basis
+    of the step below.  The basis is orthogonal for |.|, since every
+    step's basis is."""
+    if K is k:
+        return [0]
+    ext = K.ext
+    if ext is None:
+        raise ValueError("no tower path to the target model")
+    lower = _basis_valuations(ext.base, k)
+    return [a + ext.e * v for a in range(ext.e) for _b in range(ext.f)
+            for v in lower]
+
+
+class _FactorNorm:
+    """The norm nu(alpha) = v_K(sum_j alpha_j x_{i,j}) on k_i^{d+1} of one
+    factor, in units of v_K, so that it takes integer values.
+
+    With c_{j,beta} the coordinates of x_{i,j} in the orthogonal basis beta
+    of K over k_i (`expand_over`) and e the ramification of K over k_i,
+    nu(alpha) = min_beta (v_K(beta) + e v(sum_j alpha_j c_{j,beta})): the
+    point tau(x) of the building (Goldman-Iwahori)."""
+
+    def __init__(self, x, i):
+        model, d = x.descriptor.factors[i]
+        self.model = model
+        self.n = d + 1
+        self.e = x.K.ramification // model.ramification
+        values = [x.value(i, j) for j in range(d + 1)]
+        self.vmin = min(v.valuation() for v in values)
+        self.vmax = max(v.valuation() for v in values)
+        coords = [expand_over(v, model) for v in values]
+        self.gens = [(vb, col) for vb, col
+                     in zip(_basis_valuations(x.K, model), zip(*coords))
+                     if any(c.valuation() != INF for c in col)]
+
+    def bound(self, n):
+        """n/e_i + min_j v(x_{i,j}), the X[n] bound, in units of v_K."""
+        return n * self.e + self.vmin
+
+    def _orders(self, lam):
+        """m_beta = ceil((lam - v_K(beta)) / e) per generator, and the least
+        h >= 0 that makes every pi^(h - m_beta) c_beta integral."""
+        ms = [-((vb - lam) // self.e) for vb, _col in self.gens]
+        h = max([0] + [m - c.valuation() for m, (_vb, col) in zip(ms, self.gens)
+                       for c in col if c.valuation() != INF])
+        return ms, h
+
+    def work(self, lam):
+        """Predicted work of `reaches(lam)`: digit precision times the
+        entries of the generator matrix."""
+        return (2 * self.n * self._orders(lam)[1] + 1) * self.n * (
+            self.n + len(self.gens))
+
+    def reaches(self, lam):
+        """Whether nu(alpha) >= lam for some primitive alpha in O^{d+1}.
+
+        Those alpha are the primitive vectors of the dual of S = O^{d+1} +
+        sum_beta pi^(-m_beta) O c_beta, so one exists iff S does not contain
+        pi^(-1) O^{d+1}.  The generators of pi^h S are integral and
+        pi^h S >= pi^h O^{d+1}, so the primitive lattice P = pi^(-minval)
+        pi^h S has v(det P) <= (d+1)(h - minval), and 2(d+1)h + 1 digits
+        meet the 2D+1 guard of `_triangularize_digits`.  Then
+        pi^(-1) O^{d+1} <= S iff h - 1 - minval + min v(P^-1) >= 0."""
+        ms, h = self._orders(lam)
+        model, n = self.model, self.n
+        ops = digit_ops(model, 2 * n * h + 1)
+        pi = model.uniformizer()
+        diag = ops.from_field(pi ** h)
+        cols = [[diag if r == j else ops.zero() for r in range(n)]
+                for j in range(n)]
+        for m, (_vb, col) in zip(ms, self.gens):
+            scale = pi ** (h - m)
+            cols.append([ops.from_field(c * scale) for c in col])
+        exps, lower, minval = _triangularize_digits(ops, cols, n)
+        inv = solve_in_basis_valuations(VertexClass(model, exps, lower))
+        return h - 1 - minval + min(min(row) for row in inv) < 0
+
+
+def _check_budget(work, budget):
+    if work > budget:
+        raise BudgetError(f"the lattice tests predict {work} digit operations "
+                          f"(> budget {budget})")
+
+
 def omega_membership(x, n, closed=True, budget=200000):
-    """x in X[n] (closed) or X(n) (strict): the defining inequality checked
-    on all unimodular alpha per factor, enumerated modulo pi_i^n."""
+    """x in X[n] (closed: max v(alpha.x) <= bound) or X(n) (strict: < bound)
+    per factor, the max over primitive alpha in O^{d+1} and bound =
+    n/e_i + min_j v(x_{i,j}); one lattice test per factor.  nu takes values
+    in (1/e_K)Z, so max <= bound iff no alpha reaches bound + 1/e_K."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    for i, (model, d) in enumerate(x.descriptor.factors):
-        q = model.residue_size
-        count = unimodular_count(q, n, d + 1)
-        if count > budget:
-            raise BudgetError(
-                f"factor {i} needs {count} unimodular vectors (> budget {budget})")
-        values = [x.value(i, j) for j in range(d + 1)]
-        bound = (Fraction(n, model.ramification)
-                 + min(val_root(v) for v in values))
-        for alpha in unimodular_representatives(model, n, d + 1):
-            v = val_root(_combine(alpha, values, x.K))
-            if closed:
-                if not v <= bound:
-                    return False
-            else:
-                if not v < bound:
-                    return False
-    return True
+    norms = [_FactorNorm(x, i) for i in range(x.descriptor.r)]
+    lams = [norm.bound(n) + (1 if closed else 0) for norm in norms]
+    _check_budget(sum(norm.work(lam) for norm, lam in zip(norms, lams)), budget)
+    return not any(norm.reaches(lam) for norm, lam in zip(norms, lams))
 
 
 def membership_depth(x, max_n=3, budget=200000):
-    """Smallest n with x in X[n], searched up to max_n; None if not found."""
-    for n in range(1, max_n + 1):
-        if omega_membership(x, n, closed=True, budget=budget):
-            return n
-    return None
+    """Smallest n >= 1 with x in X[n], if it is at most max_n; else None.
+
+    Per factor, the max of nu over primitive alpha is found by bisection
+    between max_j v(x_{i,j}) (reached by a unit vector) and the X[max_n]
+    bound plus 1/e_K."""
+    norms = [_FactorNorm(x, i) for i in range(x.descriptor.r)]
+    caps = [norm.bound(max_n) + 1 for norm in norms]
+    if any(norm.vmax >= cap for norm, cap in zip(norms, caps)):
+        return None
+    _check_budget(sum(((cap - norm.vmax - 1).bit_length() + 1) * norm.work(cap)
+                      for norm, cap in zip(norms, caps)), budget)
+    depth = 1
+    for norm, cap in zip(norms, caps):
+        if norm.reaches(cap):
+            return None
+        lo, hi = norm.vmax, cap
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if norm.reaches(mid):
+                lo = mid
+            else:
+                hi = mid
+        depth = max(depth, -((norm.vmin - lo) // norm.e))
+    return depth if depth <= max_n else None
 
 
 def tau_coordinates(x):

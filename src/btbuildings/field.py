@@ -64,7 +64,7 @@ class PAdicModel:
                 raise ValueError("element of a different model")
             return value
         if isinstance(value, str):
-            return FieldElement(self, Fraction(value))
+            return self.elem_parse(value)
         return FieldElement(self, Fraction(value))
 
     def zero(self):

@@ -215,21 +215,30 @@ class GF:
         return self.from_coeffs(pdivmod(fp, prod, self.modulus)[1])
 
     def _build_tables(self):
+        """Multiplication and inverse tables from the powers of a primitive
+        element g, a*b = g^(log a + log b): at most q polynomial products
+        per candidate g, then O(q^2) lookups."""
         q = self.q
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                c = self._poly_mul(a, b)
-                mul[a][b] = c
-                mul[b][a] = c
-        self._mul_table = mul
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a][b] == 1:
-                    inv[a] = b
+        order = q - 1
+        for g in range(2, q):
+            powers = [1]
+            while len(powers) < order:
+                nxt = self._poly_mul(powers[-1], g)
+                if nxt == 1:
                     break
-        self._inv_table = inv
+                powers.append(nxt)
+            if len(powers) == order:
+                break
+        else:
+            raise ArithmeticError(f"GF({q}) has no primitive element")
+        log = [0] * q
+        for i, a in enumerate(powers):
+            log[a] = i
+        twice = powers + powers
+        self._mul_table = [[0] * q] + [
+            [0] + [twice[log[a] + log[b]] for b in range(1, q)]
+            for a in range(1, q)]
+        self._inv_table = [0] + [powers[-log[a] % order] for a in range(1, q)]
 
     # -- arithmetic --
 

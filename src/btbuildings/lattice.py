@@ -13,8 +13,8 @@ There is one reduction, `_triangularize_digits`, over pi-digit vectors in
 O/pi^M.  `canonical_form` takes an exact FieldElement basis (group
 elements, duals, embeddings), computes its determinant valuation with the
 exact elimination of `linalg`, scales it to a primitive basis and converts
-the entries to digits; neighbor enumeration builds its generators in digits
-directly.  Both carry a guard precision of 2*D+2 digits, D the determinant
+the entries to digits; neighbor enumeration and the Drinfeld filtration
+test (`drinfeld`) build their generators in digits directly.  Both carry a guard precision of 2*D+2 digits, D the determinant
 valuation of the primitive lattice, which makes every pivot valuation and
 residue exact (argued in `canonical_form`); the reduction raises
 ArithmeticError when the precision it is given falls short.  The tests

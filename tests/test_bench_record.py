@@ -1,0 +1,78 @@
+"""tools/bench_record.py on synthetic perfbench/run.py outputs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location(
+        "bench_record", ROOT / "tools" / "bench_record.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _untraced(tmp_path, name, seed, wall, rss):
+    metrics = {"wall_s": {"value": wall, "unit": "s"},
+               "peak_rss_mb": {"value": rss, "unit": "MB"}}
+    path = tmp_path / f"{name}-{seed}-{wall}.txt"
+    path.write_text(
+        f"# {name} seed={seed} trace=0 passes=2 queries=2 {{}}\n"
+        f"{name} wall_s {wall} s\n"
+        + json.dumps({"correct": True, "attempted": 5, "failed": 0,
+                      "metrics": metrics}) + "\n")
+    return str(path)
+
+
+def _traced_all(tmp_path, tag, seed, calls):
+    results = {name: {"correct": True, "attempted": 3, "failed": 0,
+                      "metrics": {"drinfeld.omega_calls":
+                                  {"value": calls, "unit": "count"}}}
+               for name in ("apartment", "subsystems")}
+    path = tmp_path / f"traced-{tag}.txt"
+    path.write_text(
+        f"# apartment seed={seed} trace=1 passes=1 queries=1 {{}}\n"
+        f"# subsystems seed={seed} trace=1 passes=1 queries=1 {{}}\n"
+        + json.dumps(results) + "\n")
+    return str(path)
+
+
+def test_medians_quartiles_pairs_and_layers(tmp_path):
+    tool = _load()
+    walls_parent = [8.0, 7.0, 9.0, 8.5, 7.5]
+    walls_change = [4.0, 7.5, 3.0, 4.5, 3.5]
+    parent = [_untraced(tmp_path, "subsystems", 10 + i, w, 27.0)
+              for i, w in enumerate(walls_parent)]
+    change = [_untraced(tmp_path, "subsystems", 10 + i, w, 27.5)
+              for i, w in enumerate(walls_change)]
+    parent.append(_traced_all(tmp_path, "parent", 1, 56))
+    change.append(_traced_all(tmp_path, "change", 1, 56))
+    out = tmp_path / "BENCH_0.json"
+    assert tool.main(["--parent"] + parent + ["--change"] + change
+                     + ["--out", str(out)]) == 0
+    sub = json.loads(out.read_text())["workloads"]["subsystems"]
+    wall = sub["end_to_end"]["wall_s"]
+    assert wall["parent"] == {"median": 8.0, "q1": 7.5, "q3": 8.5, "runs": 5}
+    assert wall["change"] == {"median": 4.0, "q1": 3.5, "q3": 4.5, "runs": 5}
+    # lower is better: the second pair (7.0 against 7.5) goes to the parent
+    assert (wall["pairs"], wall["change_wins"], wall["parent_wins"]) == (5, 4, 1)
+    rss = sub["end_to_end"]["peak_rss_mb"]
+    assert (rss["change_wins"], rss["parent_wins"]) == (0, 5)
+    assert sub["seeds"] == {"parent": [10, 11, 12, 13, 14],
+                            "change": [10, 11, 12, 13, 14]}
+    assert sub["attempted"] == {"parent": 28, "change": 28}
+    assert sub["per_layer"]["1"]["drinfeld.omega_calls"] == {
+        "unit": "count", "parent": 56, "change": 56}
+    assert "apartment" in json.loads(out.read_text())["workloads"]
+
+
+def test_a_file_without_a_run_header_is_an_input_error(tmp_path, capsys):
+    tool = _load()
+    bad = tmp_path / "bad.txt"
+    bad.write_text("{}\n")
+    assert tool.main(["--parent", str(bad), "--change", str(bad),
+                      "--out", str(tmp_path / "o.json")]) == 2
+    assert "no '# <workload>" in capsys.readouterr().err

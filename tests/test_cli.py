@@ -15,8 +15,8 @@ def run_cli(argv, capsys):
 
 
 def test_verify_gaussian_binomials(capsys):
-    code, out = run_cli(["--field", "laurent:2", "--d", "3",
-                         "verify", "gaussian-binomials", "--q", "2"], capsys)
+    code, out = run_cli(["--d", "3", "verify", "gaussian-binomials",
+                         "--q", "2"], capsys)
     assert code == 0
     obj = json.loads(out)
     assert obj["passed"]
@@ -109,6 +109,17 @@ def test_omega_command(capsys):
     assert obj["tau_exponents"] == [["0", "1/2"]]
 
 
+def test_omega_command_off_the_first_level(capsys):
+    # alpha = (1+t, 1) gives v(alpha.x) = v(s^3) = 3/2 > 1
+    code, out = run_cli(["--field", "laurent:2", "--d", "1", "omega",
+                         "--point", '[["1+s^2+s^3"]]', "--ext", "2,1",
+                         "--depth", "2"], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["memberships"][0] == {"n": 1, "closed": False, "open": False}
+    assert obj["first_depth"] == 2
+
+
 def test_retract_command(capsys):
     poly = json.dumps([{"coeff": "1", "monomial": {"1": 2}},
                        {"coeff": "s^2", "monomial": {"1": 1}}])
@@ -182,6 +193,24 @@ def test_vertex_and_mask_must_fit_the_descriptor(argv, capsys):
      '[{"kind":"group","matrices":[["1/0","0","0","1"]]}]'],
 ])
 def test_zero_denominator_is_an_input_error(argv, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--field", "laurent:3", "--radius", "9", "verify", "eta-counts"],
+    ["--field", "padic:2", "verify", "eta-counts"],
+    ["--radius", "2", "verify", "eta-counts"],
+    ["verify", "eta-counts", "--depth", "3"],
+    ["--r", "1", "verify", "eta-counts"],
+    ["--d", "2", "verify", "eta-counts"],
+    ["--d", "3", "verify", "gaussian-binomials"],
+    ["--field", "laurent:2", "--d", "3", "verify", "gaussian-binomials",
+     "--q", "2"],
+])
+def test_verify_rejects_flags_it_does_not_read(argv, capsys):
+    # an explicit flag is rejected even when it equals the default
     code, out = run_cli(argv, capsys)
     assert code == 2
     assert out == ""

@@ -8,11 +8,13 @@ from btbuildings.drinfeld import (
     AbsValue, GaussSeminorm, Poly, RigidPoint, deform, diagonalize_norm,
     dual_coords, eval_abs, gauss_eval, membership_depth, omega_membership,
     tau_coordinates, tower_embed, unimodular_count,
-    unimodular_representatives, verify_diagonal)
+    unimodular_representatives, val_root, verify_diagonal)
 from btbuildings.errors import BudgetError
 from btbuildings.field import (INF, ExtensionDescriptor, LaurentModel,
                                PAdicModel, valuation)
 from btbuildings.lattice import vertex_from_diagonal
+from btbuildings.linalg import matmul
+from btbuildings.verify import random_o_element, random_unimodular
 
 F2T = LaurentModel.get(2)
 F3T = LaurentModel.get(3)
@@ -140,10 +142,154 @@ def test_omega_filtration_monotone():
     assert not omega_membership(_point_ram("s^3"), 1)
 
 
+def _enumerated_max(x, i, N):
+    """Test-side oracle: max v(alpha.x) over the unimodular alpha modulo
+    pi_i^(N+1).  Whether v(alpha.x) <= n/e_i + min_j v(x_j) (or <) holds is
+    invariant modulo pi_i^(n+1), so the max answers every n <= N exactly."""
+    model, d = x.descriptor.factors[i]
+    values = [x.value(i, j) for j in range(d + 1)]
+    best = None
+    for alpha in unimodular_representatives(model, N + 1, d + 1):
+        acc = x.K.zero()
+        for a, v in zip(alpha, values):
+            acc = acc + tower_embed(a, x.K) * v
+        v = val_root(acc)
+        best = v if best is None or v > best else best
+    return best
+
+
+def _enumerated_answers(x, N):
+    """{n: (closed, open)} for n <= N, and the first closed depth <= N."""
+    maxima = []
+    for i, (model, d) in enumerate(x.descriptor.factors):
+        vmin = min(val_root(x.value(i, j)) for j in range(d + 1))
+        maxima.append((_enumerated_max(x, i, N), vmin, model.ramification))
+    answers = {n: (all(m <= Fraction(n, e) + vmin for m, vmin, e in maxima),
+                   all(m < Fraction(n, e) + vmin for m, vmin, e in maxima))
+               for n in range(1, N + 1)}
+    depth = next((n for n in range(1, N + 1) if answers[n][0]), None)
+    return answers, depth
+
+
+def _seeded_points(q, tower, d, count, seed):
+    """Rigid points over the extension K of F_q(t) built by the (e, f)
+    steps of `tower`.  A coordinate is k-rational plus a small
+    K-perturbation, so that the sample reaches several filtration depths
+    and the boundaries, divided by a power s_K^m, m < e_K, of the
+    uniformizer of K, so that min_j v(x_j) takes every residue mod 1/e_K."""
+    base = LaurentModel.get(q)
+    K = base
+    for e, f in tower:
+        K = ExtensionDescriptor(K, e=e, f=f).extension
+    B = BuildingDescriptor([(base, d)])
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        coords = []
+        for _ in range(d):
+            y = K.from_digits([rng.randrange(K.q) for _ in range(3)],
+                              shift=rng.randrange(0, 3 * K.ramification))
+            r = tower_embed(random_o_element(base, rng), K)
+            coords.append((r + y) / K.uniformizer() ** rng.randrange(
+                K.ramification))
+        try:
+            out.append(RigidPoint(B, K, [coords]))
+        except ValueError:
+            continue
+    return out
+
+
+# (q, tower, d, N) with d + 1 <= [K : k], since {1, x_1, .., x_d} is
+# independent over k
+_ORACLE_CASES = [(2, ((2, 1),), 1, 3), (2, ((1, 2),), 1, 3),
+                 (2, ((2, 2),), 1, 3), (2, ((2, 2),), 2, 3),
+                 (2, ((2, 1), (2, 1)), 1, 3), (2, ((2, 1), (2, 1)), 2, 3),
+                 (2, ((1, 2), (2, 1)), 2, 2),
+                 (3, ((2, 1),), 1, 3), (3, ((1, 2),), 1, 3),
+                 (3, ((2, 2),), 1, 3), (3, ((2, 2),), 2, 2)]
+
+
+def test_membership_matches_enumeration_mod_pi_n_plus_1():
+    kinds = set()
+    for case, (q, tower, d, N) in enumerate(_ORACLE_CASES):
+        for x in _seeded_points(q, tower, d, 8, seed=case):
+            answers, depth = _enumerated_answers(x, N)
+            for n, (closed, strict) in answers.items():
+                assert omega_membership(x, n, closed=True) == closed
+                assert omega_membership(x, n, closed=False) == strict
+                kinds.add((closed, strict))
+            assert membership_depth(x, max_n=N) == depth
+    # the sample has points outside X[n], on its boundary (closed but not
+    # open) and strictly inside
+    assert kinds == {(False, False), (True, False), (True, True)}
+
+
+def _translate(x, g):
+    """The rigid point g.x for g in GL_{d+1}(O) acting on (1, x_1, .., x_d),
+    renormalized to affine coordinates; None when its first entry is 0."""
+    model, d = x.descriptor.factors[0]
+    values = [x.value(0, j) for j in range(d + 1)]
+    y = []
+    for row in g:
+        acc = x.K.zero()
+        for a, v in zip(row, values):
+            acc = acc + tower_embed(a, x.K) * v
+        y.append(acc)
+    if y[0].valuation() == INF:
+        return None
+    return RigidPoint(x.descriptor, x.K, [[c / y[0] for c in y[1:]]])
+
+
+def _memberships(x, N=3):
+    return ([(omega_membership(x, n), omega_membership(x, n, closed=False))
+             for n in range(1, N + 1)], membership_depth(x, max_n=N))
+
+
+def test_membership_is_gl_o_invariant():
+    # s^3 = (1+s^2+s^3) - (1+t): the two points are GL_2(O)-translates
+    x = _point_ram("1+s^2+s^3")
+    y = _point_ram("s^3")
+    assert _memberships(x) == _memberships(y) == (
+        [(False, False), (True, True), (True, True)], 2)
+    g = [[F2T.one(), F2T.zero()], [F2T.element("1+t"), F2T.one()]]
+    assert [str(c) for c in _translate(x, g).coords[0]] == ["s^3"]
+    rng = random.Random(61)
+    checked = 0
+    for q, tower, d in [(2, ((2, 1),), 1), (2, ((2, 2),), 2),
+                        (3, ((1, 2),), 1), (2, ((2, 1), (2, 1)), 1)]:
+        base = LaurentModel.get(q)
+        for x in _seeded_points(q, tower, d, 3, seed=q + d):
+            g = matmul(base, random_unimodular(base, d + 1, rng),
+                       random_unimodular(base, d + 1, rng))
+            y = _translate(x, g)
+            if y is None:
+                continue
+            assert _memberships(x) == _memberships(y)
+            checked += 1
+    assert checked >= 8
+
+
+def test_membership_depth_beyond_the_first_level():
+    # alpha = (1+t^2, 1) gives v(alpha.x) = v(t^2 s) = 5/2 > 2
+    x = _point_ram("1+s^4+s^5")
+    assert not omega_membership(x, 2)
+    assert omega_membership(x, 3)
+    assert _enumerated_max(x, 0, 3) == Fraction(5, 2)
+    assert membership_depth(x, max_n=3) == 3
+    assert membership_depth(x, max_n=2) is None
+
+
 def test_omega_budget():
     x = _point_ram("s")
     with pytest.raises(BudgetError):
         omega_membership(x, 3, budget=10)
+
+
+def test_membership_budget_states_predicted_and_allowed_work():
+    x = _point_ram("s")
+    with pytest.raises(BudgetError, match=r"predict \d+ digit operations "
+                                          r"\(> budget 10\)"):
+        membership_depth(x, max_n=3, budget=10)
 
 
 def test_tau_coordinates():

@@ -17,6 +17,19 @@ F3T = LaurentModel.get(3)
 F4T = LaurentModel.get(4)
 
 
+@pytest.mark.parametrize("model,zero_den,spaced,plain", [
+    (Q2, "1/0", "1 / 2", Fraction(1, 2)),
+    (F2T, "t/0", "t / (1 + t)", "t/(1+t)"),
+])
+def test_text_parse_contract(model, zero_den, spaced, plain):
+    # element(str) and elem_parse share one contract on both models: spaces
+    # are ignored and a zero denominator is a ValueError
+    for parse in (model.element, model.elem_parse):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse(zero_den)
+        assert parse(spaced) == model.element(plain)
+
+
 def test_valuation_examples():
     assert valuation(Q2.element(12)) == 2
     x = F2T.element("t^2") / F2T.element("1+t")

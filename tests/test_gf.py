@@ -49,6 +49,19 @@ def test_mul_and_inv_tables_match_sympy(q):
             assert F.inv(a) == _oracle_inv(F, a)
 
 
+def test_largest_tables_match_polynomial_products():
+    # the tables come from the powers of a primitive element; every entry
+    # must equal the reduced polynomial product
+    F = GF.get(256)
+    assert F._mul_table is not None
+    rng = random.Random(256)
+    for _ in range(3000):
+        a, b = rng.randrange(256), rng.randrange(256)
+        assert F.mul(a, b) == F._poly_mul(a, b)
+    for a in range(1, 256):
+        assert F._poly_mul(a, F.inv(a)) == 1
+
+
 def test_mul_fallback_above_the_table_cap_matches_sympy():
     F = GF.get(512)
     assert F._mul_table is None

@@ -1,0 +1,112 @@
+"""Turn `perfbench/run.py` outputs of a parent and a change into BENCH_<n>.json.
+
+    python3 tools/bench_record.py --parent P1.txt P2.txt .. \\
+        --change C1.txt C2.txt .. --out BENCH_6.json
+
+Each input file is the standard output of one `perfbench/run.py` run, for
+one workload or for `all`: its `# <workload> seed=<s> trace=<t> ..` lines
+name the workloads, seeds and trace mode, and its last line is the JSON
+result.  Untraced runs (`trace=0`) give the end-to-end metrics: per
+workload, metric and side the median, the quartiles and the run count,
+and, pairing the i-th parent run of a workload with its i-th change run,
+how many pairs the change wins by the direction in BENCHMARK.json (ties
+count for neither side).  Traced runs (`trace=1`) give the per-layer
+values, keyed by seed.  Standard library only.
+"""
+
+import argparse
+import json
+import os
+import re
+import statistics
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+HEADER = re.compile(r"^# (\S+) seed=(-?\d+) trace=([01]) ")
+
+
+def read_run(path):
+    """[(workload, seed, traced, result)] of one run.py output file."""
+    with open(path) as fh:
+        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    heads = [HEADER.match(line) for line in lines]
+    heads = [(m.group(1), int(m.group(2)), m.group(3) == "1")
+             for m in heads if m]
+    if not heads:
+        raise ValueError(f"{path}: no '# <workload> seed=.. trace=..' line")
+    last = json.loads(lines[-1])
+    results = {heads[0][0]: last} if "metrics" in last else last
+    return [(name, seed, traced, results[name]) for name, seed, traced in heads]
+
+
+def summary(values):
+    if len(values) == 1:
+        q1 = med = q3 = values[0]
+    else:
+        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3, "runs": len(values)}
+
+
+def record(parent_files, change_files, contract):
+    better = {m["name"]: m["better"]
+              for m in contract["end_to_end"] + contract["per_layer"]}
+    sides = {"parent": [r for f in parent_files for r in read_run(f)],
+             "change": [r for f in change_files for r in read_run(f)]}
+    out = {}
+    for side, runs in sides.items():
+        for name, seed, traced, result in runs:
+            w = out.setdefault(name, {"seeds": {"parent": [], "change": []},
+                                      "failed": {"parent": 0, "change": 0},
+                                      "attempted": {"parent": 0, "change": 0},
+                                      "end_to_end": {}, "per_layer": {}})
+            w["failed"][side] += result["failed"]
+            w["attempted"][side] += result["attempted"]
+            metrics = result["metrics"]
+            if traced:
+                layer = w["per_layer"].setdefault(str(seed), {})
+                for key, m in metrics.items():
+                    layer.setdefault(key, {"unit": m["unit"]})[side] = m["value"]
+                continue
+            w["seeds"][side].append(seed)
+            for key, m in metrics.items():
+                e2e = w["end_to_end"].setdefault(
+                    key, {"unit": m["unit"], "parent": [], "change": []})
+                e2e[side].append(m["value"])
+    for w in out.values():
+        for key, e2e in w["end_to_end"].items():
+            pairs = list(zip(e2e["parent"], e2e["change"]))
+            sign = 1 if better.get(key, "lower") == "lower" else -1
+            e2e["pairs"] = len(pairs)
+            e2e["change_wins"] = sum(sign * (p - c) > 0 for p, c in pairs)
+            e2e["parent_wins"] = sum(sign * (c - p) > 0 for p, c in pairs)
+            for side in ("parent", "change"):
+                if e2e[side]:
+                    e2e[side] = summary(e2e[side])
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", nargs="+", required=True,
+                    help="run.py outputs of the parent commit")
+    ap.add_argument("--change", nargs="+", required=True,
+                    help="run.py outputs of the change")
+    ap.add_argument("--contract", default=os.path.join(ROOT, "BENCHMARK.json"),
+                    help="the benchmark declaration (metric directions)")
+    ap.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
+    args = ap.parse_args(argv)
+    try:
+        with open(args.contract) as fh:
+            contract = json.load(fh)
+        workloads = record(args.parent, args.change, contract)
+    except (OSError, ValueError, KeyError) as ex:
+        print(f"bench_record: {ex}", file=sys.stderr)
+        return 2
+    with open(args.out, "w") as fh:
+        json.dump({"workloads": workloads}, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
