@@ -255,26 +255,46 @@ class AutWord:
 
     @classmethod
     def from_json_obj(cls, descriptor, obj):
+        """The word of a JSON list of generator objects; a value of the
+        wrong JSON type is a ValueError."""
+        if not isinstance(obj, list) or not all(isinstance(g, dict) for g in obj):
+            raise ValueError("word must be a list of generator objects")
         gens = []
         for g in obj:
             if g["kind"] == "group":
                 mats = []
+                if (not isinstance(g["matrices"], list)
+                        or len(g["matrices"]) != descriptor.r):
+                    raise ValueError("group generator factor count mismatch")
                 for flat, (model, d) in zip(g["matrices"], descriptor.factors):
                     if flat is None:
                         mats.append(None)
                         continue
                     n = d + 1
+                    if (not isinstance(flat, list) or len(flat) != n * n
+                            or not all(isinstance(x, str) for x in flat)):
+                        raise ValueError(f"matrix must be a list of {n * n} strings")
                     mats.append([[model.elem_parse(flat[i * n + j])
                                   for j in range(n)] for i in range(n)])
                 gens.append({"kind": "group", "matrices": mats})
             elif g["kind"] == "lambda":
-                gens.append({"kind": "lambda", "mask": list(g["mask"])})
+                gens.append({"kind": "lambda",
+                             "mask": list(_int_list(g["mask"], "mask"))})
             elif g["kind"] == "exchange":
-                gens.append({"kind": "exchange", "mu": list(g["mu"])})
+                gens.append({"kind": "exchange",
+                             "mu": list(_int_list(g["mu"], "mu"))})
             else:
-                gens.append({"kind": "shift", "factor": int(g["factor"]),
-                             "power": int(g["power"])})
+                factor, power = _int_list([g["factor"], g["power"]],
+                                          "shift factor and power")
+                gens.append({"kind": "shift", "factor": factor, "power": power})
         return cls(descriptor, gens)
+
+
+def _int_list(obj, what):
+    """obj, checked to be a JSON list of integers."""
+    if not isinstance(obj, list) or not all(isinstance(x, int) for x in obj):
+        raise ValueError(f"{what} must be a list of integers")
+    return obj
 
 
 # ---------------------------------------------------------------------------

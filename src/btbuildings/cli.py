@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .autdecomp import AutWord, decompose_hom, normal_form
+from .autdecomp import AutWord, _int_list, decompose_hom, normal_form
 from .building import (ApartmentPoint, BuildingDescriptor, PolyVertex, ball,
                        basic_chamber, involution_lambda, labelling_C,
                        project_apartment)
@@ -45,18 +45,27 @@ def build_descriptor(args):
     return BuildingDescriptor(list(zip(fields, dims)))
 
 
+def _string_lists(obj, sizes, what):
+    """obj, checked to be a list of len(sizes) lists of strings, the k-th
+    of length sizes[k]."""
+    if (not isinstance(obj, list) or len(obj) != len(sizes)
+            or not all(isinstance(row, list) and len(row) == size
+                       and all(isinstance(x, str) for x in row)
+                       for row, size in zip(obj, sizes))):
+        raise ValueError(f"{what} must be a list of {len(sizes)} lists of "
+                         f"{', '.join(map(str, sizes))} strings")
+    return obj
+
+
 def parse_vertex(descriptor, text):
     obj = json.loads(text)
     if isinstance(obj, dict):
         obj = obj["matrix_per_factor"]
-    if not isinstance(obj, list) or len(obj) != descriptor.r:
-        raise ValueError(f"vertex must be a list of {descriptor.r} factor matrices")
+    sizes = [(d + 1) ** 2 for d in descriptor.dims]
     comps = []
-    for (model, d), flat in zip(descriptor.factors, obj):
+    for (model, d), flat in zip(descriptor.factors,
+                                _string_lists(obj, sizes, "vertex")):
         n = d + 1
-        if (not isinstance(flat, list) or len(flat) != n * n
-                or not all(isinstance(x, str) for x in flat)):
-            raise ValueError(f"matrix must be a list of {n * n} strings")
         mat = [[model.elem_parse(flat[i * n + j]) for j in range(n)]
                for i in range(n)]
         cols = [[mat[j][i] for j in range(n)] for i in range(n)]
@@ -154,9 +163,16 @@ def cmd_extend(args):
 
 def cmd_decompose_aut(args):
     obj = json.loads(args.map)
-    sizes_in = tuple(obj["sizes_in"])
-    sizes_out = tuple(obj["sizes_out"])
-    f = {tuple(u): tuple(v) for u, v in obj["map"]}
+    if not isinstance(obj, dict):
+        raise ValueError("--map must be a JSON object")
+    sizes_in = tuple(_int_list(obj["sizes_in"], "sizes_in"))
+    sizes_out = tuple(_int_list(obj["sizes_out"], "sizes_out"))
+    pairs = obj["map"]
+    if not isinstance(pairs, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+        raise ValueError("map must be a list of [vertex, image] pairs")
+    f = {tuple(_int_list(u, "a map vertex")): tuple(_int_list(v, "a map vertex"))
+         for u, v in pairs}
     dec = decompose_hom(f, sizes_in, sizes_out)
     emit(args, {"mu": list(dec.mu), "gs": [list(g) for g in dec.gs],
                 "constants": {str(k): v for k, v in sorted(dec.consts.items())}})
@@ -188,7 +204,7 @@ def _build_rigid_point(args, descriptor):
         exts.append(ext)
         model = ext.extension
     K = model
-    coords = json.loads(args.point)
+    coords = _string_lists(json.loads(args.point), descriptor.dims, "point")
     return RigidPoint(descriptor, K, [[K.elem_parse(c) for c in factor]
                                       for factor in coords]), K
 
@@ -218,9 +234,17 @@ def cmd_retract(args):
     if descriptor.r != 1:
         raise ValueError("retract operates on one factor")
     x, K = _build_rigid_point(args, descriptor)
+    poly = json.loads(args.poly)
+    if not isinstance(poly, list) or not all(
+            isinstance(term, dict) and isinstance(term.get("coeff"), str)
+            and isinstance(term.get("monomial"), dict)
+            and all(isinstance(n, int) for n in term["monomial"].values())
+            for term in poly):
+        raise ValueError('--poly must be a list of {"coeff": str, '
+                         '"monomial": {"j": int}} objects')
     terms = {}
-    for term in json.loads(args.poly):
-        exps = tuple(sorted(((0, int(j)), int(n))
+    for term in poly:
+        exps = tuple(sorted(((0, int(j)), n)
                             for j, n in term["monomial"].items()))
         coeff = K.elem_parse(term["coeff"])
         p_term = terms.get(exps)

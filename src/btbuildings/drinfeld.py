@@ -14,9 +14,10 @@ from .building import ApartmentPoint
 from .errors import BudgetError
 from .field import (INF, FieldElement, enumerate_residues, expand_over,
                     tower_embed)
-from .lattice import (VertexClass, _triangularize_digits, digit_ops,
+from .lattice import (VertexClass, _triangularize_digits, digit_ops, dual,
                       solve_in_basis_valuations)
 from .linalg import rank
+from .subdivision import chamber_chart
 
 
 def val_root(x):
@@ -336,35 +337,42 @@ class _FactorNorm:
                        for c in col if c.valuation() != INF])
         return ms, h
 
-    def work(self, lam):
-        """Predicted work of `reaches(lam)`: digit precision times the
+    def work(self, lam, k=0):
+        """Predicted work of `_span(lam, k)`: digit precision times the
         entries of the generator matrix."""
-        return (2 * self.n * self._orders(lam)[1] + 1) * self.n * (
+        return (2 * self.n * (self._orders(lam)[1] + k) + 1) * self.n * (
             self.n + len(self.gens))
 
-    def reaches(self, lam):
-        """Whether nu(alpha) >= lam for some primitive alpha in O^{d+1}.
+    def _span(self, lam, k):
+        """(class of S, h - minval) for S = pi^k O^{d+1} + sum_beta
+        pi^(-m_beta) O c_beta, the dual of {alpha in pi^(-k) O^{d+1} :
+        nu(alpha) >= lam}.
 
-        Those alpha are the primitive vectors of the dual of S = O^{d+1} +
-        sum_beta pi^(-m_beta) O c_beta, so one exists iff S does not contain
-        pi^(-1) O^{d+1}.  The generators of pi^h S are integral and
-        pi^h S >= pi^h O^{d+1}, so the primitive lattice P = pi^(-minval)
-        pi^h S has v(det P) <= (d+1)(h - minval), and 2(d+1)h + 1 digits
-        meet the 2D+1 guard of `_triangularize_digits`.  Then
-        pi^(-1) O^{d+1} <= S iff h - 1 - minval + min v(P^-1) >= 0."""
+        The generators of pi^h S are integral and pi^h S >= pi^(h+k)
+        O^{d+1}, so the primitive lattice P = pi^(-minval) pi^h S has
+        v(det P) <= (d+1)(h + k - minval), and 2(d+1)(h+k) + 1 digits meet
+        the 2D+1 guard of `_triangularize_digits`."""
         ms, h = self._orders(lam)
         model, n = self.model, self.n
-        ops = digit_ops(model, 2 * n * h + 1)
+        ops = digit_ops(model, 2 * n * (h + k) + 1)
         pi = model.uniformizer()
-        diag = ops.from_field(pi ** h)
+        diag = ops.from_field(pi ** (h + k))
         cols = [[diag if r == j else ops.zero() for r in range(n)]
                 for j in range(n)]
         for m, (_vb, col) in zip(ms, self.gens):
             scale = pi ** (h - m)
             cols.append([ops.from_field(c * scale) for c in col])
         exps, lower, minval = _triangularize_digits(ops, cols, n)
-        inv = solve_in_basis_valuations(VertexClass(model, exps, lower))
-        return h - 1 - minval + min(min(row) for row in inv) < 0
+        return VertexClass(model, exps, lower), h - minval
+
+    def reaches(self, lam):
+        """Whether nu(alpha) >= lam for some primitive alpha in O^{d+1}:
+        those alpha are the primitive vectors of the dual of the k = 0
+        `_span` lattice S, so one exists iff S does not contain pi^(-1)
+        O^{d+1}, i.e. iff h - minval - 1 + min v(P^-1) < 0."""
+        cls, shift = self._span(lam, 0)
+        inv = solve_in_basis_valuations(cls)
+        return shift - 1 + min(min(row) for row in inv) < 0
 
 
 def _check_budget(work, budget):
@@ -373,17 +381,23 @@ def _check_budget(work, budget):
                           f"(> budget {budget})")
 
 
-def omega_membership(x, n, closed=True, budget=200000):
-    """x in X[n] (closed: max v(alpha.x) <= bound) or X(n) (strict: < bound)
-    per factor, the max over primitive alpha in O^{d+1} and bound =
-    n/e_i + min_j v(x_{i,j}); one lattice test per factor.  nu takes values
+def _membership_tests(x, n, closed):
+    """The (factor norm, lam) lattice tests deciding X[n] (closed: max
+    v(alpha.x) <= bound) or X(n) (strict: < bound), the max over primitive
+    alpha in O^{d+1} and bound = n/e_i + min_j v(x_{i,j}).  nu takes values
     in (1/e_K)Z, so max <= bound iff no alpha reaches bound + 1/e_K."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    norms = [_FactorNorm(x, i) for i in range(x.descriptor.r)]
-    lams = [norm.bound(n) + (1 if closed else 0) for norm in norms]
-    _check_budget(sum(norm.work(lam) for norm, lam in zip(norms, lams)), budget)
-    return not any(norm.reaches(lam) for norm, lam in zip(norms, lams))
+    return [(norm, norm.bound(n) + (1 if closed else 0))
+            for norm in (_FactorNorm(x, i) for i in range(x.descriptor.r))]
+
+
+def omega_membership(x, n, closed=True, budget=200000):
+    """x in X[n] (closed) or X(n) (strict), one lattice test per factor
+    (`_membership_tests`)."""
+    tests = _membership_tests(x, n, closed)
+    _check_budget(sum(norm.work(lam) for norm, lam in tests), budget)
+    return not any(norm.reaches(lam) for norm, lam in tests)
 
 
 def membership_depth(x, max_n=3, budget=200000):
@@ -434,60 +448,41 @@ def tau_coordinates(x):
 # ---------------------------------------------------------------------------
 
 def diagonalize_norm(x, i, n, budget=200000):
-    """A k_i-basis (v_0..v_d) and exponents making the restriction of the
-    evaluation seminorm diagonal: |sum a_j v_j(x)| = max_j |a_j| |v_j(x)|,
-    verified on all unimodular a mod pi_i^{n+1}.
+    """A k_i-basis (v_0..v_d), as coordinate rows in the T-basis, and the
+    exponents e_i v(v_j(x)) that make the norm of factor i diagonal:
+    |sum a_j v_j(x)| = max_j |a_j| |v_j(x)| for all a in k_i^{d+1}.
 
-    Greedy reduction: a violating combination replaces the basis vector
-    attaining the minimum-valuation term; the X[n] certificate bounds the
-    drop, so the loop terminates."""
-    model, d = x.descriptor.factors[i]
-    if not omega_membership(x, n, closed=True, budget=budget):
+    With vmin = min_j v_K(x_{i,j}) and vmin <= lam < vmin + e, x in X[n]
+    gives pi O^{d+1} <= N_lam = {alpha : nu(alpha) >= lam} <= pi^(-n)
+    O^{d+1}, so N_lam is the dual of the `_span` lattice with k = n.  As
+    N_{lam+e} = pi N_lam, the distinct classes of these N_lam form the
+    whole chain L_0 > .. > L_m > pi L_0; every N_lam splits in a basis
+    adapted to it (`chamber_chart`), which is the max-property."""
+    tests = _membership_tests(x, n, True)
+    norm = tests[i][0]
+    lams = range(norm.vmin, norm.vmin + norm.e)
+    _check_budget(sum(nm.work(lam) for nm, lam in tests)
+                  + sum(norm.work(lam, n) for lam in lams), budget)
+    if any(nm.reaches(lam) for nm, lam in tests):
         retry = membership_depth(x, max_n=n + 3, budget=budget)
         hint = f"retry with depth {retry}" if retry else \
             f"no membership found up to depth {n + 3}"
         raise ValueError(f"certification depth insufficient: x not in X[{n}]; {hint}")
-    q = model.residue_size
-    count = unimodular_count(q, n + 1, d + 1)
-    if count > budget:
-        raise BudgetError(f"diagonalization needs {count} vectors (> budget)")
-    e_i = model.ramification
-    e_K = x.K.ramification
-    basis = [[model.one() if k == j else model.zero() for k in range(d + 1)]
-             for j in range(d + 1)]  # rows: coordinates of v_j in the T-basis
-    values = [x.value(i, j) for j in range(d + 1)]
-    max_rounds = (d + 1) * (n + 2) * e_K * 4 + 16
-    alphas = unimodular_representatives(model, n + 1, d + 1)
-    pi = model.uniformizer()
-    for _round in range(max_rounds):
-        violation = None
-        for alpha in alphas:
-            acc = _combine(alpha, values, x.K)
-            vmin, jstar = _min_term(alpha, values, e_i)
-            if val_root(acc) > vmin:
-                violation = (alpha, jstar)
-                break
-        if violation is None:
-            exps = tuple(val_root(v) * e_i for v in values)
-            return basis, exps
-        alpha, jstar = violation
-        astar = alpha[jstar]
-        coeffs = [a / astar if a.valuation() != INF else a for a in alpha]
-        new_row = [_combine(coeffs, column, model) for column in zip(*basis)]
-        new_value = _combine(coeffs, values, x.K)
-        if not val_root(new_value) > val_root(values[jstar]):
-            raise ArithmeticError("a violating combination did not raise "
-                                  "the valuation of its basis vector")
-        # keep the coefficient row unimodular so the X[n] certificate keeps
-        # bounding the values (termination argument)
-        mv = min(c.valuation() for c in new_row if c.valuation() != INF)
-        if mv:
-            scale = pi ** (-mv)
-            new_row = [c * scale for c in new_row]
-            new_value = new_value * tower_embed(pi ** (-mv), x.K)
-        basis[jstar] = new_row
-        values[jstar] = new_value
-    raise ArithmeticError("diagonalization did not terminate within the bound")
+    chain = dict.fromkeys(dual(norm._span(lam, n)[0]) for lam in lams)
+    B, _order, _js = chamber_chart(list(chain))
+    pi = norm.model.uniformizer()
+    xs = [x.value(i, j) for j in range(norm.n)]
+    rows = []
+    for col in zip(*B):  # each column of the chart, scaled to be primitive
+        scale = pi ** -min(c.valuation() for c in col)
+        rows.append([c * scale for c in col])
+
+    def exp(row):
+        return norm.model.ramification * val_root(_combine(row, xs, x.K))
+    # rows by exponent, then by their first unit coordinate
+    rows.sort(key=lambda row: (exp(row), next(
+        j for j, c in enumerate(row) if c.valuation() == 0)))
+    return rows, tuple(exp(row) for row in rows)
 
 
 def verify_diagonal(x, i, basis, depth, budget=200000):
@@ -564,6 +559,8 @@ def deform(x, t_exponent, p, i=0):
     D_N(sum a_I x^I) = sum_{I >= N} prod C(i_k, n_k) a_I x^I."""
     if t_exponent != INF and t_exponent < 0:
         raise ValueError("t_exponent must be >= 0")
+    if any(nn < 0 for mono in p.terms for _key, nn in mono):
+        raise ValueError("rho_t is defined for polynomials: negative exponent")
     model, d = x.descriptor.factors[i]
     keys = [(i, j) for j in range(1, d + 1)]
     deg = p.multidegree()

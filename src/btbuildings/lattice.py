@@ -13,10 +13,13 @@ There is one reduction, `_triangularize_digits`, over pi-digit vectors in
 O/pi^M.  `canonical_form` takes an exact FieldElement basis (group
 elements, duals, embeddings), computes its determinant valuation with the
 exact elimination of `linalg`, scales it to a primitive basis and converts
-the entries to digits; neighbor enumeration and the Drinfeld filtration
-test (`drinfeld`) build their generators in digits directly.  Both carry a guard precision of 2*D+2 digits, D the determinant
-valuation of the primitive lattice, which makes every pivot valuation and
-residue exact (argued in `canonical_form`); the reduction raises
+the entries to digits; neighbor enumeration and the norm lattices of a
+rigid point (`drinfeld`: the filtration test and the norm balls whose
+chain diagonalizes the norm) build their generators in digits directly,
+at a precision that an a priori bound on D fixes.  All carry a guard
+precision of at least 2*D+1 digits, D the determinant valuation of the
+primitive lattice, which makes every pivot valuation and residue exact
+(argued in `canonical_form`); the reduction raises
 ArithmeticError when the precision it is given falls short.  The tests
 check it against an exhaustive span oracle over O/pi^k.
 """

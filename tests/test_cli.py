@@ -1,7 +1,10 @@
+import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -199,6 +202,20 @@ def test_zero_denominator_is_an_input_error(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["--field", "laurent:2", "--d", "1", "omega", "--point", "5"],
+    ["--field", "laurent:2", "--d", "1", "omega", "--point", "[[1]]"],
+    ["--d", "1", "normal-form", "--word", "5"],
+    ["decompose-aut", "--map", "[1]"],
+    ["--field", "laurent:2", "--d", "1", "retract", "--point", '[["s"]]',
+     "--poly", '[{"coeff":"1","monomial":{"1":-1}}]'],
+])
+def test_json_of_the_wrong_shape_is_an_input_error(argv, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
     ["--field", "laurent:3", "--radius", "9", "verify", "eta-counts"],
     ["--field", "padic:2", "verify", "eta-counts"],
     ["--radius", "2", "verify", "eta-counts"],
@@ -245,3 +262,59 @@ def test_hashseed_independent_artifacts(tmp_path, hashseed):
         capture_output=True, text=True,
         env=dict(os.environ, PYTHONHASHSEED="1"), check=True)
     assert out.stdout == ref.stdout
+
+
+def _readme_examples():
+    """The argv of each `btb` line of the README's CLI block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:]
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("btb ")]
+
+
+# SHA-256 of each example's stdout; `verify projection-agreement` is left
+# out, as it takes ~30 s and the acceptance criteria pin its report
+_README_DIGESTS = {
+    "--d 1 --radius 1 ball":
+        "4773035cccf55163180f233c0c19e7e7aaff21df360731194092ffa007cc6740",
+    "--d 1 --radius 1 --format dot ball":
+        "c33c211d1853afc53c5e466baf753b7e3a415ea1f5c5d76617c54dac469a1609",
+    """project --vertex '[["1","0","0","2"]]'""":
+        "792df808ad8fa825c25d23ed9e160a14cdf1a806fe1c05511f0b446012e9455e",
+    """label --vertex '[["1","0","0","2"]]'""":
+        "879568909bdb20ce97aa3b9178f2289ce2773251159a8ddc754b87fc7c8c89f5",
+    """involution --vertex '[["1","0","0","2"]]'""":
+        "2574d0f249832274ae5dabe04c501737c1680a0a37b32cbf9ffd8ac58e5310d9",
+    "eta --d 2 --n 2":
+        "dbcf4c03e8aee69eab2c66e16d1f5edd586b38d6358fcca288b69a1397004bcc",
+    "--field laurent:2 --d 1 --radius 1 subdivide --marking 2":
+        "aa0bb201afbb6443cfc427eb2fa2b24deb9d77d1cb43817d4bfb120b3e07bb0f",
+    """--field laurent:2 extend --e 2 --f 1 --vertex '[["1","0","0","t"]]'""":
+        "ef9e131ad90c6e2ecc8303edcdf8ccb4186fcc611e54685413afbc4a8235acb7",
+    """decompose-aut --map '{"sizes_in":[2,2],"sizes_out":[2,2],"map":"""
+    """[[[0,0],[0,0]],[[0,1],[1,0]],[[1,0],[0,1]],[[1,1],[1,1]]]}'""":
+        "de8a6a605c3174f688e33cdc2b32eb11a9a78008356ac20ed8859130049dc412",
+    """--d 1,1 normal-form --word '[{"kind":"exchange","mu":[1,0]}]'""":
+        "3d185b7f52f5cb3c0b1c9119e8b5456cb8ce3661de6f3ec6ab9d6d95fa4959ad",
+    """--field laurent:2 --d 1 omega --point '[["s"]]' --ext 2,1 --depth 2""":
+        "204ee8a37a0617dce1856bc3a3865022e73f0884670a8597ebd78c63f487e031",
+    """--field laurent:2 --d 1 retract --point '[["s"]]' --ext 2,1 --poly """
+    """'[{"coeff":"1","monomial":{"1":2}},{"coeff":"s^2","monomial":{"1":1}}]'"""
+    """ --t 0,1/2,1,inf""":
+        "06171d9f24bd7487e8ab3bb1a2505984ac5ea36e09e627f8fce77fb3c82c4681",
+    "verify gaussian-binomials --q 2 --d 3":
+        "c2f4115f32fd4ee52cc9931fe426b3ea611be339b9af1874c18ae5f2106b6782",
+}
+
+
+def test_readme_lists_the_recorded_examples():
+    commands = {shlex.join(argv) for argv in _readme_examples()}
+    assert commands == set(_README_DIGESTS) | {"verify projection-agreement"}
+
+
+@pytest.mark.parametrize("command", sorted(_README_DIGESTS))
+def test_readme_example_output_is_unchanged(command, capsys):
+    code, out = run_cli(shlex.split(command), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _README_DIGESTS[command]

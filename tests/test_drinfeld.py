@@ -348,6 +348,54 @@ def test_diagonalize_certificate_error():
     assert verify_diagonal(deep, 0, basis, 3)
 
 
+# (q, tower, d, N): the first depth n <= N of each point, re-verified by
+# enumeration at n + 1 and n + 2
+_DIAGONAL_CASES = [(2, ((2, 1),), 1, 3), (2, ((1, 2),), 1, 3),
+                   (2, ((2, 2),), 1, 3), (2, ((2, 2),), 2, 2),
+                   (2, ((2, 1), (2, 1)), 2, 2),
+                   (3, ((2, 1),), 1, 3), (3, ((1, 2),), 1, 3),
+                   (3, ((2, 2),), 1, 3), (3, ((2, 2),), 2, 1)]
+
+
+def test_diagonalize_norm_matches_enumeration():
+    depths = []
+    standard_fails = 0
+    for case, (q, tower, d, N) in enumerate(_DIAGONAL_CASES):
+        for x in _seeded_points(q, tower, d, 6, seed=40 + case):
+            n = membership_depth(x, max_n=N)
+            if n is None:
+                continue
+            basis, exps = diagonalize_norm(x, 0, n)
+            assert verify_diagonal(x, 0, basis, n + 1)
+            assert verify_diagonal(x, 0, basis, n + 2)
+            assert list(exps) == sorted(exps)
+            model = x.descriptor.factors[0][0]
+            identity = [[model.one() if j == k else model.zero()
+                         for k in range(d + 1)] for j in range(d + 1)]
+            standard_fails += not verify_diagonal(x, 0, identity, n + 1)
+            depths.append(n)
+    # the sample reaches every depth, and the standard basis is not
+    # diagonal on a good share of it
+    assert set(depths) == {1, 2, 3}
+    assert standard_fails >= len(depths) // 3
+
+
+def test_diagonalize_norm_deep_certificate():
+    # an enumeration modulo pi^(n+1) = pi^9 would visit 458752 vectors
+    x = _point_quartic(["w", "s*w"])
+    basis, exps = diagonalize_norm(x, 0, 8)
+    assert sorted(exps) == [0, 0, Fraction(1, 2)]
+    assert verify_diagonal(x, 0, basis, 3)
+
+
+def test_diagonalize_budget_counts_every_lattice_test():
+    x = _point_ram("s")
+    omega_membership(x, 1, budget=100)  # the precondition alone fits
+    with pytest.raises(BudgetError, match=r"the lattice tests predict \d+ "
+                                          r"digit operations \(> budget 100\)"):
+        diagonalize_norm(x, 0, 1, budget=100)
+
+
 def test_gauss_eval_examples():
     B = BuildingDescriptor([(F2T, 1)])
     origin = GaussSeminorm(B, [(None, (0, 0))])
