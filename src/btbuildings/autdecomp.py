@@ -14,6 +14,7 @@ from .errors import WindowError
 from .field import FieldElement
 from .lattice import gaussian_binomial
 from .linalg import inverse, matmul, transpose
+from .subdivision import chamber_chart
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +194,10 @@ class AutWord:
                 if len(g["matrices"]) != descriptor.r:
                     raise ValueError("group generator factor count mismatch")
             elif kind == "lambda":
-                if len(g["mask"]) != descriptor.r:
-                    raise ValueError("lambda mask factor count mismatch")
+                mask = g["mask"]
+                if len(mask) != descriptor.r or any(m not in (0, 1) for m in mask):
+                    raise ValueError(f"lambda mask must list {descriptor.r} "
+                                     "entries, each 0 or 1")
             elif kind == "exchange":
                 mu = g["mu"]
                 if sorted(mu) != list(range(descriptor.r)):
@@ -400,7 +403,6 @@ def _restoring_element(word, descriptor):
     itself and the origin to itself.  The image chamber's adapted chart is
     monomial on diagonal classes; its inverse followed by the coordinate
     reversal lands on the basic chamber, and shift powers fix the origin."""
-    from .subdivision import chamber_chart
     delta = basic_chamber(descriptor)
     img_delta = [word.apply(v) for v in delta.vertices()]
     for v in img_delta:

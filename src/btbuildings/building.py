@@ -12,10 +12,10 @@ from .errors import BudgetError
 from .field import FieldElement
 from .lattice import (
     VertexClass, all_neighbors, canonical_form, class_pair_min_valuation,
-    pair_index_normalized, solve_in_basis_valuations, standard_vertex,
+    dual, pair_index_normalized, solve_in_basis_valuations, standard_vertex,
     vertex_from_diagonal,
 )
-from .linalg import identity, inverse, matmul, solve, transpose
+from .linalg import identity, inverse, matmul
 
 
 class BuildingDescriptor:
@@ -527,21 +527,15 @@ def is_directed_edge(x, y):
     return pair_index_normalized(x.components[diff], y.components[diff]) == 1
 
 
-def project_apartment(x, bases=None):
-    """Norm-formula projection tau_Lambda: per factor, the exponent of the
-    basis vector v_j is m_j = min_i v(u_i) where u solves T u = v_j against
-    the canonical lattice basis T."""
+def project_apartment(x):
+    """Norm-formula projection tau_Lambda onto the standard apartment: per
+    factor, the exponent of the basis vector e_j is m_j = min_i v(u_i) where
+    u solves T u = e_j against the canonical lattice basis T."""
     factors = []
-    for k, c in enumerate(x.components):
-        basis = None if bases is None else bases[k]
-        if basis is None:
-            vals = solve_in_basis_valuations(c)
-            exps = tuple(min(vals[i][j] for i in range(c.n)) for j in range(c.n))
-            factors.append((None, exps))
-        else:
-            sols = solve(c.model, c.primitive_matrix(), transpose(basis))
-            exps = tuple(min(s.valuation() for s in sol) for sol in sols)
-            factors.append((basis, exps))
+    for c in x.components:
+        vals = solve_in_basis_valuations(c)
+        exps = tuple(min(vals[i][j] for i in range(c.n)) for j in range(c.n))
+        factors.append((None, exps))
     return ApartmentPoint(factors)
 
 
@@ -588,10 +582,9 @@ def matrix_power(model, mat, k):
 
 def involution_lambda(x, mask):
     """Dual-lattice involution on the masked factors."""
-    from .lattice import dual as _dual
     comps = []
     for c, m in zip(x.components, mask):
-        comps.append(_dual(c) if m else c)
+        comps.append(dual(c) if m else c)
     return PolyVertex(comps)
 
 

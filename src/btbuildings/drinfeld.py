@@ -12,8 +12,8 @@ from itertools import product
 
 from .building import ApartmentPoint
 from .errors import BudgetError
-from .field import (INF, FieldElement, enumerate_residues, expand_over,
-                    tower_embed)
+from .field import (INF, FieldElement, basis_valuations, enumerate_residues,
+                    expand_over, tower_embed)
 from .lattice import (VertexClass, _triangularize_digits, digit_ops, dual,
                       solve_in_basis_valuations)
 from .linalg import rank
@@ -237,12 +237,16 @@ class RigidPoint:
 def eval_abs(x, p):
     """|p(x)| for a polynomial in the T_{i,j} (or t_{i,j}) variables with
     coefficients in K, evaluated exactly."""
+    return AbsValue.of(p.evaluate(_assignment_for(x, p)))
+
+
+def _assignment_for(x, p):
+    """The coordinate values of x, checked to cover every variable of p."""
     assign = x.assignment()
-    needed = set(p.variables())
-    for key in needed:
+    for key in p.variables():
         if key not in assign:
             raise ValueError(f"polynomial uses unknown variable {key}")
-    return AbsValue.of(p.evaluate(assign))
+    return assign
 
 
 def unimodular_representatives(model, n, dim):
@@ -288,21 +292,6 @@ def _min_term(coeffs, values, e):
     return vmin, jmin
 
 
-def _basis_valuations(K, k):
-    """v_K of the basis {s^a w^b} of K over k, in the order of
-    `expand_over`: per tower step (a, b) with index a*f + b, then the basis
-    of the step below.  The basis is orthogonal for |.|, since every
-    step's basis is."""
-    if K is k:
-        return [0]
-    ext = K.ext
-    if ext is None:
-        raise ValueError("no tower path to the target model")
-    lower = _basis_valuations(ext.base, k)
-    return [a + ext.e * v for a in range(ext.e) for _b in range(ext.f)
-            for v in lower]
-
-
 class _FactorNorm:
     """The norm nu(alpha) = v_K(sum_j alpha_j x_{i,j}) on k_i^{d+1} of one
     factor, in units of v_K, so that it takes integer values.
@@ -322,7 +311,7 @@ class _FactorNorm:
         self.vmax = max(v.valuation() for v in values)
         coords = [expand_over(v, model) for v in values]
         self.gens = [(vb, col) for vb, col
-                     in zip(_basis_valuations(x.K, model), zip(*coords))
+                     in zip(basis_valuations(x.K, model), zip(*coords))
                      if any(c.valuation() != INF for c in col)]
 
     def bound(self, n):
@@ -563,9 +552,9 @@ def deform(x, t_exponent, p, i=0):
         raise ValueError("rho_t is defined for polynomials: negative exponent")
     model, d = x.descriptor.factors[i]
     keys = [(i, j) for j in range(1, d + 1)]
+    assign = _assignment_for(x, p)
     deg = p.multidegree()
     ranges = [range(deg.get(k, 0) + 1) for k in keys]
-    assign = x.assignment()
     best = INF
     for N in product(*ranges):
         if t_exponent == INF and any(N):

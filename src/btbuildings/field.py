@@ -440,8 +440,6 @@ class ExtensionDescriptor:
                 i = 0
             var = _EXT_VARS[i + 1] if i + 1 < len(_EXT_VARS) else base.var + "'"
         self.extension = LaurentModel.get(base.q ** f, var=var, ext=self)
-        # F_{q^f}(t): the extension's residue field over the base variable
-        self._helper = LaurentModel.get(self.extension.q, var=base.var)
         self._coef_emb = base.gf.embedding_into(self.extension.gf)
 
     @property
@@ -471,25 +469,20 @@ class ExtensionDescriptor:
     # -- descent: exact coordinates of an extension element over the base --
 
     def expand(self, y):
-        """Coordinates of y in the base-module basis {s^a w^b} (a < e, b < f),
-        as a list of e*f base elements, indexed a*f + b."""
+        """Coordinates of y in the base-module basis {s^a W^b} (a < e, b < f),
+        as a list of e*f base elements, indexed a*f + b.
+
+        With y = num/den, the coordinates c solve the base-linear system
+        sum_i c_i coords(beta_i den) = coords(num) over the basis beta_i =
+        s^a W^b, i = a*f + b (`_coords`); its matrix is invertible because
+        multiplication by den != 0 is."""
         if y.model is not self.extension:
             raise ValueError("element not of the extension model")
-        H = self._helper
-        e = self.e
         num, den = y.raw
-        pnum = self._scoords(num, H)
-        pden = self._scoords(den, H)
-        # solve (sum_a y_a s^a) * den = num over H, in the ring H[s]/(s^e - t)
-        cols = [self._smul_power(pden, a, H) for a in range(e)]
-        ys = solve(H, transpose(cols), [pnum])[0]
-        # descend coefficients from F_{q^f} to F_q
-        out = [None] * (e * self.f)
-        for a in range(e):
-            comps = self._descend_coeffs(ys[a])
-            for b in range(self.f):
-                out[a * self.f + b] = comps[b]
-        return out
+        gf = self.extension.gf
+        cols = [self._coords((0,) * a + tuple(gf.mul(w, c) for c in den))
+                for a in range(self.e) for w in self._w_powers()]
+        return solve(self.base, transpose(cols), [self._coords(num)])[0]
 
     def in_base(self, y):
         """The base element equal to y, or None if y is not in the base."""
@@ -499,53 +492,27 @@ class ExtensionDescriptor:
                 return None
         return coords[0]
 
-    def _scoords(self, pol, H):
-        """s-polynomial over F_{q^f} -> e coordinates in H = F_{q^f}(t)."""
-        e = self.e
-        buckets = [[] for _ in range(e)]
-        for k, c in enumerate(pol):
-            a, tpow = k % e, k // e
-            lst = buckets[a]
-            while len(lst) <= tpow:
-                lst.append(0)
-            lst[tpow] = c
-        return [H.element(tuple(b)) for b in buckets]
-
-    def _smul_power(self, coords, a, H):
-        """Coordinates of (s^a * element) given element coordinates; s^e = t."""
-        e = self.e
-        t = H.uniformizer()
-        out = [H.zero()] * e
-        for i, c in enumerate(coords):
-            j = i + a
-            out[j % e] = out[j % e] + (c * t ** (j // e) if j >= e else c)
-        return out
-
-    def _descend_coeffs(self, h):
-        """Element of F_{q^f}(t) -> f coordinates over F_q(t) in basis {W^b}.
-
-        The denominator is cleared into F_q by multiplying numerator and
-        denominator by the product of the Frobenius conjugates of the
-        denominator (Frobenius x -> x^q permutes those factors, so the new
-        denominator has Frobenius-fixed, i.e. F_q, coefficients)."""
-        H = h.model
-        gf_big = H.gf
-        q_small = self.base.q
-        num, den = h.raw
-        for _ in range(self.f - 1):
-            den_conj = tuple(gf_big.pow(c, q_small) for c in den)
-            num = pmul(gf_big, num, den_conj)
-            den = pmul(gf_big, den, den_conj)
-            if den == tuple(gf_big.pow(c, q_small) for c in den):
-                break
+    def _coords(self, pol):
+        """s-polynomial sum_k g_k s^k over F_{q^f} -> its e*f base
+        coordinates: the F_q-coordinates of g_k sit at t-power k // e of
+        slot (k mod e)*f + b, since s^k = s^(k mod e) t^(k // e)."""
+        e, f = self.e, self.f
         table = self._descend_table()
-        emb_inv = {self._coef_emb[c]: c for c in range(q_small)}
-        den_small = tuple(emb_inv[c] for c in den)
-        comps = []
-        for b in range(self.f):
-            comp_num = ptrim([table[c][b] for c in num])
-            comps.append(self.base.element(comp_num, den_small))
-        return comps
+        slots = [[0] * (len(pol) // e + 1) for _ in range(e * f)]
+        for k, c in enumerate(pol):
+            if c:
+                tpow, a = divmod(k, e)
+                for b, cb in enumerate(table[c]):
+                    slots[a * f + b][tpow] = cb
+        return [self.base.element(tuple(slot)) for slot in slots]
+
+    @lru_cache(maxsize=None)
+    def _w_powers(self):
+        """W^0, .., W^(f-1) in F_{q^f}, W the generator of its coefficient
+        codec (1 over a prime field)."""
+        gf_big = self.extension.gf
+        W = gf_big.from_coeffs([0, 1]) if gf_big.m > 1 else 1
+        return tuple(gf_big.pow(W, b) for b in range(self.f))
 
     @lru_cache(maxsize=None)
     def _descend_table(self):
@@ -555,12 +522,7 @@ class ExtensionDescriptor:
         gf_big = self.extension.gf
         gf_small = self.base.gf
         emb = self._coef_emb
-        W = gf_big.from_coeffs([0, 1]) if gf_big.m > 1 else 1
-        basis = []
-        img = 1
-        for _ in range(self.f):
-            basis.append(img)
-            img = gf_big.mul(img, W)
+        basis = self._w_powers()
         stack = [((), 0)]
         for b in range(self.f):
             new = []
@@ -608,3 +570,18 @@ def expand_over(y, target_model):
     for c in ext.expand(y):
         out.extend(expand_over(c, target_model))
     return out
+
+
+def basis_valuations(K, k):
+    """v_K of the basis {s^a W^b} of K over k, in the order of
+    `expand_over`: per tower step (a, b) with index a*f + b, then the basis
+    of the step below.  The basis is orthogonal for |.|, since every
+    step's basis is."""
+    if K is k:
+        return [0]
+    ext = K.ext
+    if ext is None:
+        raise ValueError("no tower path to the target model")
+    lower = basis_valuations(ext.base, k)
+    return [a + ext.e * v for a in range(ext.e) for _b in range(ext.f)
+            for v in lower]

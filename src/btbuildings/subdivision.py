@@ -7,11 +7,12 @@ bigger building equals the e-fold subdivision.
 from fractions import Fraction
 from itertools import permutations, product
 
-from .building import (ApartmentPoint, PolyVertex, _chain_order,
-                       _containment_shift)
+from .building import (ApartmentPoint, BuildingDescriptor, PolyVertex,
+                       _chain_order, _containment_shift, is_face)
 from .errors import BudgetError
 from .field import INF
-from .lattice import canonical_form, pair_index_normalized
+from .lattice import (VertexClass, _triangularize_digits, canonical_form,
+                      digit_ops, pair_index_normalized)
 from .linalg import solve, transpose
 
 
@@ -408,14 +409,14 @@ def skeleton_distance(x, y):
 def verify_induced_structure(b, ext):
     """Check that nu maps every subdivided chamber of B_{k'}[e] to a chamber
     of B_k.  Returns a report dict with pass/fail and the first failure."""
-    from .building import BuildingDescriptor, is_face
     e = ext.e
     marking = Marking([e] * b.descriptor.r)
     sub = subdivide_ball(b, marking)
     big = BuildingDescriptor([(ext.extension, d) for d in b.descriptor.dims])
     failures = []
     checked = 0
-    # image of every subdivided point: per factor, embed the carrier chart
+    # image of every subdivided point: per factor, a sum of embedded chain
+    # lattices
     image = {}
     for pid, key in enumerate(sub.points):
         comps = []
@@ -446,28 +447,38 @@ def verify_induced_structure(b, ext):
 
 
 def _image_vertex_of_factor_point(fpoint, ext):
-    """nu-image of a barycentric factor point with 1/e-integral weights:
-    diagonalize over the carrier's chart and scale exponents by e."""
+    """nu-image of a barycentric factor point with 1/e-integral weights
+    lambda_k on its carrier chain L_0 > .. > L_m > pi L_0: the class of
+    G = sum_k s^(e - C_k) nu(L_k), C_k = e (lambda_0 + .. + lambda_k), where
+    nu embeds a basis entrywise.
+
+    In a basis u adapted to the chain, L_k = <pi u_j (j < js_k), u_j
+    (j >= js_k)> and min_k (e [j < js_k] + e - C_k) = e - e x_j, x the
+    point's chart coordinates, so G = s^e <s^(-e x_j) nu(u_j)>: the chart
+    image.  C_m = e gives s^e nu(L_0) <= G <= nu(L_0), so v(det G) <=
+    e D(L_0) + n e, and 2(e D(L_0) + n e) + 2 digits meet the 2D+1 guard
+    of `_triangularize_digits` (which raises on a shortfall)."""
     e = ext.e
     carrier = [c for c, _ in fpoint]
-    lams = [lam for _, lam in fpoint]
-    if len(carrier) == 1:
-        return nu_embed(carrier[0], ext)
-    model = carrier[0].model
-    n = carrier[0].n
-    B, order, js = chamber_chart(carrier)
-    chain_pos = {carrier[order[k]]: k for k in range(len(order))}
-    # chart coordinates: chain vertex k sits at x = (0^{js[k]}, 1^{n-js[k]})
-    coords = [Fraction(0)] * n
-    for cls, lam in fpoint:
-        j0 = js[chain_pos[cls]]
-        for j in range(j0, n):
-            coords[j] += lam
-    scaled = [x * e for x in coords]
-    if any(x.denominator != 1 for x in scaled):
-        raise ArithmeticError("point is not 1/e-integral")
-    pi_big = ext.extension.uniformizer()
-    Bk = [[ext.embed(B[i][j]) for j in range(n)] for i in range(n)]
-    cols = [[Bk[i][j] * pi_big ** (-int(scaled[j])) for j in range(n)]
-            for i in range(n)]
-    return canonical_form(ext.extension, cols)
+    order = _chain_order(carrier)
+    if order is None:
+        raise ValueError("carrier is not a face chain")
+    chain = [carrier[k] for k in order]
+    n, l0, D0 = chain[0].n, chain[0].label(), chain[0].det_valuation()
+    K = ext.extension
+    ops = digit_ops(K, 2 * e * (D0 + n) + 2)
+    cols = []
+    C = 0
+    for k, cls in enumerate(chain):
+        # L_k = pi^shift P_k, P_k primitive, has colength (label offset) in
+        # L_0, so n shift + v(det P_k) - v(det L_0) is that offset
+        shift = ((cls.label() - l0) % n + D0 - cls.det_valuation()) // n
+        C += e * fpoint[order[k]][1]
+        if C.denominator != 1:
+            raise ArithmeticError("point is not 1/e-integral")
+        power = e * shift + e - int(C)
+        for col in transpose(cls.primitive_matrix()):
+            cols.append([ops.shift_up(ops.from_field(ext.embed(x)), power)
+                         for x in col])
+    exps, lower, _ = _triangularize_digits(ops, cols, n)
+    return VertexClass(K, exps, lower)

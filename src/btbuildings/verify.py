@@ -10,9 +10,9 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from .autdecomp import (AutWord, decompose_hom, expected_aut_order,
-                        graph_automorphisms_bruteforce, label_action,
-                        normal_form)
+from .autdecomp import (AutWord, ProductGraph, decompose_hom,
+                        expected_aut_order, graph_automorphisms_bruteforce,
+                        label_action, normal_form)
 from .building import (ApartmentPoint, BuildingDescriptor, PolyVertex, act,
                        apartment_point_of_vertex, ball, basic_chamber,
                        distance_f, factor_window_fvals, in_standard_apartment,
@@ -188,7 +188,6 @@ def suite_canonical_stability(config):
 
 
 def suite_index_bfs(config):
-    import collections
     for model in (PAdicModel.get(2), LaurentModel.get(3)):
         root = standard_vertex(model, 2)
         seen = {root: 0}
@@ -655,7 +654,6 @@ def suite_extension(config):
 
 def suite_aut_decomposition(config):
     rng = config.rng()
-    from .autdecomp import ProductGraph
     for _ in range(200):
         r = rng.randrange(1, 4)
         sizes = tuple(rng.randrange(2, 5) for _ in range(r))

@@ -123,6 +123,27 @@ def test_omega_command_off_the_first_level(capsys):
     assert obj["first_depth"] == 2
 
 
+def test_omega_command_over_a_cubic_residue_extension(capsys):
+    # 1/(w+s) has a denominator over F_8, not over F_2: descent is exact
+    code, out = run_cli(["--field", "laurent:2", "--d", "1", "omega",
+                         "--point", '[["1/(w+s)"]]', "--ext", "1,3",
+                         "--depth", "1"], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["memberships"] == [{"n": 1, "closed": True, "open": True}]
+    assert obj["tau_exponents"] == [["0", "0"]]
+
+
+def test_retract_with_an_unknown_variable_states_the_reason(capsys):
+    code = main(["--field", "laurent:2", "--d", "1", "retract",
+                 "--point", '[["s"]]',
+                 "--poly", '[{"coeff":"1","monomial":{"5":1}}]'])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "unknown variable (0, 5)" in captured.err
+
+
 def test_retract_command(capsys):
     poly = json.dumps([{"coeff": "1", "monomial": {"1": 2}},
                        {"coeff": "s^2", "monomial": {"1": 1}}])
@@ -180,6 +201,8 @@ _V = '["1","0","0","2"]'
     ["--d", "1", "project", "--vertex", "[[1,0,0,2]]"],
     ["--d", "1", "involution", "--vertex", f"[{_V}]", "--mask", "0,1"],
     ["--d", "1", "involution", "--vertex", f"[{_V}]", "--mask", "7"],
+    ["--d", "1", "normal-form", "--word", '[{"kind":"lambda","mask":[2]}]'],
+    ["--d", "1", "normal-form", "--word", '[{"kind":"lambda","mask":[-1]}]'],
 ])
 def test_vertex_and_mask_must_fit_the_descriptor(argv, capsys):
     code, out = run_cli(argv, capsys)

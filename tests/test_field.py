@@ -141,6 +141,36 @@ def test_expand_roundtrip():
         assert acc == y
 
 
+def _reconstruct(ext, coords):
+    """sum_i c_i s^a W^b over the coordinates c of `expand`, i = a*f + b."""
+    E = ext.extension
+    w_img = E.gf.from_coeffs([0, 1]) if E.gf.m > 1 else 1
+    acc = E.zero()
+    for i, c in enumerate(coords):
+        a, b = divmod(i, ext.f)
+        acc = acc + (embed(c, ext) * E.uniformizer() ** a
+                     * E.element((E.gf.pow(w_img, b),)))
+    return acc
+
+
+@pytest.mark.parametrize("model,e,f", [
+    (F2T, 1, 3), (F2T, 1, 4), (F2T, 2, 3), (F3T, 1, 3)])
+def test_expand_reconstructs_for_residue_degree_three_and_four(model, e, f):
+    """Descent is exact when the denominator lies over F_{q^f}, f >= 3, not
+    over F_q: every 1/(a+s), a in F_{q^f}^x, and seeded elements."""
+    ext = ExtensionDescriptor(model, e=e, f=f)
+    E = ext.extension
+    s = E.uniformizer()
+    elements = [E.one() / (E.element((a,)) + s) for a in range(1, E.q)]
+    rng = random.Random(31 + f)
+    elements += [random_element(E, rng) for _ in range(25)]
+    for y in elements:
+        coords = ext.expand(y)
+        assert len(coords) == e * f
+        assert all(c.model is model for c in coords)
+        assert _reconstruct(ext, coords) == y
+
+
 def test_in_base_detects_base_elements():
     ext = ExtensionDescriptor(F2T, e=2, f=2)
     x = F2T.element("t") / F2T.element("1+t+t^2")
@@ -171,7 +201,10 @@ def _towers():
     unram = ExtensionDescriptor(F3T, e=1, f=2)
     t2 = [F3T, unram.extension,
           ExtensionDescriptor(unram.extension, e=2, f=1).extension]
-    return [(t1, [1, 2, 2]), (t2, [1, 1, 2])]
+    cubic = ExtensionDescriptor(F2T, e=1, f=3)
+    t3 = [F2T, cubic.extension,
+          ExtensionDescriptor(cubic.extension, e=2, f=1).extension]
+    return [(t1, [1, 2, 2]), (t2, [1, 1, 2]), (t3, [1, 1, 2])]
 
 
 @pytest.mark.parametrize("tower,ram", _towers())
@@ -193,7 +226,7 @@ def test_tower_levels_know_root_and_ramification(tower, ram):
 def test_tower_expand_over_inverts_tower_embed(tower, ram):
     root, K = tower[0], tower[-1]
     rng = random.Random(4242 + root.q)
-    degree = 4  # e*f over the root on both towers
+    degree = tower[1].ext.degree * tower[2].ext.degree
     for _ in range(15):
         x = random_element(root, rng)
         coords = expand_over(tower_embed(x, K), root)
@@ -219,8 +252,9 @@ def test_tower_expand_over_is_linear_over_the_root(tower, ram):
 
 
 def test_expand_with_the_residue_extension_already_in_use():
-    """F_4((t)) is the descent helper of F_2((t)) -f=2->; a caller that
-    holds it keeps a root model, and expansion stays exact."""
+    """F_4((t)) has the residue field of F_2((t)) -f=2-> but is a separate
+    root model; a caller that holds it keeps a root model, and expansion
+    stays exact."""
     F4 = LaurentModel.get(4)
     held = F4.element("w*t") / F4.element("1+t")
     ext = ExtensionDescriptor(F2T, e=2, f=2)

@@ -32,3 +32,17 @@ def _raises_assertion_error(node):
 def test_no_assertion_error_raised_in_the_package():
     found = _find(_raises_assertion_error)
     assert not found, f"raise ArithmeticError or ValueError instead: {found}"
+
+
+def _relative_imports_in_functions(node):
+    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return False
+    return any(isinstance(inner, ast.ImportFrom) and inner.level
+               for inner in ast.walk(node))
+
+
+def test_no_package_imports_inside_functions():
+    # package modules import each other at the top, so the import graph is
+    # visible in one place and a cycle fails at import time
+    found = _find(_relative_imports_in_functions)
+    assert not found, f"move these imports to the top of the module: {found}"

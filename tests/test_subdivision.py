@@ -19,11 +19,12 @@ from btbuildings.subdivision import (
     eta_integer_points, eta_membership, nu_embed, nu_embed_point,
     skeleton_distance, subdivide_ball, subdivide_chambers,
     verify_induced_structure)
-from btbuildings.verify import random_unimodular
+from btbuildings.verify import random_unimodular, random_vertex
 
 Q2 = PAdicModel.get(2)
 F2T = LaurentModel.get(2)
 F3T = LaurentModel.get(3)
+F4T = LaurentModel.get(4)
 
 
 # -- eta charts -------------------------------------------------------------
@@ -370,6 +371,51 @@ def test_induced_structure_d2_e2():
     rep = verify_induced_structure(_Shim(), EXT_RAM)
     assert rep["passed"]
     assert rep["subchambers_checked"] == 4  # e^d sub-chambers
+
+
+def _chart_image(fpoint, ext):
+    """Reference nu-image of a factor point: its chart coordinates over the
+    carrier's `chamber_chart`, scaled by e, on the embedded chart basis."""
+    carrier = [c for c, _ in fpoint]
+    if len(carrier) == 1:
+        return nu_embed(carrier[0], ext)
+    n = carrier[0].n
+    B, order, js = chamber_chart(carrier)
+    pos = {carrier[k]: p for p, k in enumerate(order)}
+    coords = [Fraction(0)] * n
+    for cls, lam in fpoint:
+        for j in range(js[pos[cls]], n):
+            coords[j] += lam
+    s = ext.extension.uniformizer()
+    cols = [[ext.embed(B[i][j]) * s ** (-int(coords[j] * ext.e))
+             for j in range(n)] for i in range(n)]
+    return canonical_form(ext.extension, cols)
+
+
+@pytest.mark.parametrize("model,d,radius,e,f", [
+    (F2T, 1, 2, 3, 1),
+    (F2T, 2, 1, 2, 1),
+    (F3T, 2, 1, 2, 1),
+    (F2T, 2, 1, 2, 2),
+    (F2T, 3, 1, 2, 1),
+    (F4T, 1, 1, 3, 1),
+])
+def test_nu_image_equals_the_chamber_chart_reference(model, d, radius, e, f):
+    """The sum of embedded chain lattices gives the chart image on every
+    point of the e-fold subdivision of a window around a seeded center.
+    The chain starts at the carrier's first class, so the reversed carrier
+    starts it elsewhere, where representatives need a pi-shift."""
+    ext = ExtensionDescriptor(model, e=e, f=f)
+    B = BuildingDescriptor([(model, d)])
+    center = PolyVertex((random_vertex(model, d + 1, random.Random(d + e)),))
+    b = ball(B, center, radius, detail="faces", budget=20000)
+    sub = subdivide_ball(b, Marking([e]))
+    fpoints = {key[0] for key in sub.points}
+    assert max(len(fp) for fp in fpoints) == min(d + 1, e)
+    for fpoint in fpoints:
+        want = _chart_image(fpoint, ext)
+        for fp in (fpoint, fpoint[::-1]):
+            assert subdivision._image_vertex_of_factor_point(fp, ext) == want
 
 
 def test_marking_validation():
