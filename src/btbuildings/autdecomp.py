@@ -34,6 +34,10 @@ class ProductGraph:
     def vertices(self):
         return list(product(*[range(a) for a in self.sizes]))
 
+    def is_vertex(self, u):
+        return len(u) == len(self.sizes) and all(
+            0 <= x < a for x, a in zip(u, self.sizes))
+
     def adjacent(self, u, v):
         return sum(1 for x, y in zip(u, v) if x != y) == 1
 
@@ -75,13 +79,23 @@ class HomDecomposition:
 
 def decompose_hom(f, sizes_in, sizes_out):
     """Decompose an injective graph homomorphism f (a dict on vertex tuples)
-    into (mu, g_i, constants).  Verifies injectivity and edge preservation;
-    raises ValueError with a certificate edge when f is not a homomorphism."""
+    into (mu, g_i, constants).  Verifies that f maps exactly the vertices of
+    G to vertices of H, injectivity and edge preservation; raises ValueError
+    with a certificate edge when f is not a homomorphism."""
     G = ProductGraph(sizes_in)
     H = ProductGraph(sizes_out)
     if any(a < 2 for a in sizes_in):
         raise ValueError("input factors of size < 2 are not supported")
     verts = G.vertices()
+    missing = [u for u in verts if u not in f]
+    if missing:
+        raise ValueError(f"no image given for vertex {missing[0]}")
+    for u, v in f.items():
+        if not G.is_vertex(u):
+            raise ValueError(f"{u} is not a vertex of the input graph {G.sizes}")
+        if not H.is_vertex(v):
+            raise ValueError(
+                f"image {v} of {u} is not a vertex of the output graph {H.sizes}")
     images = [f[u] for u in verts]
     if len(set(images)) != len(images):
         raise ValueError("not injective")
@@ -189,7 +203,7 @@ class AutWord:
         self.descriptor = descriptor
         self.gens = list(gens)
         for g in self.gens:
-            kind = g["kind"]
+            kind = _generator_kind(g)
             if kind == "group":
                 if len(g["matrices"]) != descriptor.r:
                     raise ValueError("group generator factor count mismatch")
@@ -208,8 +222,6 @@ class AutWord:
             elif kind == "shift":
                 if not 0 <= g["factor"] < descriptor.r:
                     raise ValueError("shift factor out of range")
-            else:
-                raise ValueError(f"unknown generator kind {kind!r}")
 
     def apply(self, x):
         for g in self.gens:
@@ -264,7 +276,8 @@ class AutWord:
             raise ValueError("word must be a list of generator objects")
         gens = []
         for g in obj:
-            if g["kind"] == "group":
+            kind = _generator_kind(g)
+            if kind == "group":
                 mats = []
                 if (not isinstance(g["matrices"], list)
                         or len(g["matrices"]) != descriptor.r):
@@ -280,10 +293,10 @@ class AutWord:
                     mats.append([[model.elem_parse(flat[i * n + j])
                                   for j in range(n)] for i in range(n)])
                 gens.append({"kind": "group", "matrices": mats})
-            elif g["kind"] == "lambda":
+            elif kind == "lambda":
                 gens.append({"kind": "lambda",
                              "mask": list(_int_list(g["mask"], "mask"))})
-            elif g["kind"] == "exchange":
+            elif kind == "exchange":
                 gens.append({"kind": "exchange",
                              "mu": list(_int_list(g["mu"], "mu"))})
             else:
@@ -291,6 +304,24 @@ class AutWord:
                                           "shift factor and power")
                 gens.append({"kind": "shift", "factor": factor, "power": power})
         return cls(descriptor, gens)
+
+
+_GENERATOR_FIELDS = {"group": ("matrices",), "lambda": ("mask",),
+                     "exchange": ("mu",), "shift": ("factor", "power")}
+
+
+def _generator_kind(g):
+    """The kind of a generator dict, checked to be known and to come with
+    the fields that kind reads."""
+    if "kind" not in g:
+        raise ValueError("generator has no 'kind' field")
+    kind = g["kind"]
+    if not isinstance(kind, str) or kind not in _GENERATOR_FIELDS:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    for field in _GENERATOR_FIELDS[kind]:
+        if field not in g:
+            raise ValueError(f"{kind} generator has no {field!r} field")
+    return kind
 
 
 def _int_list(obj, what):

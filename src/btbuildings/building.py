@@ -7,6 +7,7 @@ structure, labelling and projections are computed inside such windows.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from .errors import BudgetError
 from .field import FieldElement
@@ -104,7 +105,7 @@ class PolyFace:
 
     def vertices(self):
         """All product vertices of the face, in lexicographic factor order."""
-        return [PolyVertex(t) for t in _product_tuples(self.factors)]
+        return [PolyVertex(t) for t in product(*self.factors)]
 
 
 class ApartmentPoint:
@@ -205,75 +206,47 @@ def labelling_D(descriptor, lab):
 # chains and faces
 # ---------------------------------------------------------------------------
 
-def _containment_shift(x, y):
-    """Minimal c with pi^c L_y <= L_x (primitive representatives)."""
-    return -class_pair_min_valuation(x, y)
-
-
 def _chain_order(comps):
     """The ordering of distinct classes, starting at comps[0], that realizes
-    L_0 > .. > L_m > pi L_0, or None.
+    L_0 > .. > L_m > pi L_0, with its representatives, or None.
 
-    Along such a chain the colength of L_k in L_0 is the label offset
-    (label(L_k) - label(L_0)) mod n, and it strictly increases.  So the
-    labels fix the only candidate order (equal labels rule out a chain), and
-    with consecutive minimal shifts one containment check along it decides."""
+    Returns (order, shifts): the k-th chain member is comps[order[k]], and
+    its representative is L_k = pi^(shifts[k]) P_k, P_k the primitive one
+    (shifts[0] = 0).  Along such a chain the colength of L_k in L_0 is the
+    label offset o_k = (label(L_k) - label(L_0)) mod n, and it strictly
+    increases.  So the labels fix the only candidate order (equal labels rule
+    out a chain), and o_k = n c_k + v(det P_k) - v(det P_0) fixes every
+    c_k.  One containment check per step, pi^(c_k - c_(k-1)) P_k <= P_(k-1),
+    and the closing pi L_0 <= L_m decide the chain."""
     if len(comps) == 1:
-        return (0,)
-    n, l0 = comps[0].n, comps[0].label()
+        return (0,), [0]
+    n, l0, D0 = comps[0].n, comps[0].label(), comps[0].det_valuation()
     offsets = [(c.label() - l0) % n for c in comps]
     if len(set(offsets)) < len(comps):
         return None
     order = tuple(sorted(range(len(comps)), key=offsets.__getitem__))
-    shifts = sum(_containment_shift(comps[a], comps[b])
-                 for a, b in zip(order, order[1:]))
-    if 1 - shifts >= _containment_shift(comps[order[-1]], comps[order[0]]):
-        return order
-    return None
+    shifts = [(offsets[k] + D0 - comps[k].det_valuation()) // n for k in order]
+    steps = list(zip(order, shifts))
+    for (a, ca), (b, cb) in zip(steps, steps[1:] + [(order[0], 1)]):
+        if class_pair_min_valuation(comps[a], comps[b]) + cb - ca < 0:
+            return None
+    return order, shifts
 
 
 def is_face(descriptor, vertices):
     """True iff the set is a face: it is a full product of its per-factor
     projections and each projection admits the required chain."""
     vertices = list(vertices)
-    if not vertices:
-        return False
-    seen = set()
     for v in vertices:
         descriptor.check_vertex(v)
-        if v in seen:
-            return False
-        seen.add(v)
-    per_factor = []
-    for i in range(descriptor.r):
-        comps = []
-        keys = set()
-        for v in vertices:
-            c = v.components[i]
-            k = (c.exps, c.lower)
-            if k not in keys:
-                keys.add(k)
-                comps.append(c)
-        per_factor.append(comps)
-    count = 1
-    for comps in per_factor:
-        count *= len(comps)
-    if count != len(vertices):
+    seen = set(vertices)
+    if not vertices or len(seen) != len(vertices):
         return False
-    expected = {PolyVertex(t) for t in _product_tuples(per_factor)}
-    if expected != seen:
+    per_factor = [list(dict.fromkeys(v.components[i] for v in vertices))
+                  for i in range(descriptor.r)]
+    if {PolyVertex(t) for t in product(*per_factor)} != seen:
         return False
-    for comps in per_factor:
-        if len(comps) > 1 and _chain_order(comps) is None:
-            return False
-    return True
-
-
-def _product_tuples(lists):
-    out = [()]
-    for lst in lists:
-        out = [t + (v,) for t in out for v in lst]
-    return out
+    return all(_chain_order(comps) is not None for comps in per_factor)
 
 
 # ---------------------------------------------------------------------------

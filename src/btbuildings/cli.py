@@ -173,6 +173,8 @@ def cmd_decompose_aut(args):
         raise ValueError("map must be a list of [vertex, image] pairs")
     f = {tuple(_int_list(u, "a map vertex")): tuple(_int_list(v, "a map vertex"))
          for u, v in pairs}
+    if len(f) != len(pairs):
+        raise ValueError("map lists a vertex more than once")
     dec = decompose_hom(f, sizes_in, sizes_out)
     emit(args, {"mu": list(dec.mu), "gs": [list(g) for g in dec.gs],
                 "constants": {str(k): v for k, v in sorted(dec.consts.items())}})

@@ -8,9 +8,8 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from .building import (ApartmentPoint, BuildingDescriptor, PolyVertex,
-                       _chain_order, _containment_shift, is_face)
+                       _chain_order, is_face)
 from .errors import BudgetError
-from .field import INF
 from .lattice import (VertexClass, _triangularize_digits, canonical_form,
                       digit_ops, pair_index_normalized)
 from .linalg import solve, transpose
@@ -142,48 +141,43 @@ def chamber_chart(comps):
     colengths js, so that the k-th chain vertex is
     [<pi u_1,..,pi u_{js[k]}, u_{js[k]+1},..,u_n>].
 
-    The chain's residue flag is diagonalized over the residue field and
-    lifted through the first vertex's canonical basis."""
+    The order and the representatives L_k = pi^(c_k) P_k come from
+    `_chain_order`, and js are the label offsets.  One solve against the
+    first vertex's canonical basis T_0 gives the residue flag of the L_k in
+    L_0 / pi L_0; it is diagonalized over the residue field and lifted
+    through T_0."""
     model = comps[0].model
     n = comps[0].n
-    order = _chain_order(comps)
-    if order is None:
+    found = _chain_order(comps)
+    if found is None:
         raise ValueError("vertex set is not a face chain")
+    order, shifts = found
     chain = [comps[i] for i in order]
     L0 = chain[0]
     T0 = L0.primitive_matrix()
     gf = model.residue_gf()
-    # residue coordinates of M_k's generators in L0/pi L0
-    flags = []
-    shift = 0
     pi = model.uniformizer()
-    for k in range(1, len(chain)):
-        shift += _containment_shift(chain[k - 1], chain[k])
-        scale = pi ** shift
-        rhs = [[x * scale for x in col]
-               for col in transpose(chain[k].primitive_matrix())]
-        vecs = []
-        for sol in solve(model, T0, rhs):
-            row = []
-            for x in sol:
-                if x.valuation() != INF and x.valuation() < 0:
-                    raise ValueError("face chain solve gave a non-integral coordinate")
-                row.append(model.to_digits(x, 1)[0])
-            vecs.append(row)
-        flags.append(_row_space(gf, vecs))
-    js = [0] + [n - len(f) for f in flags]
+    # residue coordinates in L_0 / pi L_0 of the generators of L_k, k >= 1
+    rhs = [[x * pi ** c for x in col]
+           for c, cls in zip(shifts[1:], chain[1:])
+           for col in transpose(cls.primitive_matrix())]
+    vecs = []
+    for sol in solve(model, T0, rhs):
+        if any(x.valuation() < 0 for x in sol):
+            raise ValueError("face chain solve gave a non-integral coordinate")
+        vecs.append([model.to_digits(x, 1)[0] for x in sol])
+    flags = [_row_space(gf, vecs[k:k + n]) for k in range(0, len(vecs), n)]
+    l0 = L0.label()
+    js = [(cls.label() - l0) % n for cls in chain]
     # adapted residue basis: the last n - js[k] vectors span W_k; a
     # candidate is picked when it raises the rank of the picked vectors
     picked = []
-    echelon = []
     spans = flags[::-1] + [_row_space(gf, [[1 if i == j else 0 for i in range(n)]
                                            for j in range(n)])]
     for space in spans:
         for cand in space:
-            grown = _row_space(gf, echelon + [cand])
-            if len(grown) > len(echelon):
+            if len(_row_space(gf, picked + [cand])) > len(picked):
                 picked.append(cand)
-                echelon = grown
     if len(picked) != n:
         raise ArithmeticError("flag vectors do not span the residue space")
     picked.reverse()
@@ -233,18 +227,16 @@ class SubdividedComplex:
         self.points = []
         self.pid = {}
         self.coords = []
-        self.charts = []
         self.edges = set()
         self.subchambers = []
 
-    def _point_id(self, key, coords, chart_id):
+    def _point_id(self, key, coords):
         i = self.pid.get(key)
         if i is None:
             i = len(self.points)
             self.pid[key] = i
             self.points.append(key)
             self.coords.append(coords)
-            self.charts.append(chart_id)
         return i
 
     def to_json_obj(self):
@@ -282,19 +274,6 @@ def _alcove_template(d, N):
     return weights, alcoves
 
 
-def _chamber_chain(fverts, d):
-    """The vertices of a chamber of a d-dimensional factor in chain order;
-    their label offsets from the first must be exactly 0..d (unit steps)."""
-    order = _chain_order(fverts)
-    if order is None:
-        raise ValueError("vertex set is not a face chain")
-    chain = [fverts[j] for j in order]
-    n, l0 = chain[0].n, chain[0].label()
-    if [(c.label() - l0) % n for c in chain] != list(range(d + 1)):
-        raise ArithmeticError("chamber chain must have unit steps")
-    return chain
-
-
 def subdivide_chambers(descriptor, chambers, marking):
     """Replace each closed chamber product(F_i) by product(F_i[M_i])."""
     if len(marking.per_factor) != descriptor.r:
@@ -304,10 +283,14 @@ def subdivide_chambers(descriptor, chambers, marking):
     if chambers:  # eta_chambers rejects a marking only when it is used
         templates = [(d, *_alcove_template(d, N))
                      for d, N in zip(descriptor.dims, marking.per_factor)]
-    for chamber_id, chamber in enumerate(chambers):
+    for chamber in chambers:
         factor_data = []
         for fverts, (d, weights, alcoves) in zip(chamber.factors, templates):
-            chain = _chamber_chain(list(fverts), d)
+            # a chain of d + 1 distinct classes has label offsets 0..d
+            found = _chain_order(list(fverts)) if len(fverts) == d + 1 else None
+            if found is None:
+                raise ValueError("factor face is not a chamber")
+            chain = [fverts[j] for j in found[0]]
             plist = []
             for lam, coords in weights:
                 key = tuple(sorted(((c, w) for c, w in zip(chain, lam) if w > 0),
@@ -323,7 +306,7 @@ def subdivide_chambers(descriptor, chambers, marking):
             for vt in vertex_tuples:
                 key = tuple(plists[i][vt[i]][0] for i in range(descriptor.r))
                 coords = tuple(plists[i][vt[i]][1] for i in range(descriptor.r))
-                pids.append(sub._point_id(key, coords, chamber_id))
+                pids.append(sub._point_id(key, coords))
             self_ids = {vt: pid for vt, pid in zip(vertex_tuples, pids)}
             sub.subchambers.append(tuple(sorted(set(pids))))
             # edges: vary one factor within its alcove (factor alcoves are
@@ -450,6 +433,7 @@ def _image_vertex_of_factor_point(fpoint, ext):
     """nu-image of a barycentric factor point with 1/e-integral weights
     lambda_k on its carrier chain L_0 > .. > L_m > pi L_0: the class of
     G = sum_k s^(e - C_k) nu(L_k), C_k = e (lambda_0 + .. + lambda_k), where
+    the representatives L_k = pi^(c_k) P_k are those of `_chain_order` and
     nu embeds a basis entrywise.
 
     In a basis u adapted to the chain, L_k = <pi u_j (j < js_k), u_j
@@ -460,20 +444,18 @@ def _image_vertex_of_factor_point(fpoint, ext):
     of `_triangularize_digits` (which raises on a shortfall)."""
     e = ext.e
     carrier = [c for c, _ in fpoint]
-    order = _chain_order(carrier)
-    if order is None:
+    found = _chain_order(carrier)
+    if found is None:
         raise ValueError("carrier is not a face chain")
-    chain = [carrier[k] for k in order]
-    n, l0, D0 = chain[0].n, chain[0].label(), chain[0].det_valuation()
+    order, shifts = found
+    n, D0 = carrier[0].n, carrier[0].det_valuation()
     K = ext.extension
     ops = digit_ops(K, 2 * e * (D0 + n) + 2)
     cols = []
     C = 0
-    for k, cls in enumerate(chain):
-        # L_k = pi^shift P_k, P_k primitive, has colength (label offset) in
-        # L_0, so n shift + v(det P_k) - v(det L_0) is that offset
-        shift = ((cls.label() - l0) % n + D0 - cls.det_valuation()) // n
-        C += e * fpoint[order[k]][1]
+    for k, shift in zip(order, shifts):
+        cls, lam = fpoint[k]
+        C += e * lam
         if C.denominator != 1:
             raise ArithmeticError("point is not 1/e-integral")
         power = e * shift + e - int(C)

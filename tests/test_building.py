@@ -6,15 +6,16 @@ import pytest
 
 from btbuildings.building import (
     ApartmentPoint, Ball, BuildingDescriptor, PolyFace, PolyVertex,
-    _chain_order, _containment_shift, act, apartment_point_of_vertex, ball,
+    _chain_order, act, apartment_point_of_vertex, ball,
     basic_chamber, distance_f, in_standard_apartment, involution_lambda,
     is_directed_edge, is_face, labelling_C, labelling_D, matrix_power,
     project_apartment, shift_generator, sigma_mu)
 from btbuildings.errors import BudgetError
 from btbuildings.field import LaurentModel, PAdicModel
 from btbuildings.lattice import (
-    canonical_form, pair_index_normalized, standard_vertex, vertex_from_diagonal)
-from btbuildings.linalg import det
+    canonical_form, class_pair_min_valuation, pair_index_normalized,
+    standard_vertex, vertex_from_diagonal)
+from btbuildings.linalg import det, solve, transpose
 from btbuildings.verify import random_unimodular, random_vertex, window_exps
 
 Q2 = PAdicModel.get(2)
@@ -51,6 +52,13 @@ def test_is_face_examples():
     far = PolyVertex((vertex_from_diagonal(Q2, (0, 3)),))
     assert distance_f(v0, far) == 3
     assert not is_face(B1, [v0, far])
+    # in a product, a face is the full product of its projections: the
+    # edge x edge square is one, its diagonal is not
+    (a, b), (x, y) = basic_chamber(B11).factors
+    square = [PolyVertex(t) for t in itertools.product((a, b), (x, y))]
+    assert is_face(B11, square)
+    assert not is_face(B11, [PolyVertex((a, x)), PolyVertex((b, y))])
+    assert not is_face(B11, [PolyVertex((a, y)), PolyVertex((b, x))])
 
 
 def test_ball_counts():
@@ -301,6 +309,11 @@ def test_matrix_power_inverse():
 # oracles for chain order, faces, assembly and edge export
 # ---------------------------------------------------------------------------
 
+def _containment_shift(x, y):
+    """Minimal c with pi^c L_y <= L_x (primitive representatives)."""
+    return -class_pair_min_valuation(x, y)
+
+
 def _chain_order_by_permutations(comps):
     """Reference: the first of all m! orderings whose consecutive minimal
     containment shifts close up to L_0 > .. > L_m > pi L_0."""
@@ -402,7 +415,8 @@ def test_chain_order_matches_permutation_search(windows):
         fb = b.factor_balls[0]
         for comps in _chain_samples(fb, rng):
             ref = _chain_order_by_permutations(comps)
-            assert _chain_order(comps) == ref
+            got = _chain_order(comps)
+            assert (None if got is None else got[0]) == ref
             if len({c.label() for c in comps}) < len(comps):
                 repeated += 1
                 assert ref is None
@@ -411,6 +425,37 @@ def test_chain_order_matches_permutation_search(windows):
             elif len(comps) > 1:
                 chains += 1
     assert chains >= 100 and non_chains >= 50 and repeated >= 50
+
+
+def test_chain_shifts_are_the_minimal_containment_shifts(windows):
+    """Along every chain the representative shifts are the cumulative
+    minimal containment shifts, and pi^(c_k) P_k has colength o_k, the label
+    offset, in P_0 (the valuation of the determinant of its coordinates)."""
+    rng = random.Random(505)
+    chains = 0
+    for b in windows:
+        fb = b.factor_balls[0]
+        for comps in _chain_samples(fb, rng):
+            got = _chain_order(comps)
+            if got is None:
+                continue
+            order, shifts = got
+            chain = [comps[k] for k in order]
+            model, n = chain[0].model, chain[0].n
+            pi = model.uniformizer()
+            T0 = chain[0].primitive_matrix()
+            cumulative = 0
+            for k, (cls, c) in enumerate(zip(chain, shifts)):
+                if k:
+                    cumulative += _containment_shift(chain[k - 1], cls)
+                assert c == cumulative
+                y = solve(model, T0, [[x * pi ** c for x in col]
+                                      for col in transpose(cls.primitive_matrix())])
+                assert min(x.valuation() for col in y for x in col) >= 0
+                offset = (cls.label() - chain[0].label()) % n
+                assert det(model, y).valuation() == offset
+            chains += len(comps) > 1
+    assert chains >= 100
 
 
 def test_clique_faces_equal_chain_filtered_faces(windows):

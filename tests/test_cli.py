@@ -93,6 +93,39 @@ def test_decompose_aut_command(capsys):
     assert obj["mu"] == [1, 0]
 
 
+@pytest.mark.parametrize("pairs,sizes_out,reason", [
+    ([[[0], [5]], [[1], [0]]], [2], "image (5,) of (0,) is not a vertex"),
+    ([[[0], [-1]], [[1], [0]]], [2], "image (-1,) of (0,) is not a vertex"),
+    ([[[0], [0]], [[1], [1]]], [2, 2], "image (0,) of (0,) is not a vertex"),
+    ([[[0], [1]]], [2], "no image given for vertex (1,)"),
+    ([[[0], [1]], [[1], [0]], [[7], [1]]], [2],
+     "(7,) is not a vertex of the input graph"),
+    ([[[0], [5]], [[0], [1]], [[1], [0]]], [2],
+     "map lists a vertex more than once"),
+])
+def test_decompose_aut_rejects_a_map_off_the_graphs(pairs, sizes_out, reason,
+                                                     capsys):
+    arg = json.dumps({"sizes_in": [2], "sizes_out": sizes_out, "map": pairs})
+    code = main(["decompose-aut", "--map", arg])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert reason in captured.err
+
+
+@pytest.mark.parametrize("word,reason", [
+    ('[{"kind":"foo"}]', "unknown generator kind 'foo'"),
+    ('[{"factor":0,"power":1}]', "generator has no 'kind' field"),
+    ('[{"kind":"shift","factor":0}]', "shift generator has no 'power' field"),
+])
+def test_normal_form_names_a_bad_generator(word, reason, capsys):
+    code = main(["--d", "1", "normal-form", "--word", word])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert reason in captured.err
+
+
 def test_normal_form_command(capsys):
     word = json.dumps([{"kind": "exchange", "mu": [1, 0]}])
     code, out = run_cli(["--d", "1,1", "normal-form", "--word", word], capsys)

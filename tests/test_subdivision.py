@@ -6,14 +6,17 @@ from types import SimpleNamespace
 import pytest
 
 from btbuildings.building import (
-    ApartmentPoint, BuildingDescriptor, PolyVertex, apartment_point_of_vertex,
-    ball, basic_chamber, is_face, project_apartment)
+    ApartmentPoint, Ball, BuildingDescriptor, PolyVertex,
+    apartment_point_of_vertex, ball, basic_chamber, is_face, project_apartment)
 from btbuildings.errors import BudgetError
 from btbuildings.field import ExtensionDescriptor, LaurentModel, PAdicModel
 from btbuildings.gf import GF
-from btbuildings import subdivision
-from btbuildings.lattice import (all_neighbors, canonical_form, standard_vertex,
+from btbuildings import drinfeld, subdivision
+from btbuildings.drinfeld import diagonalize_norm, membership_depth
+from btbuildings.lattice import (all_neighbors, canonical_form,
+                                 class_pair_min_valuation, standard_vertex,
                                  vertex_from_diagonal)
+from btbuildings.linalg import solve, transpose
 from btbuildings.subdivision import (
     AlcoveChart, Marking, chamber_chart, delta_restrict, eta_chambers,
     eta_integer_points, eta_membership, nu_embed, nu_embed_point,
@@ -22,6 +25,7 @@ from btbuildings.subdivision import (
 from btbuildings.verify import random_unimodular, random_vertex
 
 Q2 = PAdicModel.get(2)
+Q3 = PAdicModel.get(3)
 F2T = LaurentModel.get(2)
 F3T = LaurentModel.get(3)
 F4T = LaurentModel.get(4)
@@ -89,6 +93,99 @@ def test_chamber_chart_on_random_chambers():
         comps = list(ch.factors[0])
         B, order, js = chamber_chart(comps)  # verifies the chart itself
         assert js == [0, 1, 2]
+
+
+def _chart_by_solves(comps):
+    """Reference chart: the chain order from the labels, the consecutive
+    minimal containment shifts summed along it, one solve per chain member
+    for its residue flag in L_0 / pi L_0, js from the flag dimensions, and
+    the adapted basis picked against a separately kept echelon form."""
+    model, n = comps[0].model, comps[0].n
+    l0 = comps[0].label()
+    order = tuple(sorted(range(len(comps)),
+                         key=lambda k: (comps[k].label() - l0) % n))
+    chain = [comps[k] for k in order]
+    steps = [-class_pair_min_valuation(a, b) for a, b in zip(chain, chain[1:])]
+    if (len({c.label() for c in comps}) < len(comps) or 1 - sum(steps)
+            < -class_pair_min_valuation(chain[-1], chain[0])):
+        raise ValueError("vertex set is not a face chain")
+    T0 = chain[0].primitive_matrix()
+    gf = model.residue_gf()
+    pi = model.uniformizer()
+    flags = []
+    shift = 0
+    for k in range(1, len(chain)):
+        shift += steps[k - 1]
+        rhs = [[x * pi ** shift for x in col]
+               for col in transpose(chain[k].primitive_matrix())]
+        flags.append(subdivision._row_space(
+            gf, [[model.to_digits(x, 1)[0] for x in sol]
+                 for sol in solve(model, T0, rhs)]))
+    js = [0] + [n - len(f) for f in flags]
+    picked, echelon = [], []
+    unit = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    for space in flags[::-1] + [subdivision._row_space(gf, unit)]:
+        for cand in space:
+            grown = subdivision._row_space(gf, echelon + [cand])
+            if len(grown) > len(echelon):
+                picked.append(cand)
+                echelon = grown
+    picked.reverse()
+    B = [[sum((model.lift_residue(coeff) * T0[i][c]
+               for c, coeff in enumerate(r) if coeff), model.zero())
+          for r in picked] for i in range(n)]
+    return B, order, js
+
+
+# seeded single-factor windows (model, d, radius); one d = 3 window, as
+# its 1391 faces take most of the test's time
+_CHART_WINDOWS = [(Q2, 1, 2), (Q3, 1, 1), (F2T, 1, 2), (F4T, 1, 1),
+                  (Q2, 2, 1), (Q3, 2, 1), (F2T, 2, 1), (F4T, 2, 1),
+                  (Q2, 3, 1)]
+
+
+def test_chamber_chart_equals_the_solve_reference():
+    """Every face of every size of seeded windows, in window order and
+    reversed (so that the chain starts elsewhere and needs pi-shifts)."""
+    rng = random.Random(909)
+    sizes = set()
+    for model, d, radius in _CHART_WINDOWS:
+        B = BuildingDescriptor([(model, d)])
+        center = PolyVertex((random_vertex(model, d + 1, rng),))
+        fb = Ball(B, center, radius, detail="faces", budget=10**6).factor_balls[0]
+        for face in [(u,) for u in range(len(fb.vertices))] + list(fb.faces):
+            comps = [fb.vertices[u] for u in face]
+            sizes.add((d, len(comps)))
+            for cs in (comps, comps[::-1]):
+                assert chamber_chart(cs) == _chart_by_solves(cs)
+    assert sizes == {(d, m) for d in (1, 2, 3) for m in range(1, d + 2)}
+
+
+def test_norm_ball_charts_equal_the_solve_reference(monkeypatch):
+    """The chains of norm balls that `diagonalize_norm` charts, on the
+    points of the diagonalization tests."""
+    from test_drinfeld import (_DIAGONAL_CASES, _point_quartic, _point_ram,
+                               _point_unram, _seeded_points)
+    cases = [(_point_unram("w"), 1), (_point_ram("s"), 1),
+             (_point_ram("1+s"), 1), (_point_ram("s^3"), 2),
+             (_point_quartic(["w", "s*w"]), 1)]
+    for case, (q, tower, d, N) in enumerate(_DIAGONAL_CASES):
+        for x in _seeded_points(q, tower, d, 6, seed=40 + case):
+            n = membership_depth(x, max_n=N)
+            if n is not None:
+                cases.append((x, n))
+    charted = []
+
+    def spy(comps):
+        got = chamber_chart(comps)
+        assert got == _chart_by_solves(comps)
+        charted.append(len(comps))
+        return got
+
+    monkeypatch.setattr(drinfeld, "chamber_chart", spy)
+    for x, n in cases:
+        diagonalize_norm(x, 0, n)
+    assert len(charted) == len(cases) and max(charted) > 1
 
 
 def test_chamber_chart_rejects_a_wrong_class(monkeypatch):
@@ -170,7 +267,7 @@ def _subdivide_by_charts(descriptor, chambers, marking):
     template rebuilt per chamber and factor."""
     sub = subdivision.SubdividedComplex(descriptor, marking)
     charts = {}
-    for chamber_id, chamber in enumerate(chambers):
+    for chamber in chambers:
         factor_data = []
         for i, fverts in enumerate(chamber.factors):
             N = marking.per_factor[i]
@@ -197,8 +294,7 @@ def _subdivide_by_charts(descriptor, chambers, marking):
             for vt in product(*combo):
                 ids[vt] = sub._point_id(
                     tuple(factor_data[i][0][vt[i]][0] for i in range(r)),
-                    tuple(factor_data[i][0][vt[i]][1] for i in range(r)),
-                    chamber_id)
+                    tuple(factor_data[i][0][vt[i]][1] for i in range(r)))
             sub.subchambers.append(tuple(sorted(set(ids.values()))))
             for vt in ids:
                 for i in range(r):
@@ -229,7 +325,6 @@ def test_subdivision_equals_the_chamber_chart_reference(factors, radius,
     want = _subdivide_by_charts(B, chambers, Marking(marking))
     got = subdivide_chambers(B, chambers, Marking(marking))
     assert got.to_json_obj() == want.to_json_obj()
-    assert got.charts == want.charts
 
 
 def test_row_space_spans_the_input():
@@ -416,6 +511,16 @@ def test_nu_image_equals_the_chamber_chart_reference(model, d, radius, e, f):
         want = _chart_image(fpoint, ext)
         for fp in (fpoint, fpoint[::-1]):
             assert subdivision._image_vertex_of_factor_point(fp, ext) == want
+
+
+def test_subdivide_rejects_a_factor_face_that_is_not_a_chamber():
+    B2 = BuildingDescriptor([(Q2, 2)])
+    a, b, _c = basic_chamber(B2).factors[0]
+    far = vertex_from_diagonal(Q2, (0, 0, 3))
+    for fverts in [(a, b), (a, b, far)]:
+        with pytest.raises(ValueError, match="factor face is not a chamber"):
+            subdivide_chambers(B2, [SimpleNamespace(factors=(fverts,))],
+                               Marking([2]))
 
 
 def test_marking_validation():
