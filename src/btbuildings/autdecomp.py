@@ -11,7 +11,6 @@ from .building import (PolyVertex, apartment_point_of_vertex, act, act_factor,
                        labelling_C, labelling_D, matrix_power, shift_generator,
                        sigma_mu)
 from .errors import WindowError
-from .field import FieldElement
 from .lattice import gaussian_binomial
 from .linalg import inverse, matmul, transpose
 from .subdivision import chamber_chart
@@ -196,113 +195,40 @@ def expected_aut_order(sizes):
 # ---------------------------------------------------------------------------
 
 class AutWord:
-    """Sequence of generators applied left to right: GroupElement (per-factor
-    matrices), Lambda (mask), FactorExchange (mu), Shift (factor, power)."""
+    """A word in the generators of the automorphism group, applied left to
+    right.  A generator is a dict with exactly its kind's fields:
+    {"kind": "group", "matrices": [g_i or None per factor]},
+    {"kind": "lambda", "mask": [0 or 1 per factor]}, {"kind": "exchange",
+    "mu": [a permutation of factors of equal dimension and field]} and
+    {"kind": "shift", "factor": i, "power": k}.  The shift generator f has
+    f^(d+1) = pi I, which fixes every class, so k acts mod d+1.  Each
+    generator is checked and built into a map on vertices once, here;
+    `gens` keeps the dicts, from which longer words are composed."""
 
     def __init__(self, descriptor, gens):
         self.descriptor = descriptor
         self.gens = list(gens)
-        for g in self.gens:
-            kind = _generator_kind(g)
-            if kind == "group":
-                if len(g["matrices"]) != descriptor.r:
-                    raise ValueError("group generator factor count mismatch")
-            elif kind == "lambda":
-                mask = g["mask"]
-                if len(mask) != descriptor.r or any(m not in (0, 1) for m in mask):
-                    raise ValueError(f"lambda mask must list {descriptor.r} "
-                                     "entries, each 0 or 1")
-            elif kind == "exchange":
-                mu = g["mu"]
-                if sorted(mu) != list(range(descriptor.r)):
-                    raise ValueError("exchange mu is not a permutation")
-                for i in range(descriptor.r):
-                    if descriptor.dims[mu[i]] != descriptor.dims[i]:
-                        raise ValueError("exchange does not respect dimensions")
-            elif kind == "shift":
-                if not 0 <= g["factor"] < descriptor.r:
-                    raise ValueError("shift factor out of range")
+        self._steps = [_step(descriptor, g) for g in self.gens]
 
     def apply(self, x):
-        for g in self.gens:
-            kind = g["kind"]
-            if kind == "group":
-                x = act(g["matrices"], x)
-            elif kind == "lambda":
-                x = involution_lambda(x, g["mask"])
-            elif kind == "exchange":
-                mu = g["mu"]
-                models = self.descriptor.models
-                for i in range(self.descriptor.r):
-                    if models[mu[i]] is not models[i]:
-                        raise ValueError(
-                            "exchange between different fields is only defined "
-                            "on apartment points")
-                x = PolyVertex(tuple(x.components[mu[i]]
-                                     for i in range(self.descriptor.r)))
-            elif kind == "shift":
-                i, power = g["factor"], g["power"]
-                model, d = self.descriptor.factors[i]
-                mat = matrix_power(model, shift_generator(model, d + 1), power)
-                x = x.replace(i, act_factor(mat, x.components[i]))
+        for step in self._steps:
+            x = step(x)
         return x
-
-    def to_json_obj(self):
-        out = []
-        for g in self.gens:
-            if g["kind"] == "group":
-                mats = []
-                for m, (model, d) in zip(g["matrices"], self.descriptor.factors):
-                    if m is None:
-                        mats.append(None)
-                    else:
-                        mats.append([model.elem_str(x) if isinstance(x, FieldElement)
-                                     else str(x) for row in m for x in row])
-                out.append({"kind": "group", "matrices": mats})
-            elif g["kind"] == "lambda":
-                out.append({"kind": "lambda", "mask": list(g["mask"])})
-            elif g["kind"] == "exchange":
-                out.append({"kind": "exchange", "mu": list(g["mu"])})
-            else:
-                out.append({"kind": "shift", "factor": g["factor"],
-                            "power": g["power"]})
-        return out
 
     @classmethod
     def from_json_obj(cls, descriptor, obj):
-        """The word of a JSON list of generator objects; a value of the
-        wrong JSON type is a ValueError."""
+        """The word of a JSON list of generator objects, in which a group
+        matrix is a flat row-major list of element strings."""
         if not isinstance(obj, list) or not all(isinstance(g, dict) for g in obj):
             raise ValueError("word must be a list of generator objects")
         gens = []
         for g in obj:
-            kind = _generator_kind(g)
-            if kind == "group":
-                mats = []
-                if (not isinstance(g["matrices"], list)
-                        or len(g["matrices"]) != descriptor.r):
-                    raise ValueError("group generator factor count mismatch")
-                for flat, (model, d) in zip(g["matrices"], descriptor.factors):
-                    if flat is None:
-                        mats.append(None)
-                        continue
-                    n = d + 1
-                    if (not isinstance(flat, list) or len(flat) != n * n
-                            or not all(isinstance(x, str) for x in flat)):
-                        raise ValueError(f"matrix must be a list of {n * n} strings")
-                    mats.append([[model.elem_parse(flat[i * n + j])
-                                  for j in range(n)] for i in range(n)])
-                gens.append({"kind": "group", "matrices": mats})
-            elif kind == "lambda":
-                gens.append({"kind": "lambda",
-                             "mask": list(_int_list(g["mask"], "mask"))})
-            elif kind == "exchange":
-                gens.append({"kind": "exchange",
-                             "mu": list(_int_list(g["mu"], "mu"))})
-            else:
-                factor, power = _int_list([g["factor"], g["power"]],
-                                          "shift factor and power")
-                gens.append({"kind": "shift", "factor": factor, "power": power})
+            mats = g.get("matrices") if g.get("kind") == "group" else None
+            if isinstance(mats, list) and len(mats) == descriptor.r:
+                g = dict(g, matrices=[
+                    None if flat is None else _square_matrix(model, d + 1, flat)
+                    for flat, (model, d) in zip(mats, descriptor.factors)])
+            gens.append(g)
         return cls(descriptor, gens)
 
 
@@ -310,9 +236,43 @@ _GENERATOR_FIELDS = {"group": ("matrices",), "lambda": ("mask",),
                      "exchange": ("mu",), "shift": ("factor", "power")}
 
 
+def _step(descriptor, g):
+    """The map on vertices of one generator dict, checked to fit the
+    descriptor."""
+    kind = _generator_kind(g)
+    r = descriptor.r
+    if kind == "group":
+        mats = g["matrices"]
+        if not isinstance(mats, list) or len(mats) != r:
+            raise ValueError("group generator factor count mismatch")
+        return lambda x: act(mats, x)
+    if kind == "lambda":
+        mask = _int_list(g["mask"], "mask")
+        if len(mask) != r or any(m not in (0, 1) for m in mask):
+            raise ValueError(f"lambda mask must list {r} entries, each 0 or 1")
+        return lambda x: involution_lambda(x, mask)
+    if kind == "exchange":
+        mu = _int_list(g["mu"], "mu")
+        if sorted(mu) != list(range(r)):
+            raise ValueError("exchange mu is not a permutation")
+        if any(descriptor.dims[j] != descriptor.dims[i] for i, j in enumerate(mu)):
+            raise ValueError("exchange does not respect dimensions")
+        if any(descriptor.models[j] is not descriptor.models[i]
+               for i, j in enumerate(mu)):
+            raise ValueError("exchange between different fields is only defined "
+                             "on apartment points")
+        return lambda x: PolyVertex(tuple(x.components[j] for j in mu))
+    i, power = _int_list([g["factor"], g["power"]], "shift factor and power")
+    if not 0 <= i < r:
+        raise ValueError("shift factor out of range")
+    model, d = descriptor.factors[i]
+    mat = matrix_power(model, shift_generator(model, d + 1), power % (d + 1))
+    return lambda x: x.replace(i, act_factor(mat, x.components[i]))
+
+
 def _generator_kind(g):
     """The kind of a generator dict, checked to be known and to come with
-    the fields that kind reads."""
+    exactly the fields that kind reads."""
     if "kind" not in g:
         raise ValueError("generator has no 'kind' field")
     kind = g["kind"]
@@ -321,12 +281,24 @@ def _generator_kind(g):
     for field in _GENERATOR_FIELDS[kind]:
         if field not in g:
             raise ValueError(f"{kind} generator has no {field!r} field")
+    for field in g:
+        if field != "kind" and field not in _GENERATOR_FIELDS[kind]:
+            raise ValueError(f"{kind} generator has an unknown field {field!r}")
     return kind
 
 
+def _square_matrix(model, n, flat):
+    """The n x n matrix of a flat row-major JSON list of element strings."""
+    if (not isinstance(flat, list) or len(flat) != n * n
+            or not all(isinstance(x, str) for x in flat)):
+        raise ValueError(f"matrix must be a list of {n * n} strings")
+    return [[model.elem_parse(flat[i * n + j]) for j in range(n)]
+            for i in range(n)]
+
+
 def _int_list(obj, what):
-    """obj, checked to be a JSON list of integers."""
-    if not isinstance(obj, list) or not all(isinstance(x, int) for x in obj):
+    """obj, checked to be a JSON list of integers; a boolean is not one."""
+    if not isinstance(obj, list) or not all(type(x) is int for x in obj):
         raise ValueError(f"{what} must be a list of integers")
     return obj
 

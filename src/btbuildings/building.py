@@ -12,7 +12,7 @@ from itertools import product
 from .errors import BudgetError
 from .field import FieldElement
 from .lattice import (
-    VertexClass, all_neighbors, canonical_form, class_pair_min_valuation,
+    all_neighbors, canonical_form, class_pair_min_valuation,
     dual, pair_index_normalized, solve_in_basis_valuations, standard_vertex,
     vertex_from_diagonal,
 )

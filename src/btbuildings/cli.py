@@ -12,9 +12,8 @@ import sys
 from fractions import Fraction
 
 from .autdecomp import AutWord, _int_list, decompose_hom, normal_form
-from .building import (ApartmentPoint, BuildingDescriptor, PolyVertex, ball,
-                       basic_chamber, involution_lambda, labelling_C,
-                       project_apartment)
+from .building import (BuildingDescriptor, PolyVertex, ball, involution_lambda,
+                       labelling_C, project_apartment)
 from .drinfeld import (Poly, RigidPoint, deform, eval_abs, membership_depth,
                        omega_membership, tau_coordinates)
 from .errors import BudgetError, WindowError
@@ -60,6 +59,8 @@ def _string_lists(obj, sizes, what):
 def parse_vertex(descriptor, text):
     obj = json.loads(text)
     if isinstance(obj, dict):
+        if "matrix_per_factor" not in obj:
+            raise ValueError("a vertex object needs a 'matrix_per_factor' field")
         obj = obj["matrix_per_factor"]
     sizes = [(d + 1) ** 2 for d in descriptor.dims]
     comps = []
@@ -165,6 +166,9 @@ def cmd_decompose_aut(args):
     obj = json.loads(args.map)
     if not isinstance(obj, dict):
         raise ValueError("--map must be a JSON object")
+    for key in ("sizes_in", "sizes_out", "map"):
+        if key not in obj:
+            raise ValueError(f"--map has no {key!r} field")
     sizes_in = tuple(_int_list(obj["sizes_in"], "sizes_in"))
     sizes_out = tuple(_int_list(obj["sizes_out"], "sizes_out"))
     pairs = obj["map"]
@@ -198,13 +202,12 @@ def cmd_normal_form(args):
 
 
 def _build_rigid_point(args, descriptor):
-    exts = []
     model = descriptor.models[0]
     for part in args.ext.split(";"):
-        e_s, f_s = part.split(",")
-        ext = ExtensionDescriptor(model, e=int(e_s), f=int(f_s))
-        exts.append(ext)
-        model = ext.extension
+        e_s, _, f_s = part.partition(",")
+        if not (e_s.isdecimal() and f_s.isdecimal()):
+            raise ValueError(f"--ext entry {part!r} is not two integers e,f")
+        model = ExtensionDescriptor(model, e=int(e_s), f=int(f_s)).extension
     K = model
     coords = _string_lists(json.loads(args.point), descriptor.dims, "point")
     return RigidPoint(descriptor, K, [[K.elem_parse(c) for c in factor]
@@ -240,10 +243,12 @@ def cmd_retract(args):
     if not isinstance(poly, list) or not all(
             isinstance(term, dict) and isinstance(term.get("coeff"), str)
             and isinstance(term.get("monomial"), dict)
-            and all(isinstance(n, int) for n in term["monomial"].values())
+            and all(j.isdecimal() and type(n) is int
+                    for j, n in term["monomial"].items())
             for term in poly):
         raise ValueError('--poly must be a list of {"coeff": str, '
-                         '"monomial": {"j": int}} objects')
+                         '"monomial": {"j": int}} objects, each key j the '
+                         'number of a variable')
     terms = {}
     for term in poly:
         exps = tuple(sorted(((0, int(j)), n)

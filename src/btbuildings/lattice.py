@@ -627,11 +627,18 @@ def pair_index_normalized(x, y):
     return x.n * c + y.det_valuation() - x.det_valuation()
 
 
+def skeleton_distance(x, y):
+    """Undirected 1-skeleton distance between two classes in one factor:
+    the largest elementary divisor of the normalized pair."""
+    if x == y:
+        return 0
+    s = pair_index_normalized(x, y) + pair_index_normalized(y, x)
+    if s % x.n:
+        raise ArithmeticError("pair indices do not sum to a multiple of n")
+    return s // x.n
+
+
 def adjacent(x, y):
     """Undirected 1-skeleton adjacency: some representatives satisfy
     L_x > L_y > pi L_x."""
-    if x == y:
-        return False
-    fxy = pair_index_normalized(x, y)
-    fyx = pair_index_normalized(y, x)
-    return fxy + fyx == x.n
+    return skeleton_distance(x, y) == 1

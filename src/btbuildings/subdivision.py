@@ -11,7 +11,7 @@ from .building import (ApartmentPoint, BuildingDescriptor, PolyVertex,
                        _chain_order, is_face)
 from .errors import BudgetError
 from .lattice import (VertexClass, _triangularize_digits, canonical_form,
-                      digit_ops, pair_index_normalized)
+                      digit_ops)
 from .linalg import solve, transpose
 
 
@@ -376,17 +376,6 @@ def delta_restrict(p, ext):
                 nb.append(nrow)
         factors.append((nb, tuple(Fraction(x) / ext.e for x in exps)))
     return ApartmentPoint(factors)
-
-
-def skeleton_distance(x, y):
-    """Undirected 1-skeleton distance between two classes in one factor:
-    the largest elementary divisor of the normalized pair."""
-    if x == y:
-        return 0
-    s = pair_index_normalized(x, y) + pair_index_normalized(y, x)
-    if s % x.n:
-        raise ArithmeticError("pair indices do not sum to a multiple of n")
-    return s // x.n
 
 
 def verify_induced_structure(b, ext):

@@ -17,22 +17,19 @@ from .building import (ApartmentPoint, BuildingDescriptor, PolyVertex, act,
                        apartment_point_of_vertex, ball, basic_chamber,
                        distance_f, factor_window_fvals, in_standard_apartment,
                        involution_lambda, is_directed_edge, is_face,
-                       labelling_C, labelling_D, matrix_power,
-                       project_apartment, shift_generator, sigma_mu)
-from .drinfeld import (Poly, RigidPoint, deform, diagonalize_norm, dual_coords,
-                       eval_abs, gauss_eval, membership_depth,
-                       omega_membership, tau_coordinates, verify_diagonal,
-                       GaussSeminorm)
+                       labelling_C, project_apartment)
+from .drinfeld import (Poly, RigidPoint, deform, diagonalize_norm, eval_abs,
+                       gauss_eval, membership_depth, omega_membership,
+                       verify_diagonal, GaussSeminorm)
 from .field import (INF, ExtensionDescriptor, LaurentModel, PAdicModel,
                     enumerate_residues, valuation)
-from .lattice import (all_neighbors, canonical_form, dual, gaussian_binomial,
-                      neighbors_by_colength, pair_index_normalized,
+from .lattice import (canonical_form, gaussian_binomial, neighbors_by_colength,
+                      pair_index_normalized, skeleton_distance,
                       standard_vertex, vertex_from_diagonal)
 from .linalg import det, identity, matmul
 from .subdivision import (Marking, delta_restrict, eta_chambers,
                           eta_membership, nu_embed, nu_embed_point,
-                          skeleton_distance, subdivide_ball,
-                          verify_induced_structure)
+                          subdivide_ball, verify_induced_structure)
 
 
 class Config:

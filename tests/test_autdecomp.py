@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product
 
@@ -8,14 +9,18 @@ from btbuildings.autdecomp import (
     expected_aut_order, graph_automorphisms_bruteforce, label_action,
     normal_form)
 from btbuildings.building import (
-    BuildingDescriptor, apartment_point_of_vertex, ball, basic_chamber,
-    in_standard_apartment, labelling_C, sigma_mu)
+    BuildingDescriptor, PolyVertex, act, act_factor, apartment_point_of_vertex,
+    ball, basic_chamber, in_standard_apartment, involution_lambda, labelling_C,
+    matrix_power, shift_generator, sigma_mu)
+from btbuildings.cli import main
 from btbuildings.errors import WindowError
 from btbuildings.field import LaurentModel, PAdicModel
+from btbuildings.linalg import identity
 from btbuildings.verify import random_unimodular
 
 Q2 = PAdicModel.get(2)
 F2T = LaurentModel.get(2)
+F3T = LaurentModel.get(3)
 
 
 def _identity_map(sizes):
@@ -218,8 +223,121 @@ def test_autword_json_roundtrip():
         {"kind": "exchange", "mu": [1, 0]},
         {"kind": "shift", "factor": 0, "power": -1},
     ])
-    obj = word.to_json_obj()
-    word2 = AutWord.from_json_obj(B11, obj)
-    assert word2.to_json_obj() == obj
-    x = B11.origin()
-    assert word.apply(x) == word2.apply(x)
+    word2 = AutWord.from_json_obj(B11, json.loads(
+        '[{"kind": "group", "matrices": [null, ["1", "0", "0", "2"]]},'
+        ' {"kind": "lambda", "mask": [1, 0]},'
+        ' {"kind": "exchange", "mu": [1, 0]},'
+        ' {"kind": "shift", "factor": 0, "power": -1}]'))
+    assert word2.gens == word.gens
+    for x in _ball(B11).vertices:
+        assert word.apply(x) == word2.apply(x)
+
+
+# -- words against a dispatching reference ------------------------------------
+
+def _apply_by_dispatch(word, x):
+    """Reference for AutWord.apply: dispatch on each generator's kind per
+    vertex, and raise the shift generator to the full power."""
+    r = word.descriptor.r
+    for g in word.gens:
+        kind = g["kind"]
+        if kind == "group":
+            x = act(g["matrices"], x)
+        elif kind == "lambda":
+            x = involution_lambda(x, g["mask"])
+        elif kind == "exchange":
+            x = PolyVertex(tuple(x.components[g["mu"][i]] for i in range(r)))
+        else:
+            i, power = g["factor"], g["power"]
+            model, d = word.descriptor.factors[i]
+            mat = matrix_power(model, shift_generator(model, d + 1), power)
+            x = x.replace(i, act_factor(mat, x.components[i]))
+    return x
+
+
+def _random_generator(descriptor, kind, rng):
+    r = descriptor.r
+    if kind == "group":
+        mats = []
+        for model, d in descriptor.factors:
+            pick = rng.randrange(3)
+            if pick == 0:
+                mats.append(None)
+            elif pick == 1:
+                mats.append(random_unimodular(model, d + 1, rng, steps=2))
+            else:
+                pi = model.uniformizer()
+                mats.append([[pi ** rng.randrange(2) if i == j else model.zero()
+                              for j in range(d + 1)] for i in range(d + 1)])
+        return {"kind": "group", "matrices": mats}
+    if kind == "lambda":
+        return {"kind": "lambda", "mask": [rng.randrange(2) for _ in range(r)]}
+    if kind == "exchange":
+        # permute factors within each class of equal dimension and field
+        mu = list(range(r))
+        classes = {}
+        for i, (model, d) in enumerate(descriptor.factors):
+            classes.setdefault((id(model), d), []).append(i)
+        for idxs in classes.values():
+            img = idxs[:]
+            rng.shuffle(img)
+            for i, j in zip(idxs, img):
+                mu[i] = j
+        return {"kind": "exchange", "mu": mu}
+    return {"kind": "shift", "factor": rng.randrange(r),
+            "power": rng.randrange(-7, 8)}
+
+
+_KINDS = ("group", "lambda", "exchange", "shift")
+
+
+@pytest.mark.parametrize("descriptor,count", [
+    (B2, 16), (B11, 24), (BuildingDescriptor([(Q2, 2), (F2T, 1)]), 12)],
+    ids=["B2", "B11", "B21"])
+def test_apply_matches_the_dispatching_reference(descriptor, count):
+    rng = random.Random(f"words:{descriptor.dims}")
+    window = _ball(descriptor).vertices
+    for _ in range(count):
+        kinds = list(_KINDS) + [rng.choice(_KINDS)]
+        rng.shuffle(kinds)
+        word = AutWord(descriptor, [_random_generator(descriptor, kind, rng)
+                                    for kind in kinds])
+        for x in window:
+            assert word.apply(x) == _apply_by_dispatch(word, x)
+
+
+@pytest.mark.parametrize("model", [Q2, F3T], ids=["Q2", "F3T"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_shift_generator_to_the_n_is_pi(model, n):
+    pi_id = [[model.uniformizer() * x for x in row]
+             for row in identity(model, n)]
+    assert matrix_power(model, shift_generator(model, n), n) == pi_id
+
+
+@pytest.mark.parametrize("gen", [
+    {"kind": "lambda", "mask": [True, False]},
+    {"kind": "exchange", "mu": [True, False]},
+    {"kind": "shift", "factor": True, "power": 1},
+    {"kind": "shift", "factor": 0, "power": False},
+])
+def test_a_boolean_is_not_an_integer(gen):
+    with pytest.raises(ValueError, match="must be a list of integers"):
+        AutWord(B11, [gen])
+
+
+@pytest.mark.parametrize("d,residue", [("1", 0), ("2", 1)])
+def test_a_shift_power_acts_mod_d_plus_1(d, residue, capsys):
+    # 10^6 is 0 mod 2 and 1 mod 3; the full power would take hours
+    outs = []
+    for power in (10 ** 6, residue):
+        word = json.dumps([{"kind": "shift", "factor": 0, "power": power}])
+        code = main(["--d", d, "normal-form", "--word", word])
+        outs.append((code, capsys.readouterr().out))
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0
+
+
+def test_an_exchange_of_different_fields_fails_when_built():
+    with pytest.raises(ValueError, match="between different fields"):
+        AutWord(BuildingDescriptor([(Q2, 1), (F2T, 1)]),
+                [{"kind": "exchange", "mu": [1, 0]}])

@@ -117,9 +117,32 @@ def test_decompose_aut_rejects_a_map_off_the_graphs(pairs, sizes_out, reason,
     ('[{"kind":"foo"}]', "unknown generator kind 'foo'"),
     ('[{"factor":0,"power":1}]', "generator has no 'kind' field"),
     ('[{"kind":"shift","factor":0}]', "shift generator has no 'power' field"),
+    ('[{"kind":"shift","factor":0,"power":1,"extra":3}]',
+     "shift generator has an unknown field 'extra'"),
 ])
 def test_normal_form_names_a_bad_generator(word, reason, capsys):
     code = main(["--d", "1", "normal-form", "--word", word])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert reason in captured.err
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["--d", "1", "label", "--vertex", '{"x":1}'],
+     "a vertex object needs a 'matrix_per_factor' field"),
+    (["decompose-aut", "--map", '{"sizes_in":[2]}'],
+     "--map has no 'sizes_out' field"),
+    (["--field", "laurent:2", "--d", "1", "omega", "--point", '[["s"]]',
+      "--ext", "2"], "--ext entry '2' is not two integers e,f"),
+    (["--field", "laurent:2", "--d", "1", "omega", "--point", '[["s"]]',
+      "--ext", "2,1,3"], "--ext entry '2,1,3' is not two integers e,f"),
+    (["--field", "laurent:2", "--d", "1", "retract", "--point", '[["s"]]',
+      "--poly", '[{"coeff":"1","monomial":{"x":1}}]'],
+     "each key j the number of a variable"),
+])
+def test_an_input_error_states_what_is_wrong(argv, reason, capsys):
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -264,6 +287,14 @@ def test_zero_denominator_is_an_input_error(argv, capsys):
     ["decompose-aut", "--map", "[1]"],
     ["--field", "laurent:2", "--d", "1", "retract", "--point", '[["s"]]',
      "--poly", '[{"coeff":"1","monomial":{"1":-1}}]'],
+    # a JSON boolean is not an integer
+    ["decompose-aut", "--map", '{"sizes_in":[2],"sizes_out":[2],'
+     '"map":[[[false],[true]],[[true],[false]]]}'],
+    ["--d", "1", "normal-form", "--word", '[{"kind":"lambda","mask":[true]}]'],
+    ["--d", "1,1", "normal-form", "--word",
+     '[{"kind":"exchange","mu":[true,false]}]'],
+    ["--field", "laurent:2", "--d", "1", "retract", "--point", '[["s"]]',
+     "--poly", '[{"coeff":"1","monomial":{"1":true}}]'],
 ])
 def test_json_of_the_wrong_shape_is_an_input_error(argv, capsys):
     code, out = run_cli(argv, capsys)

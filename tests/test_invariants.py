@@ -46,3 +46,19 @@ def test_no_package_imports_inside_functions():
     # visible in one place and a cycle fails at import time
     found = _find(_relative_imports_in_functions)
     assert not found, f"move these imports to the top of the module: {found}"
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+            for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+            if (alias.asname or alias.name).split(".")[0] not in read]
+
+
+def test_no_unused_imports_in_the_package():
+    # __init__ is exempt: its imports are the package's re-exports
+    found = [name for path in sorted(SRC.glob("*.py"))
+             if path.name != "__init__.py" for name in _unused_imports(path)]
+    assert not found, f"imports that their module never reads: {found}"

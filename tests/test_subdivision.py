@@ -14,14 +14,13 @@ from btbuildings.gf import GF
 from btbuildings import drinfeld, subdivision
 from btbuildings.drinfeld import diagonalize_norm, membership_depth
 from btbuildings.lattice import (all_neighbors, canonical_form,
-                                 class_pair_min_valuation, standard_vertex,
-                                 vertex_from_diagonal)
+                                 class_pair_min_valuation, skeleton_distance,
+                                 standard_vertex, vertex_from_diagonal)
 from btbuildings.linalg import solve, transpose
 from btbuildings.subdivision import (
     AlcoveChart, Marking, chamber_chart, delta_restrict, eta_chambers,
     eta_integer_points, eta_membership, nu_embed, nu_embed_point,
-    skeleton_distance, subdivide_ball, subdivide_chambers,
-    verify_induced_structure)
+    subdivide_ball, subdivide_chambers, verify_induced_structure)
 from btbuildings.verify import random_unimodular, random_vertex
 
 Q2 = PAdicModel.get(2)
