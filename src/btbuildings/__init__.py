@@ -4,8 +4,8 @@ products of Drinfeld spaces."""
 
 from .field import (ExtensionDescriptor, FieldElement, LaurentModel,
                     PAdicModel, embed, enumerate_residues, valuation)
-from .lattice import (Lattice, VertexClass, canonical_form, dual,
-                      gaussian_binomial, index, label, neighbors_by_colength)
+from .lattice import (VertexClass, action, canonical_form, dual,
+                      gaussian_binomial, neighbors_by_colength)
 from .building import (ApartmentPoint, BuildingDescriptor, PolyFace,
                        PolyVertex, act, ball, basic_chamber, distance_f,
                        involution_lambda, is_face, labelling_C, labelling_D,

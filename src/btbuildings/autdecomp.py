@@ -6,12 +6,12 @@ that restores a word to a pure factor exchange on the standard apartment.
 
 from itertools import product
 
-from .building import (PolyVertex, apartment_point_of_vertex, act, act_factor,
+from .building import (PolyVertex, apartment_point_of_vertex, act,
                        basic_chamber, in_standard_apartment, involution_lambda,
                        labelling_C, labelling_D, matrix_power, shift_generator,
                        sigma_mu)
 from .errors import WindowError
-from .lattice import gaussian_binomial
+from .lattice import action, gaussian_binomial
 from .linalg import inverse, matmul, transpose
 from .subdivision import chamber_chart
 
@@ -245,7 +245,10 @@ def _step(descriptor, g):
         mats = g["matrices"]
         if not isinstance(mats, list) or len(mats) != r:
             raise ValueError("group generator factor count mismatch")
-        return lambda x: act(mats, x)
+        maps = [None if g is None else action(model, g)
+                for g, model in zip(mats, descriptor.models)]
+        return lambda x: PolyVertex(tuple(c if f is None else f(c)
+                                          for f, c in zip(maps, x.components)))
     if kind == "lambda":
         mask = _int_list(g["mask"], "mask")
         if len(mask) != r or any(m not in (0, 1) for m in mask):
@@ -266,8 +269,9 @@ def _step(descriptor, g):
     if not 0 <= i < r:
         raise ValueError("shift factor out of range")
     model, d = descriptor.factors[i]
-    mat = matrix_power(model, shift_generator(model, d + 1), power % (d + 1))
-    return lambda x: x.replace(i, act_factor(mat, x.components[i]))
+    f = action(model, matrix_power(model, shift_generator(model, d + 1),
+                                   power % (d + 1)))
+    return lambda x: x.replace(i, f(x.components[i]))
 
 
 def _generator_kind(g):

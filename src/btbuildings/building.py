@@ -10,10 +10,9 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import BudgetError
-from .field import FieldElement
 from .lattice import (
-    all_neighbors, canonical_form, class_pair_min_valuation,
-    dual, pair_index_normalized, solve_in_basis_valuations, standard_vertex,
+    action, all_neighbors, class_pair_min_valuation, dual,
+    pair_index_normalized, solve_in_basis_valuations, standard_vertex,
     vertex_from_diagonal,
 )
 from .linalg import identity, inverse, matmul
@@ -146,14 +145,9 @@ class ApartmentPoint:
         if not self.is_integral():
             raise ValueError("non-integral apartment point is not a vertex")
         comps = []
-        for (m, d), (basis, exps) in zip(descriptor.factors, self.factors):
-            if basis is not None:
-                pi = m.uniformizer()
-                cols = [[basis[i][j] * pi ** (-int(exps[j])) for j in range(d + 1)]
-                        for i in range(d + 1)]
-                comps.append(canonical_form(m, cols))
-            else:
-                comps.append(vertex_from_diagonal(m, tuple(-int(x) for x in exps)))
+        for m, (basis, exps) in zip(descriptor.models, self.factors):
+            diag = vertex_from_diagonal(m, tuple(-int(x) for x in exps))
+            comps.append(diag if basis is None else action(m, basis)(diag))
         return PolyVertex(comps)
 
 
@@ -516,20 +510,10 @@ def project_apartment(x):
 # group action, involution, factor exchange
 # ---------------------------------------------------------------------------
 
-def act_factor(g, c):
-    """[g L]; canonical_form rejects a singular g, since g L is then singular."""
-    model = c.model
-    g = [[model.element(x) if not isinstance(x, FieldElement) else x for x in row]
-         for row in g]
-    return canonical_form(model, matmul(model, g, c.primitive_matrix()))
-
-
 def act(gs, x):
     """[L_i] -> [g_i L_i] per factor; g_i = None means identity."""
-    comps = []
-    for g, c in zip(gs, x.components):
-        comps.append(c if g is None else act_factor(g, c))
-    return PolyVertex(comps)
+    return PolyVertex(tuple(c if g is None else action(c.model, g)(c)
+                            for g, c in zip(gs, x.components)))
 
 
 def shift_generator(model, n):

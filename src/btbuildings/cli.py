@@ -23,18 +23,27 @@ from .subdivision import (Marking, eta_chambers, nu_embed, subdivide_ball)
 from .verify import Config, run_suite
 
 
+def _flag_ints(flag, text, form="a comma-separated list of integers"):
+    """The integers of a comma-separated flag value; the error names the
+    flag and the form it expects."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} must be {form}, got {text!r}") from None
+
+
 def parse_field(spec):
     kind, _, param = spec.partition(":")
-    if kind == "padic":
-        return PAdicModel.get(int(param))
-    if kind == "laurent":
-        return LaurentModel.get(int(param))
-    raise ValueError(f"unknown field spec {spec!r}; use padic:p or laurent:q")
+    models = {"padic": (PAdicModel, "p"), "laurent": (LaurentModel, "q")}
+    if kind not in models:
+        raise ValueError(f"unknown field spec {spec!r}; use padic:p or laurent:q")
+    model, size = models[kind]
+    return model.get(_flag_ints(f"--field {kind}:{size}", param, "an integer")[0])
 
 
 def build_descriptor(args):
     fields = [parse_field(s) for s in args.field.split(",")]
-    dims = [int(x) for x in args.d.split(",")]
+    dims = _flag_ints("--d", args.d)
     if len(fields) == 1 and len(dims) > 1:
         fields = fields * len(dims)
     if len(fields) != len(dims):
@@ -117,8 +126,7 @@ def cmd_label(args):
 def cmd_involution(args):
     descriptor = build_descriptor(args)
     x = parse_vertex(descriptor, args.vertex)
-    mask = [int(b) for b in args.mask.split(",")] if args.mask \
-        else [1] * descriptor.r
+    mask = _flag_ints("--mask", args.mask) if args.mask else [1] * descriptor.r
     if len(mask) != descriptor.r or any(b not in (0, 1) for b in mask):
         raise ValueError(f"--mask must list {descriptor.r} entries, each 0 or 1")
     img = involution_lambda(x, mask)
@@ -131,7 +139,7 @@ def cmd_subdivide(args):
     descriptor = build_descriptor(args)
     b = ball(descriptor, descriptor.origin(), args.radius, detail="faces",
              budget=args.budget)
-    marking = Marking([int(x) for x in args.marking.split(",")])
+    marking = Marking(_flag_ints("--marking", args.marking))
     sub = subdivide_ball(b, marking)
     emit(args, sub.to_json_obj())
     return 0
@@ -277,8 +285,8 @@ def cmd_verify(args):
     config = Config(budget=args.budget, seed=args.seed)
     kwargs = {}
     if args.suite == "gaussian-binomials" and args.q:
-        kwargs = {"qs": tuple(int(q) for q in args.q.split(",")),
-                  "dmax": int(args.d.split(",")[0])}
+        kwargs = {"qs": tuple(_flag_ints("--q", args.q)),
+                  "dmax": _flag_ints("--d", args.d)[0]}
     report = run_suite(args.suite, config, **kwargs)
     emit(args, report)
     return 0 if report["passed"] else 1

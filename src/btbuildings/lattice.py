@@ -1,5 +1,5 @@
-"""O_k-lattices in V = k^{d+1}: canonical forms, homothety classes, indices,
-duals, labels, and residue-space neighbor enumeration.
+"""O_k-lattices in V = k^{d+1}: canonical forms, homothety classes, the
+group action, duals, labels, and residue-space neighbor enumeration.
 
 A homothety class is stored through its primitive representative
 (L <= O^n, L not <= pi O^n) in lower-triangular column-generator form:
@@ -10,25 +10,25 @@ unique, hashable and cheap to produce.  The exposed canonical matrix
 the same data, which is what gets serialized.
 
 There is one reduction, `_triangularize_digits`, over pi-digit vectors in
-O/pi^M.  `canonical_form` takes an exact FieldElement basis (group
-elements, duals, embeddings), computes its determinant valuation with the
-exact elimination of `linalg`, scales it to a primitive basis and converts
-the entries to digits; neighbor enumeration and the norm lattices of a
-rigid point (`drinfeld`: the filtration test and the norm balls whose
-chain diagonalizes the norm) build their generators in digits directly,
-at a precision that an a priori bound on D fixes.  All carry a guard
-precision of at least 2*D+1 digits, D the determinant valuation of the
-primitive lattice, which makes every pivot valuation and residue exact
-(argued in `canonical_form`); the reduction raises
-ArithmeticError when the precision it is given falls short.  The tests
-check it against an exhaustive span oracle over O/pi^k.
+O/pi^M, and one way into it from a matrix: `action(model, g)` takes
+v(det g) once, the only field-level elimination on the class path, and
+computes every image [g L] as a digit product.  `canonical_form` of an
+outside basis is the image of the standard class.  `dual` reads
+pi^D T^{-1} off forward solves; neighbor enumeration, the nu-image
+(`subdivision`) and the norm lattices of a rigid point (`drinfeld`) build
+their generators in digits directly.  Each caller fixes its precision
+from a bound on the determinant valuation D of the primitive lattice, so
+that the reduction gets the 2D+1 guard digits argued in
+`_triangularize_digits`; it raises ArithmeticError when the precision it
+is given falls short.  The tests check it against an exhaustive span
+oracle over O/pi^k.
 """
 
 from functools import lru_cache
 
 from .field import INF, FieldElement, PAdicModel
 from .gf import from_base, series_div, to_base
-from .linalg import det, inverse, solve, transpose
+from .linalg import det
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +209,14 @@ def _triangularize_digits(ops, cols, n):
     lower-triangular form; the global pi-shift applied is returned too.
 
     The M - minval digits left after the primitive scaling must be at least
-    2D+1, D the determinant valuation of the primitive lattice (see
-    canonical_form); ArithmeticError otherwise, including when a pivot
-    vanishes modulo pi^M."""
+    2D+1, D the determinant valuation of the primitive lattice;
+    ArithmeticError otherwise, including when a pivot vanishes modulo pi^M.
+    The guard: every pivot valuation a_r is read after shifting down by the
+    earlier ones, so the forward pass loses at most a_0 + .. + a_{n-1} = D
+    digits; the back-reduction of a column reads the residue mod pi^(a_k)
+    after losing a_{c+1} + .. + a_{k-1} more, so a_k plus the losses stay
+    within 2D.  2D+1 digits thus fix every pivot and residue exactly, also
+    when the generators are exact only to that many digits."""
     M = ops.M
     # primitive scaling: shift down by the minimal entry valuation
     minval = min(ops.val(v) for col in cols for v in col)
@@ -373,52 +378,18 @@ class VertexClass:
         return cols
 
 
-class Lattice:
-    """A full-rank O_k-lattice given by an invertible column-basis matrix."""
+def action(model, g):
+    """The map [L] -> [g L] of an invertible matrix g (FieldElements or
+    parseable strings); ValueError if g is singular.
 
-    __slots__ = ("model", "n", "basis")
-
-    def __init__(self, model, basis):
-        self.model = model
-        self.n = len(basis)
-        rows = _parse_matrix(model, basis)
-        if not det(model, rows):
-            raise ValueError("singular basis matrix")
-        self.basis = tuple(tuple(row) for row in rows)
-
-    def vertex_class(self):
-        return canonical_form(self.model, self.basis)
-
-    def det_valuation(self):
-        return det(self.model, self.basis).valuation()
-
-    def __eq__(self, other):
-        # equality of lattices (not classes): mutual containment
-        return (isinstance(other, Lattice) and self.model is other.model
-                and _contains(self, other) and _contains(other, self))
-
-    def __hash__(self):
-        raise TypeError("Lattice is not hashable; use vertex_class()")
-
-
-def _parse_matrix(model, mat):
-    return [[x if isinstance(x, FieldElement) else model.element(x) for x in row]
-            for row in mat]
-
-
-def canonical_form(model, basis):
-    """Canonical homothety-class representative of the lattice whose columns
-    are `basis` (FieldElements or parseable strings); errors on singular.
-
-    The basis is scaled by pi^(-m), m its minimal entry valuation, to a
-    primitive basis T with entries in O and D = v(det T).  Every pivot
-    valuation a_r is read after shifting down by the earlier ones, so the
-    forward pass of the reduction loses at most a_0 + .. + a_{n-1} = D
-    digits; the back-reduction of a column reads the residue mod pi^(a_k)
-    after losing a_{c+1} + .. + a_{k-1} more, so a_k plus the losses stay
-    within 2D.  2D+1 digits thus fix every pivot and residue exactly; the
-    digit backend carries 2D+2."""
-    rows = _parse_matrix(model, basis)
+    g is read once: v(det g), its only field-level elimination, scales it
+    by pi^(-m), m its minimal entry valuation, to a primitive O-matrix G
+    with D_g = v(det G).  The image of a class with primitive matrix T is
+    the class of the digit product G T, and v(det G T) = D_g + D(T) bounds
+    the determinant valuation of its primitive scaling, so 2(D_g + D(T)) + 2
+    digits meet the 2D+1 guard argued in `_triangularize_digits`."""
+    rows = [[x if isinstance(x, FieldElement) else model.element(x) for x in row]
+            for row in g]
     dv = det(model, rows).valuation()
     if dv == INF:
         raise ValueError("singular matrix")
@@ -427,10 +398,31 @@ def canonical_form(model, basis):
     if minval:
         scale = model.uniformizer() ** (-minval)
         rows = [[x * scale for x in row] for row in rows]
-    ops = digit_ops(model, 2 * (dv - n * minval) + 2)
-    cols = [[ops.from_field(x) for x in col] for col in zip(*rows)]
-    exps, lower, _ = _triangularize_digits(ops, cols, n)
-    return VertexClass(model, exps, lower)
+    D_g = dv - n * minval
+
+    def apply(v):
+        ops = digit_ops(model, 2 * (D_g + v.det_valuation()) + 2)
+        zero = ops.zero()
+        gcols = [[ops.from_field(x) for x in col] for col in zip(*rows)]
+        cols = []
+        for tcol in v.digit_columns(ops):
+            col = [zero] * n
+            for t, gcol in zip(tcol, gcols):
+                if t != zero:
+                    col = [ops.add(a, ops.mul(t, x)) for a, x in zip(col, gcol)]
+            cols.append(col)
+        exps, lower, _ = _triangularize_digits(ops, cols, n)
+        return VertexClass(model, exps, lower)
+
+    return apply
+
+
+def canonical_form(model, basis):
+    """Canonical homothety-class representative of the lattice whose columns
+    are `basis` (FieldElements or parseable strings); errors on singular.
+    It is the image of the standard class under `action`, at 2D+2 digits
+    for D the determinant valuation of the primitive scaling of the basis."""
+    return action(model, basis)(standard_vertex(model, len(basis)))
 
 
 def vertex_from_diagonal(model, exps):
@@ -446,34 +438,23 @@ def standard_vertex(model, n):
 
 
 # ---------------------------------------------------------------------------
-# index, dual, label
+# dual
 # ---------------------------------------------------------------------------
 
-def _contains(M, L):
-    """M >= L for Lattice instances (exact solve)."""
-    coords = solve(M.model, M.basis, transpose(L.basis))
-    return all(c.valuation() >= 0 for col in coords for c in col)
-
-
-def index(M, L):
-    """Length of M/L over O_k; requires M >= L (checked)."""
-    if not _contains(M, L):
-        raise ValueError("containment failure: M does not contain L")
-    v = L.det_valuation() - M.det_valuation()
-    if v < 0:
-        raise ArithmeticError(f"negative index {v} of a contained lattice")
-    return v
-
-
 def dual(v):
-    """Class of the dual lattice for the standard bilinear form sum a_j b_j:
-    its basis is the columns of (T^T)^{-1}, T the primitive matrix."""
-    model = v.model
-    return canonical_form(model, inverse(model, transpose(v.primitive_matrix())))
+    """Class of the dual lattice for the standard bilinear form sum a_j b_j.
 
-
-def label(v):
-    return v.label()
+    For T the primitive matrix and D = v(det T), the rows of pi^D T^{-1}
+    span pi^D L*; its columns solve T y = pi^D e_j by forward substitution,
+    whose divisions by the pivots lose at most D digits, so the rows are
+    exact mod pi^(M - D).  v(det pi^D L*) = (n-1)D bounds the primitive D
+    of the dual, and M = (2n-1)D + 2 leaves the 2(n-1)D + 1 guard digits."""
+    n, D = v.n, v.det_valuation()
+    ops = digit_ops(v.model, (2 * n - 1) * D + 2)
+    tcols = v.digit_columns(ops)
+    ys = [_forward_solve_scaled(ops, tcols, e, D) for e in _unit_columns(ops, n)]
+    exps, lower, _ = _triangularize_digits(ops, [list(row) for row in zip(*ys)], n)
+    return VertexClass(v.model, exps, lower)
 
 
 # ---------------------------------------------------------------------------
@@ -578,16 +559,18 @@ def solve_in_basis_valuations(v, targets=None, ops=None):
         ops = digit_ops(model, 2 * D + 2)
     tcols = v.digit_columns(ops)
     if targets is None:
-        targets = []
-        for j in range(n):
-            col = [ops.zero()] * n
-            col[j] = ops.residue_coeff(1)
-            targets.append(col)
+        targets = _unit_columns(ops, n)
     vals = []
     for col in targets:
         y = _forward_solve_scaled(ops, tcols, col, D)
         vals.append([ops.val(yi) - D if ops.val(yi) < ops.M else INF for yi in y])
     return [[vals[j][i] for j in range(len(targets))] for i in range(n)]
+
+
+def _unit_columns(ops, n):
+    """The columns of the n x n identity matrix as digit vectors."""
+    one = ops.residue_coeff(1)
+    return [[one if i == j else ops.zero() for i in range(n)] for j in range(n)]
 
 
 def _forward_solve_scaled(ops, tcols, b, D):
@@ -637,8 +620,3 @@ def skeleton_distance(x, y):
         raise ArithmeticError("pair indices do not sum to a multiple of n")
     return s // x.n
 
-
-def adjacent(x, y):
-    """Undirected 1-skeleton adjacency: some representatives satisfy
-    L_x > L_y > pi L_x."""
-    return skeleton_distance(x, y) == 1

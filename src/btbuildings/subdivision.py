@@ -10,8 +10,8 @@ from itertools import permutations, product
 from .building import (ApartmentPoint, BuildingDescriptor, PolyVertex,
                        _chain_order, is_face)
 from .errors import BudgetError
-from .lattice import (VertexClass, _triangularize_digits, canonical_form,
-                      digit_ops)
+from .lattice import (VertexClass, _triangularize_digits, action, digit_ops,
+                      vertex_from_diagonal)
 from .linalg import solve, transpose
 
 
@@ -190,10 +190,10 @@ def chamber_chart(comps):
                     acc = acc + model.lift_residue(coeff) * T0[i][c]
             B[i][j] = acc
     # verify the chart reproduces the chain
+    chart = action(model, B)
     for k, cls in enumerate(chain):
-        exps = [1] * js[k] + [0] * (n - js[k])
-        cols = [[B[i][j] * pi ** exps[j] for j in range(n)] for i in range(n)]
-        if canonical_form(model, cols) != cls:
+        exps = (1,) * js[k] + (0,) * (n - js[k])
+        if chart(vertex_from_diagonal(model, exps)) != cls:
             raise ArithmeticError("chart verification failed")
     return B, order, js
 
@@ -336,15 +336,11 @@ def subdivide_ball(b, marking):
 # ---------------------------------------------------------------------------
 
 def nu_embed(v, ext):
-    """[L] -> [L (x) O_k]: embed the canonical basis entrywise and
-    recanonicalize over the extension."""
-    model = v.model
-    if model is not ext.base:
+    """[L] -> [L (x) O_k]: the nu-image of the factor point of weight one
+    on v, which embeds its primitive basis entrywise."""
+    if v.model is not ext.base:
         raise ValueError("vertex is not over the extension's base model")
-    prim = v.primitive_matrix()
-    n = v.n
-    cols = [[ext.embed(prim[i][j]) for j in range(n)] for i in range(n)]
-    return canonical_form(ext.extension, cols)
+    return _image_vertex_of_factor_point(((v, Fraction(1)),), ext)
 
 
 def nu_embed_point(p, ext):

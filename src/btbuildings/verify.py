@@ -23,9 +23,9 @@ from .drinfeld import (Poly, RigidPoint, deform, diagonalize_norm, eval_abs,
                        verify_diagonal, GaussSeminorm)
 from .field import (INF, ExtensionDescriptor, LaurentModel, PAdicModel,
                     enumerate_residues, valuation)
-from .lattice import (canonical_form, gaussian_binomial, neighbors_by_colength,
-                      pair_index_normalized, skeleton_distance,
-                      standard_vertex, vertex_from_diagonal)
+from .lattice import (action, canonical_form, gaussian_binomial,
+                      neighbors_by_colength, pair_index_normalized,
+                      skeleton_distance, standard_vertex, vertex_from_diagonal)
 from .linalg import det, identity, matmul
 from .subdivision import (Marking, delta_restrict, eta_chambers,
                           eta_membership, nu_embed, nu_embed_point,
@@ -84,7 +84,7 @@ def random_vertex(model, n, rng, spread=2):
     exps = tuple(rng.randrange(0, spread + 1) for _ in range(n))
     diag = vertex_from_diagonal(model, exps)
     g = random_unimodular(model, n, rng)
-    return canonical_form(model, matmul(model, g, diag.primitive_matrix()))
+    return action(model, g)(diag)
 
 
 def window_exps(n, spread):

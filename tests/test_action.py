@@ -1,0 +1,227 @@
+"""The group action [L] -> [g L], the dual and nu, computed in digits,
+against independent oracles: the field-level constructions they replace
+(canonical form of g T, of (T^T)^{-1} and of the embedded basis), Smith
+normal forms from sympy (test-only), and algebraic properties of the
+action under hypothesis (test-only)."""
+
+import random
+
+import pytest
+import sympy
+from hypothesis import assume, given, settings, strategies as st
+from sympy.matrices.normalforms import smith_normal_form
+from sympy.polys.domains import ZZ
+
+from btbuildings.autdecomp import AutWord
+from btbuildings.building import BuildingDescriptor, PolyVertex, act
+from btbuildings.field import ExtensionDescriptor, LaurentModel, PAdicModel
+from btbuildings.lattice import (
+    action, canonical_form, class_pair_min_valuation, dual,
+    pair_index_normalized, skeleton_distance, standard_vertex,
+    vertex_from_diagonal,
+)
+from btbuildings.linalg import det, inverse, matmul, transpose
+from btbuildings.subdivision import nu_embed
+from btbuildings.verify import random_element, random_vertex
+
+FIELDS = [PAdicModel.get(2), PAdicModel.get(3), PAdicModel.get(5),
+          LaurentModel.get(2), LaurentModel.get(3), LaurentModel.get(4),
+          LaurentModel.get(9)]
+
+
+def _dual_reference(v):
+    """The dual as the canonical form of the columns of (T^T)^{-1}."""
+    model = v.model
+    return canonical_form(model, inverse(model, transpose(v.primitive_matrix())))
+
+
+def _act_reference(g, v):
+    """[g L] as the canonical form of the field-level product g T."""
+    return canonical_form(v.model, matmul(v.model, g, v.primitive_matrix()))
+
+
+def _random_group_matrix(model, n, rng):
+    """Entries of every valuation sign, some zero; every fifth matrix is
+    made singular by repeating a scaled column."""
+    g = [[model.zero() if rng.random() < 0.25 else random_element(model, rng)
+          for _ in range(n)] for _ in range(n)]
+    if rng.randrange(5) == 0:
+        a, b = rng.sample(range(n), 2)
+        c = random_element(model, rng)
+        for row in g:
+            row[a] = row[b] * c
+    return g
+
+
+@pytest.mark.parametrize("model", FIELDS, ids=repr)
+def test_act_and_dual_match_the_field_level_references(model):
+    rng = random.Random(f"action:{model!r}")
+    checked = singular = 0
+    for n in (2, 3, 4):
+        for _ in range(40):
+            v = random_vertex(model, n, rng)
+            assert dual(v) == _dual_reference(v)
+            g = _random_group_matrix(model, n, rng)
+            if not det(model, g):
+                singular += 1
+                with pytest.raises(ValueError, match="singular"):
+                    _act_reference(g, v)
+                with pytest.raises(ValueError, match="singular"):
+                    act([g], PolyVertex((v,)))
+                continue
+            assert act([g], PolyVertex((v,))).components[0] == \
+                _act_reference(g, v)
+            checked += 1
+    assert checked >= 50 and singular >= 10
+
+
+def test_a_singular_group_generator_fails_when_the_word_is_built():
+    Q2 = PAdicModel.get(2)
+    B1 = BuildingDescriptor([(Q2, 1)])
+    with pytest.raises(ValueError, match="singular matrix"):
+        AutWord(B1, [{"kind": "group", "matrices": [[["1", "1"], ["1", "1"]]]}])
+
+
+@pytest.mark.parametrize("e,f", [(2, 1), (1, 2), (3, 1)])
+def test_nu_embed_matches_the_embedded_basis(e, f):
+    base = LaurentModel.get(2)
+    ext = ExtensionDescriptor(base, e=e, f=f)
+    rng = random.Random(f"nu:{e},{f}")
+    for n in (2, 3):
+        for _ in range(10):
+            v = random_vertex(base, n, rng)
+            prim = v.primitive_matrix()
+            want = canonical_form(ext.extension,
+                                  [[ext.embed(x) for x in row] for row in prim])
+            assert nu_embed(v, ext) == want
+
+
+# -- Smith normal form oracle (sympy, test-only) ------------------------------
+
+def _integer_matrix(mat):
+    """A p-adic primitive matrix has integer entries; as a sympy Matrix."""
+    return sympy.Matrix([[int(x.raw) for x in row] for row in mat])
+
+
+def _divisor_valuations(mat, p):
+    snf = smith_normal_form(mat, domain=ZZ)
+    return sorted(sympy.multiplicity(p, snf[i, i]) for i in range(mat.rows))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_class_pairs_and_dual_against_smith_normal_forms(p):
+    """The elementary divisors of T_x^{-1} T_y have the valuations of those
+    of adj(T_x) T_y less D_x; their minimum, spread and normalized sum are
+    the pair functions.  The pairing of a class with its dual is
+    unimodular up to a scalar."""
+    model = PAdicModel.get(p)
+    rng = random.Random(f"snf:{p}")
+    for n in (3, 4):
+        for _ in range(15):
+            x, y = random_vertex(model, n, rng), random_vertex(model, n, rng)
+            tx = _integer_matrix(x.primitive_matrix())
+            ty = _integer_matrix(y.primitive_matrix())
+            vals = [a - x.det_valuation()
+                    for a in _divisor_valuations(tx.adjugate() * ty, p)]
+            assert class_pair_min_valuation(x, y) == vals[0]
+            assert pair_index_normalized(x, y) == sum(vals) - n * vals[0]
+            assert skeleton_distance(x, y) == vals[-1] - vals[0]
+            pairing = _integer_matrix(dual(x).primitive_matrix()).T * tx
+            assert len(set(_divisor_valuations(pairing, p))) == 1
+
+
+# -- properties of the action (hypothesis, test-only) -------------------------
+
+PROPERTY_FIELDS = [PAdicModel.get(2), PAdicModel.get(3), LaurentModel.get(2),
+                   LaurentModel.get(4)]
+PROPERTY_SETTINGS = settings(max_examples=20, derandomize=True, database=None,
+                             deadline=None)
+
+
+def _elements(model, low=-2):
+    q = model.residue_size
+    return st.builds(lambda digits, shift: model.from_digits(digits, shift),
+                     st.lists(st.integers(0, q - 1), min_size=1, max_size=3),
+                     st.integers(low, 2))
+
+
+@st.composite
+def _matrices(draw, model, n):
+    g = [[draw(_elements(model)) for _ in range(n)] for _ in range(n)]
+    assume(det(model, g))
+    return g
+
+
+@st.composite
+def _classes(draw, model, n):
+    exps = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    g = draw(_matrices(model, n))
+    return action(model, g)(vertex_from_diagonal(model, exps))
+
+
+@st.composite
+def _unimodular(draw, model, n):
+    """lower unitriangular times upper triangular with unit diagonal, both
+    over O: an element of GL_n(O)."""
+    q = model.residue_size
+    one, zero = model.one(), model.zero()
+    lower = [[draw(_elements(model, 0)) if i > j else (one if i == j else zero)
+              for j in range(n)] for i in range(n)]
+    upper = [[draw(_elements(model, 0)) if i < j else zero for j in range(n)]
+             for i in range(n)]
+    for i in range(n):
+        unit = draw(st.integers(1, q - 1))
+        upper[i][i] = model.from_digits([unit] + draw(
+            st.lists(st.integers(0, q - 1), max_size=2)))
+    return matmul(model, lower, upper)
+
+
+@pytest.mark.parametrize("model", PROPERTY_FIELDS, ids=repr)
+def test_action_is_a_group_action(model):
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 3))
+        g, h = data.draw(_matrices(model, n)), data.draw(_matrices(model, n))
+        v = data.draw(_classes(model, n))
+        assert action(model, g)(action(model, h)(v)) == \
+            action(model, matmul(model, g, h))(v)
+    check()
+
+
+@pytest.mark.parametrize("model", PROPERTY_FIELDS, ids=repr)
+def test_integral_unimodular_matrices_fix_the_standard_class(model):
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 3))
+        k = data.draw(_unimodular(model, n))
+        assert action(model, k)(standard_vertex(model, n)) == \
+            standard_vertex(model, n)
+    check()
+
+
+@pytest.mark.parametrize("model", PROPERTY_FIELDS, ids=repr)
+def test_action_shifts_the_label_by_the_determinant(model):
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 3))
+        g = data.draw(_matrices(model, n))
+        v = data.draw(_classes(model, n))
+        assert action(model, g)(v).label() == \
+            (v.label() + det(model, g).valuation()) % n
+    check()
+
+
+@pytest.mark.parametrize("model", PROPERTY_FIELDS, ids=repr)
+def test_dual_intertwines_g_with_its_inverse_transpose(model):
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 3))
+        g = data.draw(_matrices(model, n))
+        v = data.draw(_classes(model, n))
+        g_star = inverse(model, transpose(g))
+        assert dual(action(model, g)(v)) == action(model, g_star)(dual(v))
+    check()

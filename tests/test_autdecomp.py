@@ -9,7 +9,7 @@ from btbuildings.autdecomp import (
     expected_aut_order, graph_automorphisms_bruteforce, label_action,
     normal_form)
 from btbuildings.building import (
-    BuildingDescriptor, PolyVertex, act, act_factor, apartment_point_of_vertex,
+    BuildingDescriptor, PolyVertex, act, apartment_point_of_vertex,
     ball, basic_chamber, in_standard_apartment, involution_lambda, labelling_C,
     matrix_power, shift_generator, sigma_mu)
 from btbuildings.cli import main
@@ -251,7 +251,7 @@ def _apply_by_dispatch(word, x):
             i, power = g["factor"], g["power"]
             model, d = word.descriptor.factors[i]
             mat = matrix_power(model, shift_generator(model, d + 1), power)
-            x = x.replace(i, act_factor(mat, x.components[i]))
+            x = act([mat if j == i else None for j in range(r)], x)
     return x
 
 

@@ -245,6 +245,25 @@ def test_negative_radius_and_depth_below_one_are_input_errors(argv, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv,reason", [
+    (["--d", "x", "label", "--vertex", "[]"],
+     "--d must be a comma-separated list of integers, got 'x'"),
+    (["--d", "1", "involution", "--vertex", '[["1","0","0","2"]]',
+      "--mask", "x"],
+     "--mask must be a comma-separated list of integers, got 'x'"),
+    (["--d", "1", "--radius", "1", "subdivide", "--marking", "x"],
+     "--marking must be a comma-separated list of integers, got 'x'"),
+    (["--field", "padic:x", "--d", "1", "label", "--vertex", "[]"],
+     "--field padic:p must be an integer, got 'x'"),
+])
+def test_an_integer_flag_names_itself(argv, reason, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert reason in captured.err
+
+
 _V = '["1","0","0","2"]'
 
 

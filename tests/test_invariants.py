@@ -62,3 +62,23 @@ def test_no_unused_imports_in_the_package():
     found = [name for path in sorted(SRC.glob("*.py"))
              if path.name != "__init__.py" for name in _unused_imports(path)]
     assert not found, f"imports that their module never reads: {found}"
+
+
+def _calls_canonical_form(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "canonical_form")
+
+
+def test_classes_come_from_one_lattice_path():
+    # an outside basis enters through canonical_form only at the CLI and in
+    # the canonical-stability suite; every other class is [g L] by
+    # lattice.action or a digit computation, so lattice needs no field-level
+    # linear algebra beyond the determinant that action reads
+    found = [name for name in _find(_calls_canonical_form)
+             if name.split(":")[0] not in ("cli.py", "verify.py")]
+    assert not found, f"use lattice.action instead: {found}"
+    tree = ast.parse((SRC / "lattice.py").read_text())
+    names = {alias.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) and node.module == "linalg"
+             for alias in node.names}
+    assert names == {"det"}, f"lattice imports {sorted(names)} from linalg"

@@ -5,9 +5,9 @@ import pytest
 
 from btbuildings.field import INF, LaurentModel, PAdicModel
 from btbuildings.lattice import (
-    Lattice, _triangularize_digits, adjacent, all_neighbors, canonical_form,
-    digit_ops, dual, gaussian_binomial, index, neighbors_by_colength,
-    pair_index_normalized, standard_vertex, subspace_rrefs,
+    _triangularize_digits, all_neighbors, canonical_form, digit_ops, dual,
+    gaussian_binomial, neighbors_by_colength, pair_index_normalized,
+    skeleton_distance, standard_vertex, subspace_rrefs,
 )
 from btbuildings.linalg import matmul
 from btbuildings.verify import random_unimodular, random_vertex
@@ -129,36 +129,6 @@ def test_reduction_below_guard_precision_raises(model):
     assert _triangularize_digits(ops, cols(ops), 2)[0] == (0, 3)
 
 
-def test_index_examples():
-    M = Lattice(Q2, [["1", "0"], ["0", "1"]])
-    L = Lattice(Q2, [["2", "0"], ["0", "1"]])
-    assert index(M, L) == 1
-    assert index(M, M) == 0
-    M3 = Lattice(Q3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    L3 = Lattice(Q3, [[3, 0, 0], [0, 3, 0], [0, 0, 3]])
-    assert index(M3, L3) == 3
-
-
-def test_index_tower_additivity():
-    rng = random.Random(5150)
-    for _ in range(25):
-        e1 = [rng.randrange(0, 2) for _ in range(3)]
-        e2 = [a + rng.randrange(0, 2) for a in e1]
-        e3 = [a + rng.randrange(0, 2) for a in e2]
-        pi = Q2.uniformizer()
-        mk = lambda es: Lattice(Q2, [[pi ** es[i] if i == j else Q2.zero()
-                                       for j in range(3)] for i in range(3)])
-        M, L, N = mk(e1), mk(e2), mk(e3)
-        assert index(M, L) + index(L, N) == index(M, N)
-
-
-def test_index_containment_failure():
-    M = Lattice(Q2, [["2", "0"], ["0", "1"]])
-    L = Lattice(Q2, [["1", "0"], ["0", "1"]])
-    with pytest.raises(ValueError):
-        index(M, L)
-
-
 def test_dual_examples():
     v0 = standard_vertex(Q2, 3)
     assert dual(v0) == v0
@@ -267,8 +237,8 @@ def test_neighbors_are_adjacent_and_deterministic():
     nb2 = neighbors_by_colength(v, 1)
     assert nb1 == nb2
     for u in nb1:
-        assert adjacent(v, u)
-        assert adjacent(u, v)
+        assert skeleton_distance(v, u) == 1
+        assert skeleton_distance(u, v) == 1
     with pytest.raises(ValueError):
         neighbors_by_colength(v, 3)
 

@@ -193,7 +193,7 @@ def test_chamber_chart_rejects_a_wrong_class(monkeypatch):
     b = ball(B2, B2.origin(), 1, detail="faces")
     comps = list(b.chambers[0].factors[0])
     far = vertex_from_diagonal(Q2, (0, 5, 9))
-    monkeypatch.setattr(subdivision, "canonical_form", lambda model, cols: far)
+    monkeypatch.setattr(subdivision, "action", lambda model, g: lambda v: far)
     with pytest.raises(ArithmeticError, match="chart verification failed"):
         chamber_chart(comps)
 
