@@ -146,8 +146,11 @@ def cmd_subdivide(args):
 
 
 def cmd_eta(args):
-    charts = eta_chambers(int(args.d), args.n)
-    emit(args, {"d": int(args.d), "n": args.n, "count": len(charts),
+    d = _flag_ints("--d", args.d, "an integer")
+    if len(d) != 1:
+        raise ValueError(f"--d must be an integer, got {args.d!r}")
+    charts = eta_chambers(d[0], args.n)
+    emit(args, {"d": d[0], "n": args.n, "count": len(charts),
                 "charts": [{"sigma": list(c.sigma), "a": list(c.a),
                             "vertices": [list(v) for v in c.vertices()]}
                            for c in charts]})

@@ -558,28 +558,26 @@ def suite_marking_extension(config):
              budget=config.budget)
     if not b.chambers:
         return _fail("window has no chambers")
-    sub_eq = subdivide_ball(b, Marking([2, 2]))
-    chamber_keys = {frozenset(sub_eq.points[pid] for pid in ch)
-                    for ch in sub_eq.subchambers}
 
-    def swap_key(key):
-        return tuple(reversed(key))
+    def subchambers(marking):
+        """Each subchamber as its set of carrier pairs, and exchanged."""
+        sub = subdivide_ball(b, Marking(marking))
+        keys = [tuple(fp[f] for fp, f in zip(sub.factor_points, key))
+                for key in sub.points]
+        return [(frozenset(keys[pid] for pid in ch),
+                 frozenset(keys[pid][::-1] for pid in ch))
+                for ch in sub.subchambers]
 
-    for ch in sub_eq.subchambers:
-        img = frozenset(swap_key(sub_eq.points[pid]) for pid in ch)
-        if img not in chamber_keys:
-            return _fail("exchange image is not a subchamber (equal markings)")
-    sub_neq = subdivide_ball(b, Marking([2, 1]))
-    neq_keys = {frozenset(sub_neq.points[pid] for pid in ch)
-                for ch in sub_neq.subchambers}
-    broken = 0
-    for ch in sub_neq.subchambers:
-        img = frozenset(swap_key(sub_neq.points[pid]) for pid in ch)
-        if img not in neq_keys:
-            broken += 1
+    sub_eq = subchambers([2, 2])
+    chamber_keys = {ch for ch, _img in sub_eq}
+    if any(img not in chamber_keys for _ch, img in sub_eq):
+        return _fail("exchange image is not a subchamber (equal markings)")
+    sub_neq = subchambers([2, 1])
+    neq_keys = {ch for ch, _img in sub_neq}
+    broken = sum(img not in neq_keys for _ch, img in sub_neq)
     if broken == 0:
         return _fail("negative control: unequal markings still chambered")
-    return _ok(equal_marking_chambers=len(sub_eq.subchambers),
+    return _ok(equal_marking_chambers=len(sub_eq),
                unequal_marking_violations=broken)
 
 

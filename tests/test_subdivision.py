@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from btbuildings.building import (
-    ApartmentPoint, Ball, BuildingDescriptor, PolyVertex,
+    ApartmentPoint, Ball, BuildingDescriptor, PolyVertex, _chain_order,
     apartment_point_of_vertex, ball, basic_chamber, is_face, project_apartment)
 from btbuildings.errors import BudgetError
 from btbuildings.field import ExtensionDescriptor, LaurentModel, PAdicModel
@@ -216,9 +216,9 @@ def test_subdivide_single_edge_midpoint():
     assert len(sub.points) == 3
     assert len(sub.edges) == 2
     assert len(sub.subchambers) == 2
-    mids = [k for k in sub.points if len(k[0]) == 2]
+    mids = [fp for fp in sub.factor_points[0] if len(fp) == 2]
     assert len(mids) == 1
-    assert all(lam == Fraction(1, 2) for _, lam in mids[0][0])
+    assert all(lam == Fraction(1, 2) for _, lam in mids[0])
 
 
 def test_subdivide_square_chamber():
@@ -262,9 +262,12 @@ def test_subdivision_json():
 
 def _subdivide_by_charts(descriptor, chambers, marking):
     """Reference: the subdivision with the chain order and unit steps of
-    every factor chamber taken from its `chamber_chart`, and the alcove
-    template rebuilt per chamber and factor."""
+    every factor chamber taken from its `chamber_chart`, the alcove
+    template rebuilt per chamber and factor, and product points keyed by
+    their carriers.  Returns the complex and the carrier keys of its
+    points."""
     sub = subdivision.SubdividedComplex(descriptor, marking)
+    pid = {}
     charts = {}
     for chamber in chambers:
         factor_data = []
@@ -291,9 +294,12 @@ def _subdivide_by_charts(descriptor, chambers, marking):
         for combo in product(*(alcoves for _plist, alcoves in factor_data)):
             ids = {}
             for vt in product(*combo):
-                ids[vt] = sub._point_id(
-                    tuple(factor_data[i][0][vt[i]][0] for i in range(r)),
-                    tuple(factor_data[i][0][vt[i]][1] for i in range(r)))
+                key = tuple(factor_data[i][0][vt[i]][0] for i in range(r))
+                if key not in pid:
+                    pid[key] = len(sub.coords)
+                    sub.coords.append(tuple(factor_data[i][0][vt[i]][1]
+                                            for i in range(r)))
+                ids[vt] = pid[key]
             sub.subchambers.append(tuple(sorted(set(ids.values()))))
             for vt in ids:
                 for i in range(r):
@@ -302,7 +308,11 @@ def _subdivide_by_charts(descriptor, chambers, marking):
                         if ids[vt] != b:
                             sub.edges.add((min(ids[vt], b), max(ids[vt], b), i))
     sub.subchambers = sorted(set(sub.subchambers))
-    return sub
+    fids = [{} for _ in range(descriptor.r)]
+    sub.points = [tuple(fids[i].setdefault(fp, len(fids[i]))
+                        for i, fp in enumerate(key)) for key in pid]
+    sub.factor_points = [list(f) for f in fids]
+    return sub, list(pid)
 
 
 @pytest.mark.parametrize("factors,radius,marking,flip", [
@@ -321,9 +331,29 @@ def test_subdivision_equals_the_chamber_chart_reference(factors, radius,
         # order has to be found
         chambers = [SimpleNamespace(factors=tuple(f[::-1] for f in ch.factors))
                     for ch in chambers]
-    want = _subdivide_by_charts(B, chambers, Marking(marking))
+    want, _keys = _subdivide_by_charts(B, chambers, Marking(marking))
     got = subdivide_chambers(B, chambers, Marking(marking))
     assert got.to_json_obj() == want.to_json_obj()
+
+
+def test_subdivision_orders_each_factor_chamber_once(monkeypatch):
+    """On the product window of the `subsystems` benchmark, one chain order
+    per distinct factor chamber of each factor, not one per product
+    chamber and factor."""
+    B = BuildingDescriptor([(Q2, 2), (Q2, 2)])
+    b = ball(B, B.origin(), 2, detail="faces", budget=20000)
+    calls = []
+
+    def spy(comps):
+        calls.append(tuple(comps))
+        return _chain_order(comps)
+
+    monkeypatch.setattr(subdivision, "_chain_order", spy)
+    sub = subdivide_chambers(B, b.chambers, Marking([2, 2]))
+    distinct = [{ch.factors[i] for ch in b.chambers} for i in range(2)]
+    assert len(sub.subchambers) == 7056
+    assert len(calls) == sum(map(len, distinct)) == 42
+    assert set(calls) == distinct[0] | distinct[1]
 
 
 def test_row_space_spans_the_input():
@@ -472,7 +502,9 @@ def _chart_image(fpoint, ext):
     carrier's `chamber_chart`, scaled by e, on the embedded chart basis."""
     carrier = [c for c, _ in fpoint]
     if len(carrier) == 1:
-        return nu_embed(carrier[0], ext)
+        return canonical_form(ext.extension,
+                              [[ext.embed(x) for x in row]
+                               for row in carrier[0].primitive_matrix()])
     n = carrier[0].n
     B, order, js = chamber_chart(carrier)
     pos = {carrier[k]: p for p, k in enumerate(order)}
@@ -484,6 +516,97 @@ def _chart_image(fpoint, ext):
     cols = [[ext.embed(B[i][j]) * s ** (-int(coords[j] * ext.e))
              for j in range(n)] for i in range(n)]
     return canonical_form(ext.extension, cols)
+
+
+def _induced_by_product_images(b, ext):
+    """Reference: the induced-structure check on the product, subchamber by
+    subchamber.  Every point of the `_subdivide_by_charts` subdivision gets
+    the product of its factors' chart images; a subchamber passes if its
+    images are distinct, form a face of the extension's building and have
+    that building's dimensions.  The report stops at the first failure."""
+    sub, keys = _subdivide_by_charts(b.descriptor, b.chambers,
+                                     Marking([ext.e] * b.descriptor.r))
+    big = BuildingDescriptor([(ext.extension, d) for d in b.descriptor.dims])
+    charted = {fp: _chart_image(fp, ext) for fp in {fp for key in keys
+                                                    for fp in key}}
+    image = [PolyVertex(tuple(charted[fp] for fp in key)) for key in keys]
+    failures = []
+    checked = 0
+    for ch in sub.subchambers:
+        checked += 1
+        img = [image[pid] for pid in ch]
+        if len(set(img)) != len(img):
+            failures.append({"subchamber": list(ch), "reason": "image not injective"})
+        elif not is_face(big, img):
+            failures.append({"subchamber": list(ch), "reason": "image is not a face"})
+        else:
+            dims = [len(set(v.components[i] for v in img)) - 1
+                    for i in range(big.r)]
+            if tuple(dims) != big.dims:
+                failures.append({"subchamber": list(ch),
+                                 "reason": f"image has dimension {dims}, not a chamber"})
+        if failures:
+            break
+    return {
+        "passed": not failures,
+        "subchambers_checked": checked,
+        "points": len(sub.points),
+        "failures": failures,
+    }
+
+
+@pytest.mark.parametrize("factors,seed,radius,e,f", [
+    ([(F2T, 1)], None, 1, 2, 1),
+    ([(F2T, 1)], 7, 2, 3, 1),
+    ([(F2T, 2)], 3, 1, 2, 1),
+    ([(F2T, 2)], 5, 1, 2, 2),
+    ([(F2T, 1), (F2T, 1)], None, 2, 2, 1),
+])
+def test_induced_structure_equals_the_product_reference(factors, seed, radius,
+                                                        e, f):
+    """The per-factor-alcove check gives the report of the product check."""
+    B = BuildingDescriptor(factors)
+    center = B.origin()
+    if seed is not None:
+        rng = random.Random(seed)
+        center = PolyVertex(tuple(random_vertex(m, d + 1, rng)
+                                  for m, d in factors))
+    b = ball(B, center, radius, detail="faces", budget=20000)
+    ext = ExtensionDescriptor(F2T, e=e, f=f)
+    want = _induced_by_product_images(b, ext)
+    assert want["passed"] and want["subchambers_checked"] > 0
+    assert verify_induced_structure(b, ext) == want
+
+
+def test_induced_structure_names_each_failing_factor_alcove(monkeypatch):
+    """Negative controls: images shared within an alcove, and distinct
+    images that are not a chain, fail every factor alcove by name."""
+    B = BuildingDescriptor([(F2T, 1), (F2T, 1)])
+    b = ball(B, B.origin(), 2, detail="faces")
+    sub = subdivide_ball(b, Marking([2, 2]))
+    alcoves = [(i, list(a)) for i in range(2) for a in sub.factor_alcoves[i]]
+    K = EXT_RAM.extension
+    far = {}
+    for image, reason in [
+            (lambda fp, ext: standard_vertex(K, 2), "image not injective"),
+            (lambda fp, ext: far.setdefault(
+                fp, vertex_from_diagonal(K, (0, 3 * len(far)))),
+             "image is not a face")]:
+        monkeypatch.setattr(subdivision, "_image_vertex_of_factor_point", image)
+        rep = verify_induced_structure(b, EXT_RAM)
+        assert rep["passed"] is False
+        assert rep["failures"] == [{"factor": i, "alcove": a, "reason": reason}
+                                   for i, a in alcoves]
+
+
+def test_nu_image_rejects_a_class_off_the_base():
+    """The digit nu-image reads classes over the extension's base only."""
+    B = BuildingDescriptor([(F3T, 1)])
+    b = ball(B, B.origin(), 1, detail="faces")
+    with pytest.raises(ValueError, match="not over the extension's base"):
+        verify_induced_structure(b, EXT_RAM)
+    with pytest.raises(ValueError, match="not over the extension's base"):
+        nu_embed(standard_vertex(F3T, 2), EXT_RAM)
 
 
 @pytest.mark.parametrize("model,d,radius,e,f", [
@@ -504,7 +627,7 @@ def test_nu_image_equals_the_chamber_chart_reference(model, d, radius, e, f):
     center = PolyVertex((random_vertex(model, d + 1, random.Random(d + e)),))
     b = ball(B, center, radius, detail="faces", budget=20000)
     sub = subdivide_ball(b, Marking([e]))
-    fpoints = {key[0] for key in sub.points}
+    fpoints = set(sub.factor_points[0])
     assert max(len(fp) for fp in fpoints) == min(d + 1, e)
     for fpoint in fpoints:
         want = _chart_image(fpoint, ext)
