@@ -288,8 +288,10 @@ def cmd_verify(args):
     config = Config(budget=args.budget, seed=args.seed)
     kwargs = {}
     if args.suite == "gaussian-binomials" and args.q:
-        kwargs = {"qs": tuple(_flag_ints("--q", args.q)),
-                  "dmax": _flag_ints("--d", args.d)[0]}
+        dmax = _flag_ints("--d", args.d, "an integer")
+        if len(dmax) != 1:
+            raise ValueError(f"--d must be an integer, got {args.d!r}")
+        kwargs = {"qs": tuple(_flag_ints("--q", args.q)), "dmax": dmax[0]}
     report = run_suite(args.suite, config, **kwargs)
     emit(args, report)
     return 0 if report["passed"] else 1

@@ -13,8 +13,9 @@ There is one reduction, `_triangularize_digits`, over pi-digit vectors in
 O/pi^M, and one way into it from a matrix: `action(model, g)` takes
 v(det g) once, the only field-level elimination on the class path, and
 computes every image [g L] as a digit product.  `canonical_form` of an
-outside basis is the image of the standard class.  `dual` reads
-pi^D T^{-1} off forward solves; neighbor enumeration, the nu-image
+outside basis is the image of the standard class, and the neighbors of
+[L] are the images [T U] of the standard neighbors U under its primitive
+matrix T.  `dual` reads pi^D T^{-1} off forward solves; the nu-image
 (`subdivision`) and the norm lattices of a rigid point (`drinfeld`) build
 their generators in digits directly.  Each caller fixes its precision
 from a bound on the determinant valuation D of the primitive lattice, so
@@ -25,6 +26,7 @@ oracle over O/pi^k.
 """
 
 from functools import lru_cache
+from itertools import combinations
 
 from .field import INF, FieldElement, PAdicModel
 from .gf import from_base, series_div, to_base
@@ -399,22 +401,36 @@ def action(model, g):
         scale = model.uniformizer() ** (-minval)
         rows = [[x * scale for x in row] for row in rows]
     D_g = dv - n * minval
+    by_precision = {}
 
     def apply(v):
-        ops = digit_ops(model, 2 * (D_g + v.det_valuation()) + 2)
-        zero = ops.zero()
-        gcols = [[ops.from_field(x) for x in col] for col in zip(*rows)]
-        cols = []
-        for tcol in v.digit_columns(ops):
-            col = [zero] * n
-            for t, gcol in zip(tcol, gcols):
-                if t != zero:
-                    col = [ops.add(a, ops.mul(t, x)) for a, x in zip(col, gcol)]
-            cols.append(col)
-        exps, lower, _ = _triangularize_digits(ops, cols, n)
-        return VertexClass(model, exps, lower)
+        M = 2 * (D_g + v.det_valuation()) + 2
+        if M not in by_precision:
+            ops = digit_ops(model, M)
+            by_precision[M] = ops, [[ops.from_field(x) for x in col]
+                                    for col in zip(*rows)]
+        return _product_class(*by_precision[M], v)
 
     return apply
+
+
+def _product_class(ops, gcols, v):
+    """The class of the digit product G T, G given by its digit columns and
+    T the primitive matrix of v; the precision of `ops` must meet the 2D+1
+    guard for D = v(det G) + v(det T)."""
+    n = v.n
+    zero = ops.zero()
+    cols = []
+    for tcol in v.digit_columns(ops):
+        col = [zero] * n
+        for t, gcol in zip(tcol, gcols):
+            if t != zero:
+                for i, x in enumerate(gcol):
+                    if x != zero:
+                        col[i] = ops.add(col[i], ops.mul(t, x))
+        cols.append(col)
+    exps, lower, _ = _triangularize_digits(ops, cols, n)
+    return VertexClass(v.model, exps, lower)
 
 
 def canonical_form(model, basis):
@@ -477,27 +493,24 @@ def gaussian_binomial(n, w, q):
 
 
 @lru_cache(maxsize=None)
-def subspace_rrefs(q, n, k):
-    """All dimension-k subspaces of F_q^n as reduced row-echelon bases,
-    deterministically ordered (pivot set lexicographic, then free entries in
-    counting order).  Rows are tuples of GF ints."""
-    from itertools import combinations
+def _standard_neighbors(model, n, w):
+    """The colength-w neighbors of the standard class, one per codim-w
+    subspace W of F_q^n, ordered by the pivot set of W's reduced row-echelon
+    basis (lexicographic), then by its free entries in counting order.  That
+    basis and pi e_j for j off the pivots span the neighbor in canonical
+    form: exponent 0 on a pivot, 1 elsewhere, a residue code per free entry."""
+    q = model.residue_size
     out = []
-    for pivots in combinations(range(n), k):
-        free_pos = []
-        for r, p in enumerate(pivots):
-            for j in range(p + 1, n):
-                if j not in pivots:
-                    free_pos.append((r, j))
-        nfree = len(free_pos)
-        for code in range(q ** nfree):
-            rows = [[0] * n for _ in range(k)]
-            for r, p in enumerate(pivots):
-                rows[r][p] = 1
-            for (r, j), val in zip(free_pos, to_base(code, q, nfree)):
-                rows[r][j] = val
-            out.append(tuple(tuple(r) for r in rows))
-    if len(out) != gaussian_binomial(n, n - k, q):
+    for pivots in combinations(range(n), n - w):
+        exps = tuple(0 if c in pivots else 1 for c in range(n))
+        free_pos = [(p, j) for p in pivots for j in range(p + 1, n)
+                    if j not in pivots]
+        for code in range(q ** len(free_pos)):
+            lower = [[0] * (n - c - 1) for c in range(n)]
+            for (p, j), val in zip(free_pos, to_base(code, q, len(free_pos))):
+                lower[p][j - p - 1] = val
+            out.append(VertexClass(model, exps, tuple(map(tuple, lower))))
+    if len(out) != gaussian_binomial(n, w, q):
         raise ArithmeticError(
             "subspace count differs from the Gaussian binomial")
     return tuple(out)
@@ -505,34 +518,16 @@ def subspace_rrefs(q, n, k):
 
 def neighbors_by_colength(v, w):
     """All classes [L'] with L > L' > pi L of colength w, in deterministic
-    (subspace-enumeration) order.  Count is the Gaussian binomial C(d+1,w)_q."""
+    (subspace-enumeration) order.  Count is the Gaussian binomial C(d+1,w)_q.
+    The primitive matrix T of v maps the standard neighbors [U] onto these,
+    as the classes [T U] with v(det T U) = D(v) + w."""
     n = v.n
     if not 1 <= w <= n - 1:
         raise ValueError(f"colength must be in 1..{n - 1}, got {w}")
-    model = v.model
-    q = model.residue_size
-    k = n - w
-    D_new = v.det_valuation() + w
-    ops = digit_ops(model, 2 * D_new + 2)
+    ops = digit_ops(v.model, 2 * (v.det_valuation() + w) + 2)
     tcols = v.digit_columns(ops)
-    out = []
-    for rref in subspace_rrefs(q, n, k):
-        gens = []
-        for row in rref:
-            col = [ops.zero()] * n
-            for c, coeff in enumerate(row):
-                if coeff:
-                    src = tcols[c]
-                    lifted = ops.residue_coeff(coeff)
-                    for i in range(n):
-                        if ops.val(src[i]) < ops.M:
-                            col[i] = ops.add(col[i], ops.mul(lifted, src[i]))
-            gens.append(col)
-        for c in range(n):
-            gens.append([ops.shift_up(x, 1) for x in tcols[c]])
-        exps, lower, _ = _triangularize_digits(ops, gens, n)
-        out.append(VertexClass(model, exps, lower))
-    return out
+    return [_product_class(ops, tcols, u)
+            for u in _standard_neighbors(v.model, n, w)]
 
 
 def all_neighbors(v):

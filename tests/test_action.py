@@ -17,8 +17,8 @@ from btbuildings.building import BuildingDescriptor, PolyVertex, act
 from btbuildings.field import ExtensionDescriptor, LaurentModel, PAdicModel
 from btbuildings.lattice import (
     action, canonical_form, class_pair_min_valuation, dual,
-    pair_index_normalized, skeleton_distance, standard_vertex,
-    vertex_from_diagonal,
+    neighbors_by_colength, pair_index_normalized, skeleton_distance,
+    standard_vertex, vertex_from_diagonal,
 )
 from btbuildings.linalg import det, inverse, matmul, transpose
 from btbuildings.subdivision import nu_embed
@@ -211,6 +211,24 @@ def test_action_shifts_the_label_by_the_determinant(model):
         v = data.draw(_classes(model, n))
         assert action(model, g)(v).label() == \
             (v.label() + det(model, g).valuation()) % n
+    check()
+
+
+@pytest.mark.parametrize("model", PROPERTY_FIELDS, ids=repr)
+def test_the_action_carries_neighbors_to_neighbors(model):
+    # homogeneity: g maps the neighbors of [L] onto those of [g L], whose
+    # labels are the label of [g L] shifted by the colength
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 3))
+        g = action(model, data.draw(_matrices(model, n)))
+        v = data.draw(_classes(model, n))
+        gv = g(v)
+        for w in range(1, n):
+            near = neighbors_by_colength(gv, w)
+            assert set(near) == {g(u) for u in neighbors_by_colength(v, w)}
+            assert {u.label() for u in near} == {(gv.label() + w) % n}
     check()
 
 

@@ -257,6 +257,8 @@ def test_negative_radius_and_depth_below_one_are_input_errors(argv, capsys):
      "--field padic:p must be an integer, got 'x'"),
     (["--d", "x", "eta", "--n", "2"], "--d must be an integer, got 'x'"),
     (["--d", "1,2", "eta", "--n", "2"], "--d must be an integer, got '1,2'"),
+    (["--d", "1,3", "verify", "gaussian-binomials", "--q", "2"],
+     "--d must be an integer, got '1,3'"),
 ])
 def test_an_integer_flag_names_itself(argv, reason, capsys):
     code = main(argv)

@@ -3,19 +3,24 @@ from fractions import Fraction
 
 import pytest
 
+from btbuildings import lattice
 from btbuildings.field import INF, LaurentModel, PAdicModel
+from btbuildings.gf import GF
 from btbuildings.lattice import (
-    _triangularize_digits, all_neighbors, canonical_form, digit_ops, dual,
-    gaussian_binomial, neighbors_by_colength, pair_index_normalized,
-    skeleton_distance, standard_vertex, subspace_rrefs,
+    VertexClass, _standard_neighbors, _triangularize_digits, all_neighbors,
+    canonical_form, digit_ops, dual, gaussian_binomial, neighbors_by_colength,
+    pair_index_normalized, skeleton_distance, standard_vertex,
 )
 from btbuildings.linalg import matmul
 from btbuildings.verify import random_unimodular, random_vertex
 
 Q2 = PAdicModel.get(2)
 Q3 = PAdicModel.get(3)
+Q5 = PAdicModel.get(5)
 F2T = LaurentModel.get(2)
 F3T = LaurentModel.get(3)
+F4T = LaurentModel.get(4)
+F9T = LaurentModel.get(9)
 
 
 def lattice_span_mod(model, cols, depth):
@@ -151,58 +156,59 @@ def test_label_examples():
         assert dual(w).label() == (-w.label()) % 3
 
 
-def _subspace_count_oracle(q, n, w):
-    """Independent oracle: count codim-w subspaces by enumerating all
-    k-tuples of vectors and collecting their spans (k = n - w)."""
+def _span(gf, rows, n):
+    """The F_q-span of rows, by closing {0} under adding scaled rows."""
+    q = gf.q
+    s = {(0,) * n}
+    for r in rows:
+        add = []
+        for c in range(1, q):
+            rc = tuple(gf.mul(c, x) for x in r)
+            add.append(rc)
+        for base in list(s):
+            for a in add:
+                t = tuple(gf.add(x, y) for x, y in zip(base, a))
+                if t not in s:
+                    s.add(t)
+        # close under addition
+        changed = True
+        while changed:
+            changed = False
+            items = list(s)
+            for u in items:
+                for v2 in items:
+                    t = tuple(gf.add(x, y) for x, y in zip(u, v2))
+                    if t not in s:
+                        s.add(t)
+                        changed = True
+    return frozenset(s)
+
+
+def _subspaces_oracle(q, n, w):
+    """Independent oracle: the codim-w subspaces of F_q^n, by enumerating
+    all k-tuples of vectors and collecting their spans (k = n - w)."""
     from itertools import product
-    from btbuildings.gf import GF
     gf = GF.get(q)
     k = n - w
     vecs = [tuple(v) for v in product(range(q), repeat=n)]
-
-    def span(rows):
-        s = {(0,) * n}
-        for r in rows:
-            add = []
-            for c in range(1, q):
-                rc = tuple(gf.mul(c, x) for x in r)
-                add.append(rc)
-            for base in list(s):
-                for a in add:
-                    t = tuple(gf.add(x, y) for x, y in zip(base, a))
-                    if t not in s:
-                        s.add(t)
-            # close under addition
-            changed = True
-            while changed:
-                changed = False
-                items = list(s)
-                for u in items:
-                    for v2 in items:
-                        t = tuple(gf.add(x, y) for x, y in zip(u, v2))
-                        if t not in s:
-                            s.add(t)
-                            changed = True
-        return frozenset(s)
-
     spans = set()
     for rows in product(vecs, repeat=k):
-        sp = span(rows)
+        sp = _span(gf, rows, n)
         if len(sp) == q ** k:
             spans.add(sp)
-    return len(spans)
+    return spans
 
 
 def test_neighbor_counts_match_enumeration_oracle():
     # d=1, q=2, w=1: tree degree q+1 = 3
     assert len(neighbors_by_colength(standard_vertex(Q2, 2), 1)) == 3
-    assert _subspace_count_oracle(2, 2, 1) == 3
+    assert len(_subspaces_oracle(2, 2, 1)) == 3
     # d=2, q=2, w=1: 7 codim-1 subspaces of F_2^3
     assert len(neighbors_by_colength(standard_vertex(Q2, 3), 1)) == 7
-    assert _subspace_count_oracle(2, 3, 1) == 7
+    assert len(_subspaces_oracle(2, 3, 1)) == 7
     # d=2, q=2, w=2: symmetry
     assert len(neighbors_by_colength(standard_vertex(Q2, 3), 2)) == 7
-    assert _subspace_count_oracle(2, 3, 2) == 7
+    assert len(_subspaces_oracle(2, 3, 2)) == 7
 
 
 @pytest.mark.parametrize("q,model", [(2, Q2), (3, Q3), (2, F2T), (3, F3T)])
@@ -219,6 +225,108 @@ def test_gaussian_binomial_counts(q, model):
         # unimodality on the first half
         counts = [gaussian_binomial(n, w, q) for w in range(1, n // 2 + 1)]
         assert all(counts[i] < counts[i + 1] for i in range(len(counts) - 1))
+
+
+def _rref_bases(q, n, k):
+    """All dimension-k subspaces of F_q^n as reduced row-echelon bases:
+    pivot set lexicographic, then free entries in counting order."""
+    from itertools import combinations
+    out = []
+    for pivots in combinations(range(n), k):
+        free_pos = [(r, j) for r, p in enumerate(pivots)
+                    for j in range(p + 1, n) if j not in pivots]
+        for code in range(q ** len(free_pos)):
+            rows = [[int(j == p) for j in range(n)] for p in pivots]
+            for (r, j), val in zip(free_pos, _digits(code, q, len(free_pos))):
+                rows[r][j] = val
+            out.append(rows)
+    return out
+
+
+def _neighbors_reference(v, w):
+    """The colength-w neighbors of v from a spanning set: the k = n - w
+    rows of each rref basis lifted through T, the primitive matrix of v,
+    and the n columns of pi T, reduced by `_triangularize_digits`."""
+    n, model = v.n, v.model
+    ops = digit_ops(model, 2 * (v.det_valuation() + w) + 2)
+    tcols = v.digit_columns(ops)
+    out = []
+    for rref in _rref_bases(model.residue_size, n, n - w):
+        gens = []
+        for row in rref:
+            col = [ops.zero()] * n
+            for coeff, src in zip(row, tcols):
+                if coeff:
+                    lifted = ops.residue_coeff(coeff)
+                    col = [ops.add(a, ops.mul(lifted, x)) for a, x in zip(col, src)]
+            gens.append(col)
+        gens += [[ops.shift_up(x, 1) for x in src] for src in tcols]
+        exps, lower, _ = _triangularize_digits(ops, gens, n)
+        out.append(VertexClass(model, exps, lower))
+    return out
+
+
+def _neighbor_total(q, n):
+    return sum(gaussian_binomial(n, w, q) for w in range(1, n))
+
+
+# every field and n = 2..5 with at most 1200 neighbors per class
+DIFFERENTIAL = [(model, n) for model in (Q2, Q3, Q5, F2T, F3T, F4T, F9T)
+                for n in (2, 3, 4, 5) if _neighbor_total(model.residue_size, n) <= 1200]
+
+
+@pytest.mark.parametrize("model,n", DIFFERENTIAL,
+                         ids=[f"{m!r}-n{n}" for m, n in DIFFERENTIAL])
+def test_neighbors_match_the_spanning_set_reference(model, n):
+    rng = random.Random(f"neighbors:{model!r}:{n}")
+    for _ in range(2):
+        v = random_vertex(model, n, rng)
+        for w in range(1, n):
+            assert neighbors_by_colength(v, w) == _neighbors_reference(v, w)
+
+
+def _residue_rows(u):
+    """The exponent-0 columns of a standard neighbor mod pi, which span its
+    residue subspace: below the diagonal they hold one-digit codes where the
+    exponent is 1 and 0 where it is 0."""
+    assert set(u.exps) <= {0, 1}
+    return [[u.lower[c][i - c - 1] if i > c else int(i == c) for i in range(u.n)]
+            for c in range(u.n) if u.exps[c] == 0]
+
+
+@pytest.mark.parametrize("model,n", [(Q2, 2), (Q2, 4), (Q3, 3), (Q5, 2),
+                                     (F2T, 3), (F3T, 3), (F4T, 2), (F9T, 2)])
+def test_standard_neighbors_are_canonical_and_all_subspaces(model, n):
+    q = model.residue_size
+    pi = model.uniformizer()
+    for w in range(1, n):
+        standard = _standard_neighbors(model, n, w)
+        for rref, u in zip(_rref_bases(q, n, n - w), standard, strict=True):
+            pivots = [row.index(1) for row in rref]
+            cols = [[model.from_digits([x]) for x in row] for row in rref]
+            cols += [[pi if i == j else model.zero() for i in range(n)]
+                     for j in range(n) if j not in pivots]
+            assert canonical_form(model, [list(r) for r in zip(*cols)]) == u
+        residues = {_span(GF.get(q), _residue_rows(u), n) for u in standard}
+        assert len(residues) == len(standard)
+        assert residues == _subspaces_oracle(q, n, w)
+
+
+def test_each_neighbor_is_reduced_from_n_columns(monkeypatch):
+    real = lattice._triangularize_digits
+    widths = []
+
+    def spy(ops, cols, n):
+        widths.append((len(cols), n))
+        return real(ops, cols, n)
+
+    monkeypatch.setattr(lattice, "_triangularize_digits", spy)
+    rng = random.Random(77)
+    for model, n in [(Q2, 3), (F3T, 4), (F4T, 3)]:
+        v = random_vertex(model, n, rng)
+        for w in range(1, n):
+            neighbors_by_colength(v, w)
+    assert widths and all(k == n for k, n in widths)
 
 
 def test_neighbor_labels_shift_by_colength():
