@@ -7,13 +7,15 @@ structure, labelling and projections are computed inside such windows.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from .errors import BudgetError
+from .gf import row_space, rref
 from .lattice import (
-    action, all_neighbors, class_pair_min_valuation, dual,
-    pair_index_normalized, solve_in_basis_valuations, standard_vertex,
-    vertex_from_diagonal,
+    action, class_pair_min_valuation, class_pair_residue, dual,
+    neighbors_by_colength, pair_index_normalized, solve_in_basis_valuations,
+    standard_neighbor_subspaces, standard_vertex, vertex_from_diagonal,
 )
 from .linalg import identity, inverse, matmul
 
@@ -247,8 +249,78 @@ def is_face(descriptor, vertices):
 # balls
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _containing(model, n, span):
+    """Per colength w = 1..n-1, the flags [span <= W] over the standard
+    neighbors' residue subspaces W; span is a reduced row-echelon basis."""
+    gf = model.residue_gf()
+    return tuple(tuple(len(row_space(gf, W + span)) == len(W)
+                       for W in standard_neighbor_subspaces(model, n, w))
+                 for w in range(1, n))
+
+
+@lru_cache(maxsize=None)
+def _annihilated(model, n, rows):
+    """Per colength w = 1..n-1, the flags [K W = 0] over the standard
+    neighbors' residue subspaces W, for any K whose row space has the
+    reduced row-echelon basis rows."""
+    gf = model.residue_gf()
+
+    def dot(a, b):
+        acc = 0
+        for x, y in zip(a, b):
+            if x and y:
+                acc = gf.add(acc, gf.mul(x, y))
+        return acc
+
+    return tuple(tuple(all(dot(k, b) == 0 for k in rows for b in W)
+                       for W in standard_neighbor_subspaces(model, n, w))
+                 for w in range(1, n))
+
+
+def neighbor_steps(o, u):
+    """Per colength w = 1..n-1, the step dist(o, [T_u U_W]) - dist(o, u) in
+    {-1, 0, 1} of each neighbor of u, in `neighbors_by_colength` order (U_W
+    the standard neighbor of residue subspace W, T_u the primitive matrix of
+    u), read off residue linear algebra before any neighbor is computed.
+
+    With R = dist(o, u), U_bot the column space of (pi^s(o,u) T_u^-1 T_o
+    mod pi) and H_top the kernel of (pi^s(u,o) T_o^-1 T_u mod pi), both in
+    T_u coordinates (`class_pair_residue`), the neighbor of W lies at
+    distance R + [U_bot not <= W] - [W <= H_top].  Proof: scale L_o so that
+    L_o <= L_u and L_o not <= pi L_u; then U_bot is the image of L_o in
+    L_u / pi L_u, and the elementary divisors of L_o against L_u span
+    [0, R], so pi^R L_u <= L_o and pi^(R-1) L_u not <= L_o.  The coordinates
+    of pi^R L_u in L_o are pi^s(u,o) T_o^-1 T_u, so for x in L_u,
+    pi^(R-1) x lies in L_o iff x mod pi lies in H_top.  Let
+    pi L_u <= L' <= L_u with L' / pi L_u = W.  Then L_o <= L' iff U_bot <= W,
+    and pi L_o <= pi L_u <= L' always.  Since pi^R L_u <= L_o,
+    pi^(R-1) L' <= L_o iff W <= H_top, and pi^(R-2) L' contains
+    pi^(R-1) L_u, so it is not inside L_o.  So the elementary divisors of L_o
+    against L' span [-[U_bot not <= W], R - [W <= H_top]], and the distance
+    is their spread.  At R = 0, U_bot is the whole residue space and H_top
+    is 0, and every step is 1."""
+    model, n = u.model, u.n
+    gf = model.residue_gf()
+    bot = class_pair_residue(u, o)[1]
+    top = class_pair_residue(o, u)[1]
+    outside = _containing(model, n, rref(gf, zip(*bot)))
+    inside = _annihilated(model, n, rref(gf, top))
+    return [[(not a) - b for a, b in zip(contains, kills)]
+            for contains, kills in zip(outside, inside)]
+
+
 class FactorBall:
-    """Undirected 1-skeleton window of one factor building."""
+    """Undirected 1-skeleton window of one factor building.
+
+    A breadth-first search from the center.  The neighbors of a vertex at
+    distance k lie at distance k-1, k or k+1, and `neighbor_steps` says
+    which before any is computed.  Expanding a vertex at distance k < radius
+    computes the neighbors at k+1, which are the new vertices, and, when
+    edges are wanted, those at k; the edge closure at the radius computes
+    only the neighbors at the radius.  The neighbors at k-1 are never
+    computed: their edges are known from the level before.  At detail
+    "vertices", `adj` holds only the edges between consecutive levels."""
 
     def __init__(self, model, d, center, radius, detail, budget):
         self.model = model
@@ -264,29 +336,33 @@ class FactorBall:
         self.dist = [0]
         adj = {0: set()}
         frontier = [0]
-        for depth in range(1, radius + 1):
+        for k in range(radius + 1):
+            wanted = {1} if k < radius else set()
+            if detail != "vertices":
+                wanted.add(0)
+            if not wanted:
+                break
             new = []
             for uid in frontier:
-                for nb in all_neighbors(self.vertices[uid]):
-                    vid = self.vid.get(nb)
-                    if vid is None:
-                        vid = len(self.vertices)
-                        self.vertices.append(nb)
-                        self.vid[nb] = vid
-                        self.dist.append(depth)
-                        adj[vid] = set()
-                        new.append(vid)
-                    adj[uid].add(vid)
-                    adj[vid].add(uid)
-            frontier = new
-        if detail != "vertices":
-            # close the edge set inside the window: expand the last level too
-            for uid in frontier:
-                for nb in all_neighbors(self.vertices[uid]):
-                    vid = self.vid.get(nb)
-                    if vid is not None:
+                u = self.vertices[uid]
+                for w, steps in enumerate(neighbor_steps(center, u), 1):
+                    picked = [j for j, s in enumerate(steps) if s in wanted]
+                    for j, nb in zip(picked, neighbors_by_colength(u, w, picked)):
+                        vid = self.vid.get(nb)
+                        if vid is None and steps[j] == 1:
+                            vid = len(self.vertices)
+                            self.vertices.append(nb)
+                            self.vid[nb] = vid
+                            self.dist.append(k + 1)
+                            adj[vid] = set()
+                            new.append(vid)
+                        elif vid is None or self.dist[vid] != k + steps[j]:
+                            raise ArithmeticError(
+                                "residue classification disagrees with the "
+                                "breadth-first distance")
                         adj[uid].add(vid)
                         adj[vid].add(uid)
+            frontier = new
         self.adj = {u: sorted(vs) for u, vs in adj.items()}
         self.faces = None
         if detail == "faces":

@@ -15,7 +15,12 @@ v(det g) once, the only field-level elimination on the class path, and
 computes every image [g L] as a digit product.  `canonical_form` of an
 outside basis is the image of the standard class, and the neighbors of
 [L] are the images [T U] of the standard neighbors U under its primitive
-matrix T.  `dual` reads pi^D T^{-1} off forward solves; the nu-image
+matrix T, with the digit columns of the standard neighbors cached per
+precision.  `dual` reads pi^D T^{-1} off forward solves, and so does
+`class_pair_residue`: the minimal containment shift of a pair of classes
+and the residue matrix at that shift, from which a window
+(`building.FactorBall`) tells the distance of each neighbor before it
+computes any, and then computes only those it needs.  The nu-image
 (`subdivision`) and the norm lattices of a rigid point (`drinfeld`) build
 their generators in digits directly.  Each caller fixes its precision
 from a bound on the determinant valuation D of the primitive lattice, so
@@ -409,19 +414,20 @@ def action(model, g):
             ops = digit_ops(model, M)
             by_precision[M] = ops, [[ops.from_field(x) for x in col]
                                     for col in zip(*rows)]
-        return _product_class(*by_precision[M], v)
+        ops, gcols = by_precision[M]
+        return _product_class(ops, gcols, v.digit_columns(ops))
 
     return apply
 
 
-def _product_class(ops, gcols, v):
-    """The class of the digit product G T, G given by its digit columns and
-    T the primitive matrix of v; the precision of `ops` must meet the 2D+1
-    guard for D = v(det G) + v(det T)."""
-    n = v.n
+def _product_class(ops, gcols, tcols):
+    """The class of the digit product G T, G and T given by their digit
+    columns; the precision of `ops` must meet the 2D+1 guard for
+    D = v(det G) + v(det T)."""
+    n = len(tcols)
     zero = ops.zero()
     cols = []
-    for tcol in v.digit_columns(ops):
+    for tcol in tcols:
         col = [zero] * n
         for t, gcol in zip(tcol, gcols):
             if t != zero:
@@ -430,7 +436,7 @@ def _product_class(ops, gcols, v):
                         col[i] = ops.add(col[i], ops.mul(t, x))
         cols.append(col)
     exps, lower, _ = _triangularize_digits(ops, cols, n)
-    return VertexClass(v.model, exps, lower)
+    return VertexClass(ops.model, exps, lower)
 
 
 def canonical_form(model, basis):
@@ -516,18 +522,44 @@ def _standard_neighbors(model, n, w):
     return tuple(out)
 
 
-def neighbors_by_colength(v, w):
+@lru_cache(maxsize=None)
+def _standard_neighbor_columns(model, n, w, M):
+    """The digit columns at precision M of the colength-w standard
+    neighbors, in `_standard_neighbors` order."""
+    ops = digit_ops(model, M)
+    return tuple(u.digit_columns(ops) for u in _standard_neighbors(model, n, w))
+
+
+@lru_cache(maxsize=None)
+def standard_neighbor_subspaces(model, n, w):
+    """The residue subspace W = U / pi O^n of each colength-w standard
+    neighbor U, in `_standard_neighbors` order, as its reduced row-echelon
+    rows of residue-field ints: the exponent-0 columns of U's canonical form
+    modulo pi (the residue codes at exponent 1 are residue-field elements,
+    those at exponent 0 are 0)."""
+    return tuple(
+        tuple(tuple(1 if i == p else u.lower[p][i - p - 1] if i > p else 0
+                    for i in range(n))
+              for p in range(n) if u.exps[p] == 0)
+        for u in _standard_neighbors(model, n, w))
+
+
+def neighbors_by_colength(v, w, indices=None):
     """All classes [L'] with L > L' > pi L of colength w, in deterministic
     (subspace-enumeration) order.  Count is the Gaussian binomial C(d+1,w)_q.
     The primitive matrix T of v maps the standard neighbors [U] onto these,
-    as the classes [T U] with v(det T U) = D(v) + w."""
+    as the classes [T U] with v(det T U) = D(v) + w.  `indices`, increasing
+    positions in that order, selects the neighbors [T U] that are computed."""
     n = v.n
     if not 1 <= w <= n - 1:
         raise ValueError(f"colength must be in 1..{n - 1}, got {w}")
-    ops = digit_ops(v.model, 2 * (v.det_valuation() + w) + 2)
+    M = 2 * (v.det_valuation() + w) + 2
+    ops = digit_ops(v.model, M)
     tcols = v.digit_columns(ops)
-    return [_product_class(ops, tcols, u)
-            for u in _standard_neighbors(v.model, n, w)]
+    ucols = _standard_neighbor_columns(v.model, n, w, M)
+    if indices is None:
+        indices = range(len(ucols))
+    return [_product_class(ops, tcols, ucols[j]) for j in indices]
 
 
 def all_neighbors(v):
@@ -542,24 +574,18 @@ def all_neighbors(v):
 # fast class-pair arithmetic used by the building layer
 # ---------------------------------------------------------------------------
 
-def solve_in_basis_valuations(v, targets=None, ops=None):
+def solve_in_basis_valuations(v):
     """Valuation matrix of T^{-1} (T the primitive column matrix of v):
-    entry [i][j] = v((T^{-1})_{ij}), or the valuations of T^{-1}*target
-    columns when targets (digit columns of `ops`, which must then be given)
-    are given.  Values are exact."""
-    model = v.model
+    entry [i][j] = v((T^{-1})_{ij}).  Values are exact."""
     n = v.n
     D = v.det_valuation()
-    if ops is None:
-        ops = digit_ops(model, 2 * D + 2)
+    ops = digit_ops(v.model, 2 * D + 2)
     tcols = v.digit_columns(ops)
-    if targets is None:
-        targets = _unit_columns(ops, n)
     vals = []
-    for col in targets:
+    for col in _unit_columns(ops, n):
         y = _forward_solve_scaled(ops, tcols, col, D)
         vals.append([ops.val(yi) - D if ops.val(yi) < ops.M else INF for yi in y])
-    return [[vals[j][i] for j in range(len(targets))] for i in range(n)]
+    return [[vals[j][i] for j in range(n)] for i in range(n)]
 
 
 def _unit_columns(ops, n):
@@ -587,15 +613,32 @@ def _forward_solve_scaled(ops, tcols, b, D):
     return y
 
 
+def class_pair_residue(x, y):
+    """(m, A) for the primitive representatives: m = min over entries of
+    v(T_x^{-1} T_y), which is -c for pi^c L_y <= L_x the minimal containment
+    shift, and A = pi^(-m) T_x^{-1} T_y mod pi as a tuple of rows of
+    residue-field ints.  The columns of A span the image of pi^c L_y in
+    L_x / pi L_x, in the coordinates of the columns of T_x.
+
+    Both come from the forward solves T_x y = pi^Dx T_y e_j, Dx = v(det T_x):
+    the solves are exact modulo pi^(M - Dx), and m <= 0 (L_x <= O^n while
+    L_y has a unit coordinate) puts the digit Dx + m that A reads below
+    M - Dx for M = 2(Dx + Dy) + 4."""
+    n = x.n
+    Dx, Dy = x.det_valuation(), y.det_valuation()
+    ops = digit_ops(x.model, 2 * (Dx + Dy) + 4)
+    tx = x.digit_columns(ops)
+    ys = [_forward_solve_scaled(ops, tx, col, Dx) for col in y.digit_columns(ops)]
+    low = min(ops.val(a) for col in ys for a in col)
+    rows = tuple(tuple(ops.code(ops.shift_down(col[i], low), 1) for col in ys)
+                 for i in range(n))
+    return low - Dx, rows
+
+
 def class_pair_min_valuation(x, y):
     """min over entries of v(T_x^{-1} T_y), for the primitive representatives.
     This is -c where pi^c L_y <= L_x is the minimal containment shift."""
-    model = x.model
-    Dx, Dy = x.det_valuation(), y.det_valuation()
-    ops = digit_ops(model, 2 * (Dx + Dy) + 4)
-    ty = y.digit_columns(ops)
-    vals = solve_in_basis_valuations(x, targets=ty, ops=ops)
-    return min(v for row in vals for v in row)
+    return class_pair_residue(x, y)[0]
 
 
 def pair_index_normalized(x, y):

@@ -9,6 +9,7 @@ from itertools import permutations, product
 
 from .building import ApartmentPoint, _chain_order
 from .errors import BudgetError
+from .gf import row_space
 from .lattice import (VertexClass, _triangularize_digits, action, digit_ops,
                       vertex_from_diagonal)
 from .linalg import solve, transpose
@@ -165,17 +166,17 @@ def chamber_chart(comps):
         if any(x.valuation() < 0 for x in sol):
             raise ValueError("face chain solve gave a non-integral coordinate")
         vecs.append([model.to_digits(x, 1)[0] for x in sol])
-    flags = [_row_space(gf, vecs[k:k + n]) for k in range(0, len(vecs), n)]
+    flags = [row_space(gf, vecs[k:k + n]) for k in range(0, len(vecs), n)]
     l0 = L0.label()
     js = [(cls.label() - l0) % n for cls in chain]
     # adapted residue basis: the last n - js[k] vectors span W_k; a
     # candidate is picked when it raises the rank of the picked vectors
     picked = []
-    spans = flags[::-1] + [_row_space(gf, [[1 if i == j else 0 for i in range(n)]
-                                           for j in range(n)])]
+    spans = flags[::-1] + [row_space(gf, [[1 if i == j else 0 for i in range(n)]
+                                          for j in range(n)])]
     for space in spans:
         for cand in space:
-            if len(_row_space(gf, picked + [cand])) > len(picked):
+            if len(row_space(gf, picked + [cand])) > len(picked):
                 picked.append(cand)
     if len(picked) != n:
         raise ArithmeticError("flag vectors do not span the residue space")
@@ -195,24 +196,6 @@ def chamber_chart(comps):
         if chart(vertex_from_diagonal(model, exps)) != cls:
             raise ArithmeticError("chart verification failed")
     return B, order, js
-
-
-def _row_space(gf, vecs):
-    """Reduced basis (list of tuples) of the span of vecs over gf."""
-    basis = []
-    for v in vecs:
-        v = list(v)
-        for b in basis:
-            lead = next(i for i, x in enumerate(b) if x)
-            if v[lead]:
-                c = gf.mul(v[lead], gf.inv(b[lead]))
-                v = [gf.sub(x, gf.mul(c, y)) for x, y in zip(v, b)]
-        if any(v):
-            lead = next(i for i, x in enumerate(v) if x)
-            inv = gf.inv(v[lead])
-            basis.append(tuple(gf.mul(inv, x) for x in v))
-            basis.sort(key=lambda b: next(i for i, x in enumerate(b) if x))
-    return basis
 
 
 class SubdividedComplex:

@@ -76,3 +76,37 @@ def test_a_file_without_a_run_header_is_an_input_error(tmp_path, capsys):
     assert tool.main(["--parent", str(bad), "--change", str(bad),
                       "--out", str(tmp_path / "o.json")]) == 2
     assert "no '# <workload>" in capsys.readouterr().err
+
+
+def test_tier1_wall_time_and_criteria_against_their_budgets(tmp_path):
+    tool = _load()
+    parent = tmp_path / "tier1-parent.txt"
+    parent.write_text(
+        "...[criterion 1] PASS (0.4s < 10s): gaussian-binomials\n"
+        ".[criterion 3] PASS (26.6s < 30s): projection-agreement\n"
+        "..[criterion 9] PASS (70.3s): byte-identical artifacts\n"
+        "329 passed in 179.12s (0:02:59)\n")
+    change = tmp_path / "tier1-change.txt"
+    change.write_text(
+        "F.[criterion 3] PASS (12.5s < 30s): projection-agreement\n"
+        "=========== short test summary info ===========\n"
+        "FAILED tests/test_x.py::test_y - in 2.0s\n"
+        "===== 1 failed, 337 passed, 1 error in 150.5s (0:02:30) =====\n")
+    runs = [_untraced(tmp_path, "apartment", 1, 3.0, 20.0)]
+    out = tmp_path / "BENCH_0.json"
+    assert tool.main(["--parent"] + runs + ["--change"] + runs
+                     + ["--out", str(out), "--tier1-parent", str(parent),
+                        "--tier1-change", str(change)]) == 0
+    tier1 = json.loads(out.read_text())["tier1"]
+    assert tier1["parent"] == {
+        "passed": 329, "failed": 0, "wall_s": 179.12,
+        "criteria": {"1": {"elapsed_s": 0.4, "budget_s": 10.0},
+                     "3": {"elapsed_s": 26.6, "budget_s": 30.0},
+                     "9": {"elapsed_s": 70.3, "budget_s": None}}}
+    assert tier1["change"] == {
+        "passed": 337, "failed": 2, "wall_s": 150.5,
+        "criteria": {"3": {"elapsed_s": 12.5, "budget_s": 30.0}}}
+    missing = tmp_path / "no-summary.txt"
+    missing.write_text("[criterion 1] PASS (0.4s < 10s): x\n")
+    assert tool.main(["--parent"] + runs + ["--change"] + runs
+                     + ["--out", str(out), "--tier1-change", str(missing)]) == 2

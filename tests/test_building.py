@@ -3,17 +3,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from btbuildings.building import (
-    ApartmentPoint, Ball, BuildingDescriptor, PolyFace, PolyVertex,
+    ApartmentPoint, Ball, BuildingDescriptor, FactorBall, PolyFace, PolyVertex,
     _chain_order, act, apartment_point_of_vertex, ball,
     basic_chamber, distance_f, in_standard_apartment, involution_lambda,
     is_directed_edge, is_face, labelling_C, labelling_D, matrix_power,
-    project_apartment, shift_generator, sigma_mu)
+    neighbor_steps, project_apartment, shift_generator, sigma_mu)
 from btbuildings.errors import BudgetError
-from btbuildings.field import LaurentModel, PAdicModel
+from btbuildings.field import ExtensionDescriptor, LaurentModel, PAdicModel
 from btbuildings.lattice import (
-    canonical_form, class_pair_min_valuation, pair_index_normalized,
+    all_neighbors, canonical_form, class_pair_min_valuation,
+    neighbors_by_colength, pair_index_normalized, skeleton_distance,
     standard_vertex, vertex_from_diagonal)
 from btbuildings.linalg import det, solve, transpose
 from btbuildings.verify import random_unimodular, random_vertex, window_exps
@@ -23,6 +25,8 @@ Q3 = PAdicModel.get(3)
 F2T = LaurentModel.get(2)
 F3T = LaurentModel.get(3)
 F4T = LaurentModel.get(4)
+
+F2S = ExtensionDescriptor(F2T, e=2, f=1).extension   # F_2((s)), s^2 = t
 
 B1 = BuildingDescriptor([(Q2, 1)])
 B2 = BuildingDescriptor([(Q2, 2)])
@@ -492,3 +496,86 @@ def test_exported_edges_follow_directed_distance(windows):
                                         b.vertices[a].components[i])
             u, v, f = (a, c, fac) if fac <= fca else (c, a, fca)
             assert (e["from"], e["to"], e["factor"], e["directed"]) == (u, v, i, f == 1)
+
+
+# ---------------------------------------------------------------------------
+# windows by residue classification against the full-closure search
+# ---------------------------------------------------------------------------
+
+def _window_by_full_closure(model, d, center, radius):
+    """Reference: the breadth-first window that computes every neighbor of
+    every window vertex, the last level included (the edge closure).
+    Returns (vertices, dist, adj, faces) with faces the cliques of adj."""
+    vertices, vid, dist, adj = [center], {center: 0}, [0], {0: set()}
+    frontier = [0]
+    for depth in range(1, radius + 2):
+        new = []
+        for uid in frontier:
+            for nb in all_neighbors(vertices[uid]):
+                v = vid.get(nb)
+                if v is None and depth <= radius:
+                    v = vid[nb] = len(vertices)
+                    vertices.append(nb)
+                    dist.append(depth)
+                    adj[v] = set()
+                    new.append(v)
+                if v is not None:
+                    adj[uid].add(v)
+                    adj[v].add(uid)
+        frontier = new
+    adj = {u: sorted(vs) for u, vs in adj.items()}
+    faces = []
+
+    def extend(clique, candidates):
+        for idx, c in enumerate(candidates):
+            faces.append(clique + (c,))
+            if len(clique) + 1 <= d:
+                extend(clique + (c,),
+                       [x for x in candidates[idx + 1:] if x in adj[c]])
+
+    for u in range(len(vertices)):
+        extend((u,), [v for v in adj[u] if v > u])
+    return vertices, dist, adj, faces
+
+
+@pytest.mark.parametrize("model, d, radius", [
+    (Q2, 3, 0), (Q2, 3, 1), (Q2, 3, 2), (Q3, 2, 1), (Q3, 2, 2),
+    (F4T, 2, 1), (F2T, 3, 1), (Q2, 2, 3), (F2S, 2, 2), (F2S, 2, 3)],
+    ids=repr)
+def test_classified_window_equals_the_full_closure(model, d, radius):
+    center = random_vertex(model, d + 1, random.Random(f"{model!r}:{d}:{radius}"))
+    vertices, dist, adj, faces = _window_by_full_closure(model, d, center, radius)
+    for detail in ("vertices", "edges", "faces"):
+        fb = FactorBall(model, d, center, radius, detail, budget=10**6)
+        assert fb.vertices == vertices and fb.dist == dist
+        if detail == "vertices":
+            # only the edges between consecutive levels are searched
+            assert fb.adj == {u: [v for v in vs if abs(dist[u] - dist[v]) == 1]
+                              for u, vs in adj.items()}
+        else:
+            assert fb.adj == adj
+        assert fb.faces == (faces if detail == "faces" else None)
+
+
+STEP_FIELDS = [Q2, Q3, F2T, F4T, F2S]
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(STEP_FIELDS), st.integers(1, 3), st.integers(0, 10**6),
+       st.integers(0, 3))
+def test_neighbor_steps_predict_the_skeleton_distance(model, d, seed, walk):
+    """For a random center o and a vertex u at the end of a seeded walk of
+    `walk` steps from o (u = o for none), the predicted distance of every
+    neighbor of u equals its skeleton distance from o."""
+    rng = random.Random(seed)
+    o = random_vertex(model, d + 1, rng)
+    u = o
+    for _ in range(walk):
+        u = rng.choice(neighbors_by_colength(u, rng.randrange(1, d + 1)))
+    here = skeleton_distance(o, u)
+    steps = neighbor_steps(o, u)
+    assert len(steps) == d
+    for w, row in enumerate(steps, 1):
+        near = neighbors_by_colength(u, w)
+        assert len(row) == len(near)
+        assert [here + s for s in row] == [skeleton_distance(o, nb) for nb in near]

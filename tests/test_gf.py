@@ -7,12 +7,14 @@ import random
 from itertools import product
 
 import pytest
+from sympy import GF as SympyGF
 from sympy.polys import galoistools as gt
 from sympy.polys.domains import ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from btbuildings.gf import (
-    GF, from_base, padd, pdivmod, pgcd, pmul, pneg, pord, ptrim, series_div,
-    smallest_irreducible, to_base,
+    GF, from_base, padd, pdivmod, pgcd, pmul, pneg, pord, ptrim, rref,
+    series_div, smallest_irreducible, to_base,
 )
 
 
@@ -144,3 +146,36 @@ def test_series_div_times_den_is_num_mod_t_n(q):
         assert len(s) == n
         prod = list(pmul(F, ptrim(s), den)) + [0] * n
         assert prod[:n] == list(num[:n]) + [0] * (n - len(num[:n]))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_rref_depends_on_the_span_alone(q):
+    """rref is reduced (leading 1s, increasing leads, zero above and below
+    every lead), equals sympy's rref over prime fields, and is unchanged by
+    reordering and recombining the input vectors."""
+    rng = random.Random(f"rref:{q}")
+    gf = GF.get(q)
+    for _ in range(60):
+        n = rng.randrange(1, 6)
+        vecs = [[rng.randrange(q) for _ in range(n)]
+                for _ in range(rng.randrange(0, 5))]
+        basis = rref(gf, vecs)
+        leads = [next(i for i, x in enumerate(b) if x) for b in basis]
+        assert leads == sorted(set(leads))
+        for b, k in zip(basis, leads):
+            assert [a[k] for a in basis] == [int(a is b) for a in basis]
+        mixed = [list(v) for v in vecs]
+        rng.shuffle(mixed)
+        for i in range(len(mixed)):
+            for j in range(len(mixed)):
+                if i != j:
+                    c = rng.randrange(q)
+                    mixed[i] = [gf.add(x, gf.mul(c, y))
+                                for x, y in zip(mixed[i], mixed[j])]
+        assert rref(gf, mixed) == basis  # elementary operations keep the span
+        if gf.m == 1 and vecs:
+            K = SympyGF(q)
+            ref, _ = DomainMatrix([[K(x) for x in v] for v in vecs],
+                                  (len(vecs), n), K).rref()
+            rows = [tuple(int(x) % q for x in row) for row in ref.to_Matrix().tolist()]
+            assert basis == tuple(r for r in rows if any(r))

@@ -9,7 +9,8 @@ from btbuildings.gf import GF
 from btbuildings.lattice import (
     VertexClass, _standard_neighbors, _triangularize_digits, all_neighbors,
     canonical_form, digit_ops, dual, gaussian_binomial, neighbors_by_colength,
-    pair_index_normalized, skeleton_distance, standard_vertex,
+    pair_index_normalized, skeleton_distance, standard_neighbor_subspaces,
+    standard_vertex,
 )
 from btbuildings.linalg import matmul
 from btbuildings.verify import random_unimodular, random_vertex
@@ -282,7 +283,10 @@ def test_neighbors_match_the_spanning_set_reference(model, n):
     for _ in range(2):
         v = random_vertex(model, n, rng)
         for w in range(1, n):
-            assert neighbors_by_colength(v, w) == _neighbors_reference(v, w)
+            full = neighbors_by_colength(v, w)
+            assert full == _neighbors_reference(v, w)
+            picked = sorted(rng.sample(range(len(full)), len(full) // 3))
+            assert neighbors_by_colength(v, w, picked) == [full[j] for j in picked]
 
 
 def _residue_rows(u):
@@ -310,6 +314,8 @@ def test_standard_neighbors_are_canonical_and_all_subspaces(model, n):
         residues = {_span(GF.get(q), _residue_rows(u), n) for u in standard}
         assert len(residues) == len(standard)
         assert residues == _subspaces_oracle(q, n, w)
+        assert standard_neighbor_subspaces(model, n, w) == tuple(
+            tuple(map(tuple, rows)) for rows in _rref_bases(q, n, n - w))
 
 
 def test_each_neighbor_is_reduced_from_n_columns(monkeypatch):

@@ -10,7 +10,7 @@ from btbuildings.building import (
     apartment_point_of_vertex, ball, basic_chamber, is_face, project_apartment)
 from btbuildings.errors import BudgetError
 from btbuildings.field import ExtensionDescriptor, LaurentModel, PAdicModel
-from btbuildings.gf import GF
+from btbuildings.gf import GF, row_space
 from btbuildings import drinfeld, subdivision
 from btbuildings.drinfeld import diagonalize_norm, membership_depth
 from btbuildings.lattice import (all_neighbors, canonical_form,
@@ -117,15 +117,15 @@ def _chart_by_solves(comps):
         shift += steps[k - 1]
         rhs = [[x * pi ** shift for x in col]
                for col in transpose(chain[k].primitive_matrix())]
-        flags.append(subdivision._row_space(
+        flags.append(row_space(
             gf, [[model.to_digits(x, 1)[0] for x in sol]
                  for sol in solve(model, T0, rhs)]))
     js = [0] + [n - len(f) for f in flags]
     picked, echelon = [], []
     unit = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    for space in flags[::-1] + [subdivision._row_space(gf, unit)]:
+    for space in flags[::-1] + [row_space(gf, unit)]:
         for cand in space:
-            grown = subdivision._row_space(gf, echelon + [cand])
+            grown = row_space(gf, echelon + [cand])
             if len(grown) > len(echelon):
                 picked.append(cand)
                 echelon = grown
@@ -357,7 +357,7 @@ def test_subdivision_orders_each_factor_chamber_once(monkeypatch):
 
 
 def test_row_space_spans_the_input():
-    """_row_space returns echelon rows (leading 1, increasing leads) whose
+    """gf.row_space returns echelon rows (leading 1, increasing leads) whose
     span is the span of the input and which are independent."""
     rng = random.Random(7)
     for q, n in [(2, 4), (3, 3), (4, 3)]:
@@ -375,7 +375,7 @@ def test_row_space_spans_the_input():
         for _ in range(40):
             vecs = [[rng.randrange(q) for _ in range(n)]
                     for _ in range(rng.randrange(0, 4))]
-            basis = subdivision._row_space(gf, vecs)
+            basis = row_space(gf, vecs)
             leads = [next(i for i, x in enumerate(b) if x) for b in basis]
             assert leads == sorted(set(leads))
             assert all(b[k] == 1 for b, k in zip(basis, leads))

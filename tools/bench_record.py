@@ -1,7 +1,8 @@
 """Turn `perfbench/run.py` outputs of a parent and a change into BENCH_<n>.json.
 
     python3 tools/bench_record.py --parent P1.txt P2.txt .. \\
-        --change C1.txt C2.txt .. --out BENCH_6.json
+        --change C1.txt C2.txt .. --out BENCH_6.json \\
+        [--tier1-parent T1.txt --tier1-change T2.txt]
 
 Each input file is the standard output of one `perfbench/run.py` run, for
 one workload or for `all`: its `# <workload> seed=<s> trace=<t> ..` lines
@@ -11,7 +12,13 @@ workload, metric and side the median, the quartiles and the run count,
 and, pairing the i-th parent run of a workload with its i-th change run,
 how many pairs the change wins by the direction in BENCHMARK.json (ties
 count for neither side).  Traced runs (`trace=1`) give the per-layer
-values, keyed by seed.  Standard library only.
+values, keyed by seed.
+
+A tier-1 file is the output of one tier-1 pytest run with `-s`, so that
+the acceptance tests' `[criterion N] PASS (x s < B s)` lines show: it gives
+the run's pass and failure counts and wall time, from pytest's closing
+"N passed .. in T s" line, and each criterion's time and budget (criterion
+9 prints no budget).  Standard library only.
 """
 
 import argparse
@@ -23,6 +30,10 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HEADER = re.compile(r"^# (\S+) seed=(-?\d+) trace=([01]) ")
+CRITERION = re.compile(
+    r"\[criterion (\d+)\] PASS \(([\d.]+)s(?: < ([\d.]+)s)?\)")
+CLOSING = re.compile(r"^=*\s*(.*\bin ([\d.]+)s\b.*?)\s*=*$")
+COUNT = re.compile(r"(\d+) (passed|failed|errors?|skipped|deselected)")
 
 
 def read_run(path):
@@ -37,6 +48,27 @@ def read_run(path):
     last = json.loads(lines[-1])
     results = {heads[0][0]: last} if "metrics" in last else last
     return [(name, seed, traced, results[name]) for name, seed, traced in heads]
+
+
+def read_tier1(path):
+    """{passed, failed, wall_s, criteria} of one tier-1 pytest output."""
+    with open(path) as fh:
+        text = fh.read()
+    closing = [m for m in map(CLOSING.match, text.splitlines())
+               if m and COUNT.search(m.group(1))]
+    if not closing:
+        raise ValueError(f"{path}: no closing 'N passed .. in T s' line")
+    counts = {kind.rstrip("s"): int(k)
+              for k, kind in COUNT.findall(closing[-1].group(1))}
+    criteria = {}
+    for m in CRITERION.finditer(text):
+        criteria[m.group(1)] = {
+            "elapsed_s": float(m.group(2)),
+            "budget_s": None if m.group(3) is None else float(m.group(3))}
+    return {"passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0) + counts.get("error", 0),
+            "wall_s": float(closing[-1].group(2)),
+            "criteria": dict(sorted(criteria.items(), key=lambda kv: int(kv[0])))}
 
 
 def summary(values):
@@ -94,16 +126,23 @@ def main(argv=None):
     ap.add_argument("--contract", default=os.path.join(ROOT, "BENCHMARK.json"),
                     help="the benchmark declaration (metric directions)")
     ap.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
+    ap.add_argument("--tier1-parent", help="tier-1 pytest -s output, parent")
+    ap.add_argument("--tier1-change", help="tier-1 pytest -s output, change")
     args = ap.parse_args(argv)
     try:
         with open(args.contract) as fh:
             contract = json.load(fh)
-        workloads = record(args.parent, args.change, contract)
+        bench = {"workloads": record(args.parent, args.change, contract)}
+        tier1 = {side: read_tier1(path) for side, path in
+                 (("parent", args.tier1_parent), ("change", args.tier1_change))
+                 if path}
     except (OSError, ValueError, KeyError) as ex:
         print(f"bench_record: {ex}", file=sys.stderr)
         return 2
+    if tier1:
+        bench["tier1"] = tier1
     with open(args.out, "w") as fh:
-        json.dump({"workloads": workloads}, fh, indent=1, sort_keys=True)
+        json.dump(bench, fh, indent=1, sort_keys=True)
         fh.write("\n")
     return 0
 
