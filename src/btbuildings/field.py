@@ -18,6 +18,7 @@ downward, one `ext` at a time, exactly.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .gf import (INF, GF, from_base, is_prime, padd, pdivmod, pgcd, pmul,
                  pneg, pord, ptrim, series_div, to_base)
@@ -88,6 +89,27 @@ class PAdicModel:
             den //= self.p
             v -= 1
         return v
+
+    def det_valuation_bound(self, rows):
+        """An upper bound B on v(det g) for the nonsingular square matrix g
+        given by `rows`, none of them zero, without eliminating.
+
+        Row i times the lcm d_i of its denominators is an integer row R_i,
+        and v(det g) = v(det R) - sum_i v(d_i).  The integer det R is
+        nonzero, so p^v(det R) <= |det R|, and Hadamard's bound gives
+        |det R|^2 <= prod_i |R_i|^2 =: H.  B is the largest k with
+        p^(2k) <= H, minus sum_i v(d_i)."""
+        h = 1
+        cleared = 0
+        for row in rows:
+            raws = [x.raw for x in row]
+            d = lcm(*(r.denominator for r in raws))
+            h *= sum((r.numerator * (d // r.denominator)) ** 2 for r in raws)
+            cleared += self.val(d)
+        k = 0
+        while self.p ** (2 * k + 2) <= h:
+            k += 1
+        return k - cleared
 
     def residue(self, x, n):
         """x mod p^n as an int in [0, p^n) (requires v(x) >= 0)."""
@@ -196,6 +218,24 @@ class LaurentModel:
         if not num:
             return INF
         return pord(num) - pord(den)
+
+    def det_valuation_bound(self, rows):
+        """An upper bound B on v(det g) for the nonsingular square matrix g
+        given by `rows`, none of them zero, without eliminating.
+
+        Write g_ij = a_ij / b_ij and let d_i be the product of the distinct
+        denominators of row i.  R_i = d_i g_i is a polynomial row and
+        v(det g) = v(det R) - sum_i v(d_i).  The polynomial det R is
+        nonzero, so v(det R) <= deg det R <= sum_i max_j deg R_ij, and
+        deg R_ij = deg d_i + deg a_ij - deg b_ij.  So B is the sum over the
+        rows of max_j (deg a_ij - deg b_ij) plus deg b - v(b) for each
+        distinct denominator b of the row."""
+        bound = 0
+        for row in rows:
+            raws = [x.raw for x in row if x.raw[0]]
+            bound += max(len(a) - len(b) for a, b in raws)
+            bound += sum(len(b) - 1 - pord(b) for b in {b for _a, b in raws})
+        return bound
 
     def to_digits(self, x, n):
         """First n t-adic digits of x (requires v(x) >= 0); GF ints."""

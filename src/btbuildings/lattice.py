@@ -10,24 +10,26 @@ unique, hashable and cheap to produce.  The exposed canonical matrix
 the same data, which is what gets serialized.
 
 There is one reduction, `_triangularize_digits`, over pi-digit vectors in
-O/pi^M, and one way into it from a matrix: `action(model, g)` takes
-v(det g) once, the only field-level elimination on the class path, and
+O/pi^M, and one way into it from a matrix: `action(model, g)` reduces g
+itself at a digit precision that the reduction's guard certifies,
+searched upward from a few digits to at most 2B+1 for a height bound B
+on v(det g), so no field-level elimination is left on the class path; it
 computes every image [g L] as a digit product.  `canonical_form` of an
-outside basis is the image of the standard class, and the neighbors of
-[L] are the images [T U] of the standard neighbors U under its primitive
-matrix T, with the digit columns of the standard neighbors cached per
-precision.  `dual` reads pi^D T^{-1} off forward solves, and so does
-`class_pair_residue`: the minimal containment shift of a pair of classes
-and the residue matrix at that shift, from which a window
-(`building.FactorBall`) tells the distance of each neighbor before it
-computes any, and then computes only those it needs.  The nu-image
-(`subdivision`) and the norm lattices of a rigid point (`drinfeld`) build
-their generators in digits directly.  Each caller fixes its precision
-from a bound on the determinant valuation D of the primitive lattice, so
-that the reduction gets the 2D+1 guard digits argued in
-`_triangularize_digits`; it raises ArithmeticError when the precision it
-is given falls short.  The tests check it against an exhaustive span
-oracle over O/pi^k.
+outside basis is the image of the standard class, the class of g, and
+the neighbors of [L] are the images [T U] of the standard neighbors U
+under its primitive matrix T, with the digit columns of the standard
+neighbors cached per precision.  `dual` reads pi^D T^{-1} off forward
+solves, and so does `class_pair_residue`: the minimal containment shift
+of a pair of classes and the residue matrix at that shift, from which a
+window (`building.FactorBall`) tells the distance of each neighbor
+before it computes any, and then computes only those it needs.  The
+nu-image (`subdivision`) and the norm lattices of a rigid point
+(`drinfeld`) build their generators in digits directly.  Each caller
+fixes its precision from a bound on the determinant valuation D of the
+primitive lattice, so that the reduction gets the 2D+1 guard digits
+argued in `_triangularize_digits`; it raises PrecisionError, an
+ArithmeticError, when the precision it is given falls short.  The tests
+check it against an exhaustive span oracle over O/pi^k.
 """
 
 from functools import lru_cache
@@ -35,7 +37,6 @@ from itertools import combinations
 
 from .field import INF, FieldElement, PAdicModel
 from .gf import from_base, series_div, to_base
-from .linalg import det
 
 
 # ---------------------------------------------------------------------------
@@ -210,26 +211,50 @@ def digit_ops(model, M):
 # the shared triangular reduction
 # ---------------------------------------------------------------------------
 
+class PrecisionError(ArithmeticError):
+    """`_triangularize_digits` got fewer digits than its guard asks for;
+    `pivot_sum` is the pivot sum the pass read, None if a pivot vanished."""
+
+    def __init__(self, message, pivot_sum=None):
+        super().__init__(message)
+        self.pivot_sum = pivot_sum
+
+
 def _triangularize_digits(ops, cols, n):
     """Column reduction over O/pi^M.  cols: list of columns (lists of digit
     vectors, length n).  Returns (exps, lower) of the canonical primitive
     lower-triangular form; the global pi-shift applied is returned too.
 
-    The M - minval digits left after the primitive scaling must be at least
-    2D+1, D the determinant valuation of the primitive lattice;
-    ArithmeticError otherwise, including when a pivot vanishes modulo pi^M.
-    The guard: every pivot valuation a_r is read after shifting down by the
-    earlier ones, so the forward pass loses at most a_0 + .. + a_{n-1} = D
-    digits; the back-reduction of a column reads the residue mod pi^(a_k)
-    after losing a_{c+1} + .. + a_{k-1} more, so a_k plus the losses stay
-    within 2D.  2D+1 digits thus fix every pivot and residue exactly, also
-    when the generators are exact only to that many digits."""
+    The N = M - minval digits left after the primitive scaling must be at
+    least 2D'+1, D' = a_0 + .. + a_{n-1} the pivot sum the pass reads;
+    PrecisionError otherwise, with D' as its `pivot_sum`, and also when a
+    pivot vanishes modulo pi^M (`pivot_sum` None).
+
+    Guard lemma: a pass with N > D' is exact, and D' = D.  Let G be the
+    O-matrix that the scaled columns agree with modulo pi^N.  Every step
+    is an O-column operation (a unit times a column, or a column minus an
+    O-multiple of another) done modulo pi^N, so at the end
+    G U = C + pi^N E with U in GL_n(O), E integral and C the returned
+    digits read in O: lower triangular, pi^(a_r) on the diagonal, residues
+    mod pi^(a_i) below it.  C^(-1) = adj(C) / pi^D', so for N > D' the
+    matrix X = pi^N C^(-1) E is integral and 0 mod pi, I + X is in GL_n(O),
+    and G O^n = C O^n: C is the canonical form.  A singular G never
+    passes, since C (I + X) is nonsingular.  The check asks for 2D'+1 > D'.
+
+    Conversely, a pass with N > D, D = v(det G), finds every pivot and reads
+    D' = D, so 2D+1 digits always pass the check.  After k pivots the k x k
+    minors of the first k rows of G U and of C agree modulo pi^N; those of C
+    vanish except one, pi^(a_0 + .. + a_{k-1}); and the least valuation
+    delta_k of those minors is the same for G U and G, and at most D.  So
+    a_0 + .. + a_{k-1} = delta_k, and a row without a pivot would leave every
+    (k+1)-minor 0 modulo pi^N, against delta_{k+1} <= D < N.  If instead
+    N <= D, a pass that finds its pivots reads D' >= N."""
     M = ops.M
     # primitive scaling: shift down by the minimal entry valuation
     minval = min(ops.val(v) for col in cols for v in col)
     if minval >= M:
-        raise ArithmeticError(f"all generators vanish modulo pi^{M}: a zero "
-                              "matrix, or a guard precision below 2D+1")
+        raise PrecisionError(f"all generators vanish modulo pi^{M}: a zero "
+                             "matrix, or a guard precision below 2D+1")
     if minval:
         cols = [[ops.shift_down(v, minval) for v in col] for col in cols]
     remaining = list(cols)
@@ -243,8 +268,9 @@ def _triangularize_digits(ops, cols, n):
             if bestval is None or v < bestval:
                 best, bestval = idx, v
         if bestval is None or bestval >= M:
-            raise ArithmeticError(f"no pivot in row {r} modulo pi^{M}: singular "
-                                  "generators, or a guard precision below 2D+1")
+            raise PrecisionError(f"no pivot in row {r} modulo pi^{M}: "
+                                 "singular generators, or a guard precision "
+                                 "below 2D+1")
         piv = remaining.pop(best)
         a = bestval
         unit = ops.shift_down(piv[r], a)
@@ -260,8 +286,9 @@ def _triangularize_digits(ops, cols, n):
         pivots.append(piv)
         exps.append(a)
     if M - minval < 2 * sum(exps) + 1:
-        raise ArithmeticError(f"guard precision {M - minval} is below 2D+1 "
-                              f"for determinant valuation D = {sum(exps)}")
+        raise PrecisionError(f"guard precision {M - minval} is below 2D+1 "
+                             f"for determinant valuation D = {sum(exps)}",
+                             sum(exps))
     # back-reduction: entry (row i, col c) for i > c reduced mod pi^{a_i}
     for c in range(n):
         col = pivots[c]
@@ -385,30 +412,64 @@ class VertexClass:
         return cols
 
 
+# The digit precision at which `action` starts its search.
+_SEARCH_START = 4
+
+
 def action(model, g):
     """The map [L] -> [g L] of an invertible matrix g (FieldElements or
     parseable strings); ValueError if g is singular.
 
-    g is read once: v(det g), its only field-level elimination, scales it
-    by pi^(-m), m its minimal entry valuation, to a primitive O-matrix G
-    with D_g = v(det G).  The image of a class with primitive matrix T is
-    the class of the digit product G T, and v(det G T) = D_g + D(T) bounds
-    the determinant valuation of its primitive scaling, so 2(D_g + D(T)) + 2
-    digits meet the 2D+1 guard argued in `_triangularize_digits`."""
+    g is read once, with no field-level elimination: it is scaled by
+    pi^(-m), m its minimal entry valuation, to a primitive O-matrix G, and
+    the model bounds D_g = v(det G) by B without eliminating
+    (`det_valuation_bound`).  The class [G] comes from a search over the
+    digit precision M that the guard of `_triangularize_digits` certifies.
+    It starts at M = `_SEARCH_START`.  When the guard fails after reading
+    the pivot sum D', so that M < 2D' + 1, it retries at 2D' + 2, and when
+    a pivot vanishes, at 2M; never above 2B + 1.  A pass that meets the
+    guard is exact, and one at M > D_g always does, so the search ends by
+    2B + 1 for an invertible g; a singular g fails every pass, and its
+    failure at 2B + 1 is the ValueError.  A failed guard at M <= D_g reads
+    D' >= M, so each retry at least doubles M.
+
+    [G] is the image of the standard class, and its pivot sum is D_g.  The
+    image of a class with primitive matrix T is the class of the digit
+    product G T, and v(det G T) = D_g + D(T) bounds the determinant
+    valuation of its primitive scaling, so 2(D_g + D(T)) + 2 digits meet
+    the 2D+1 guard."""
     rows = [[x if isinstance(x, FieldElement) else model.element(x) for x in row]
             for row in g]
-    dv = det(model, rows).valuation()
-    if dv == INF:
+    if not all(any(row) for row in rows):
         raise ValueError("singular matrix")
     n = len(rows)
     minval = min(x.valuation() for row in rows for x in row)
     if minval:
         scale = model.uniformizer() ** (-minval)
         rows = [[x * scale for x in row] for row in rows]
-    D_g = dv - n * minval
-    by_precision = {}
+    top = 2 * model.det_valuation_bound(rows) + 1
+    if top < 1:
+        raise ValueError("singular matrix")
+    M = min(_SEARCH_START, top)
+    while True:
+        ops = digit_ops(model, M)
+        gcols = [[ops.from_field(x) for x in col] for col in zip(*rows)]
+        try:
+            exps, lower, _ = _triangularize_digits(
+                ops, [list(col) for col in gcols], n)
+            break
+        except PrecisionError as err:
+            if M >= top:
+                raise ValueError("singular matrix") from None
+            D = err.pivot_sum
+            M = min(top, 2 * M if D is None else 2 * D + 2)
+    image = VertexClass(model, exps, lower)
+    D_g = image.det_valuation()
+    by_precision = {M: (ops, gcols)}
 
     def apply(v):
+        if not v.det_valuation():
+            return image
         M = 2 * (D_g + v.det_valuation()) + 2
         if M not in by_precision:
             ops = digit_ops(model, M)
@@ -442,8 +503,8 @@ def _product_class(ops, gcols, tcols):
 def canonical_form(model, basis):
     """Canonical homothety-class representative of the lattice whose columns
     are `basis` (FieldElements or parseable strings); errors on singular.
-    It is the image of the standard class under `action`, at 2D+2 digits
-    for D the determinant valuation of the primitive scaling of the basis."""
+    It is the image of the standard class under `action`: the class that
+    its precision search certifies, with no second reduction."""
     return action(model, basis)(standard_vertex(model, len(basis)))
 
 

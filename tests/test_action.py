@@ -12,17 +12,21 @@ from hypothesis import assume, given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.domains import ZZ
 
+from btbuildings import building, lattice, linalg
 from btbuildings.autdecomp import AutWord
 from btbuildings.building import BuildingDescriptor, PolyVertex, act
-from btbuildings.field import ExtensionDescriptor, LaurentModel, PAdicModel
+from btbuildings.cli import main
+from btbuildings.field import (INF, ExtensionDescriptor, LaurentModel,
+                               PAdicModel)
 from btbuildings.lattice import (
-    action, canonical_form, class_pair_min_valuation, dual,
+    PrecisionError, VertexClass, _triangularize_digits, action,
+    canonical_form, class_pair_min_valuation, digit_ops, dual,
     neighbors_by_colength, pair_index_normalized, skeleton_distance,
     standard_vertex, vertex_from_diagonal,
 )
 from btbuildings.linalg import det, inverse, matmul, transpose
 from btbuildings.subdivision import nu_embed
-from btbuildings.verify import random_element, random_vertex
+from btbuildings.verify import random_element, random_unimodular, random_vertex
 
 FIELDS = [PAdicModel.get(2), PAdicModel.get(3), PAdicModel.get(5),
           LaurentModel.get(2), LaurentModel.get(3), LaurentModel.get(4),
@@ -73,6 +77,186 @@ def test_act_and_dual_match_the_field_level_references(model):
                 _act_reference(g, v)
             checked += 1
     assert checked >= 50 and singular >= 10
+
+
+# -- the precision search against the determinant (test-only oracle) ---------
+
+S2 = ExtensionDescriptor(LaurentModel.get(2), e=2).extension   # s^2 = t
+SEARCH_FIELDS = [PAdicModel.get(2), PAdicModel.get(3), LaurentModel.get(2),
+                 LaurentModel.get(4), S2]
+
+
+def _det_class(model, g):
+    """[g O^n] as `action` found it with a determinant: v(det g), from one
+    field-level elimination, fixes 2D+2 digits for the primitive scaling G
+    of g, D = v(det G)."""
+    dv = det(model, g).valuation()
+    if dv == INF:
+        raise ValueError("singular matrix")
+    n = len(g)
+    m = min(x.valuation() for row in g for x in row)
+    scale = model.uniformizer() ** (-m)
+    ops = digit_ops(model, 2 * (dv - n * m) + 2)
+    cols = [[ops.from_field(row[c] * scale) for row in g] for c in range(n)]
+    exps, lower, _ = _triangularize_digits(ops, cols, n)
+    return VertexClass(model, exps, lower)
+
+
+def _near_singular(model, rng, exps):
+    """U diag(pi^e) V, U and V in GL_n(O): v(det) = sum(exps)."""
+    n = len(exps)
+    diag = [[model.uniformizer() ** exps[i] if i == j else model.zero()
+             for j in range(n)] for i in range(n)]
+    return matmul(model, matmul(model, random_unimodular(model, n, rng), diag),
+                  random_unimodular(model, n, rng))
+
+
+def _search_inputs(model, rng):
+    """Raw bases with denominators and negative-valuation entries, bases
+    with v(det) = 25, and [[1, 1], [1, 1 + pi^k]] with v(det) = k <= 40."""
+    pi, one = model.uniformizer(), model.one()
+    out = [[[random_element(model, rng) for _ in range(n)] for _ in range(n)]
+           for n in (2, 3, 4) for _ in range(8)]
+    out += [_near_singular(model, rng, exps)
+            for exps in ((0, 3, 7, 15), (25, 0, 0, 0), (5, 5, 5, 10))]
+    out += [[[one, one], [one, one + pi ** k]] for k in (1, 2, 5, 17, 40)]
+    out += [[[x * pi ** -3 for x in row]
+             for row in [[one, one], [one, one + pi ** 9]]]]
+    return out
+
+
+def _spy_passes(monkeypatch, start=1):
+    """Record each `_triangularize_digits` pass as (M, outcome), with the
+    precision search started at `start` digits."""
+    passes = []
+
+    def spy(ops, cols, n):
+        try:
+            out = _triangularize_digits(ops, cols, n)
+        except PrecisionError as err:
+            passes.append((ops.M, "vanish" if err.pivot_sum is None
+                           else "guard"))
+            raise
+        passes.append((ops.M, "pass"))
+        return out
+
+    monkeypatch.setattr(lattice, "_triangularize_digits", spy)
+    monkeypatch.setattr(lattice, "_SEARCH_START", start)
+    return passes
+
+
+@pytest.mark.parametrize("start", [1, lattice._SEARCH_START])
+@pytest.mark.parametrize("model", SEARCH_FIELDS, ids=repr)
+def test_the_precision_search_finds_the_determinant_class(model, start,
+                                                          monkeypatch):
+    rng = random.Random(f"search:{model!r}")
+    passes = _spy_passes(monkeypatch, start)
+    checked = 0
+    for g in _search_inputs(model, rng):
+        if not det(model, g):
+            continue
+        want = _det_class(model, g)
+        n = len(g)
+        apply = action(model, g)
+        assert apply(standard_vertex(model, n)) == want
+        v = random_vertex(model, n, rng)
+        assert apply(v) == _det_class(
+            model, matmul(model, g, v.primitive_matrix()))
+        checked += 1
+    assert checked >= 25
+    # the searches met vanishing pivots and failed guards on the way
+    assert {kind for _m, kind in passes} == {"vanish", "guard", "pass"}
+
+
+@pytest.mark.parametrize("row,bound,trace", [
+    (["1", "1+t"], 1, [(1, "vanish"), (2, "guard"), (3, "pass")]),
+    (["1", "1+t^5"], 5, [(1, "vanish"), (2, "vanish"), (4, "vanish"),
+                         (8, "guard"), (11, "pass")]),
+    (["1+t^20", "1+t^5+t^20"], 20, [(1, "vanish"), (2, "vanish"),
+                                    (4, "vanish"), (8, "guard"),
+                                    (12, "pass")]),
+])
+def test_every_retry_branch_runs_from_one_digit(row, bound, trace,
+                                                monkeypatch):
+    # [[1, 1], row] has v(det) = 1 or 5 and the degree bound B = deg row:
+    # its second pivot vanishes below v(det) + 1 digits, M doubles until
+    # the pivot shows, and the guard then asks for 2 v(det) + 2, capped at
+    # 2B + 1
+    model = LaurentModel.get(2)
+    passes = _spy_passes(monkeypatch)
+    g = [[model.one(), model.one()], [model.element(x) for x in row]]
+    assert model.det_valuation_bound(g) == bound
+    assert action(model, g)(standard_vertex(model, 2)) == \
+        _det_class(model, g)
+    assert passes == trace
+
+
+def _rank_deficient(model, rng, n=4):
+    """An n x n matrix of rank < n with every entry nonzero."""
+    while True:
+        rows = [[random_element(model, rng) for _ in range(n)]
+                for _ in range(n - 1)]
+        c = random_element(model, rng)
+        rows.append([x + c * y for x, y in zip(rows[0], rows[1])])
+        if all(x for row in rows for x in row):
+            return rows
+
+
+@pytest.mark.parametrize("model", SEARCH_FIELDS, ids=repr)
+def test_singular_matrices_fail_the_search(model, monkeypatch):
+    rng = random.Random(f"singular:{model!r}")
+    full = [random_element(model, rng) for _ in range(3)]
+    zero_row = [full, [model.zero()] * 3, full[::-1]]
+    singular = [_rank_deficient(model, rng), zero_row]
+    for g in singular:
+        assert not det(model, g)
+        with pytest.raises(ValueError, match="^singular matrix$"):
+            canonical_form(model, g)
+    passes = _spy_passes(monkeypatch)
+    for g in singular:
+        del passes[:]
+        with pytest.raises(ValueError, match="^singular matrix$"):
+            action(model, g)
+        assert all(kind != "pass" for _m, kind in passes)
+    # a primitive singular matrix fails every pass, the last at 2B + 1
+    g = _rank_deficient(model, rng, 3)
+    m = min(x.valuation() for row in g for x in row)
+    g = [[x * model.uniformizer() ** -m for x in row] for row in g]
+    del passes[:]
+    with pytest.raises(ValueError, match="^singular matrix$"):
+        action(model, g)
+    assert passes[-1][0] == 2 * model.det_valuation_bound(g) + 1
+
+
+@pytest.mark.parametrize("vertex", ['[["1","2","3","6"]]',
+                                    '[["0","0","1","2"]]'])
+def test_btb_project_exits_2_on_a_singular_vertex(vertex, capsys):
+    assert main(["--d", "1", "project", "--vertex", vertex]) == 2
+    assert "singular matrix" in capsys.readouterr().err
+
+
+def test_an_apartment_query_runs_no_field_elimination(monkeypatch):
+    calls = []
+    eliminate = linalg._eliminate
+
+    def spy(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    model = PAdicModel.get(2)
+    raw = [["3/5", "2", "-1/3", "4"], ["1", "6", "0", "1/7"],
+           ["12", "-5", "8/3", "2"], ["1/9", "4", "4", "3"]]
+    x = PolyVertex((canonical_form(model, raw),))
+    y = PolyVertex((canonical_form(model, [row[::-1] for row in raw]),))
+    building.project_apartment(x)
+    building.labelling_C(x)
+    building.involution_lambda(x, [1])
+    building.distance_f(y, x)
+    assert not calls
+    # the spy sees the elimination that det runs
+    det(model, [[model.element(x) for x in row] for row in raw])
+    assert len(calls) == 1
 
 
 def test_a_singular_group_generator_fails_when_the_word_is_built():
@@ -174,6 +358,27 @@ def _unimodular(draw, model, n):
         upper[i][i] = model.from_digits([unit] + draw(
             st.lists(st.integers(0, q - 1), max_size=2)))
     return matmul(model, lower, upper)
+
+
+@st.composite
+def _quotients(draw, model):
+    y = draw(_elements(model))
+    assume(y)
+    return draw(_elements(model)) / y
+
+
+@pytest.mark.parametrize("model", PROPERTY_FIELDS + [S2], ids=repr)
+def test_the_height_bound_dominates_the_determinant_valuation(model):
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 4))
+        g = [[data.draw(_quotients(model)) for _ in range(n)]
+             for _ in range(n)]
+        dv = det(model, g).valuation()
+        assume(dv != INF)
+        assert model.det_valuation_bound(g) >= dv
+    check()
 
 
 @pytest.mark.parametrize("model", PROPERTY_FIELDS, ids=repr)

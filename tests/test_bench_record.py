@@ -110,3 +110,57 @@ def test_tier1_wall_time_and_criteria_against_their_budgets(tmp_path):
     missing.write_text("[criterion 1] PASS (0.4s < 10s): x\n")
     assert tool.main(["--parent"] + runs + ["--change"] + runs
                      + ["--out", str(out), "--tier1-change", str(missing)]) == 2
+
+
+_STUB_README = """# stub
+
+## CLI
+
+```sh
+# a comment, then two examples, one over two lines
+btb label --vertex '[["1","0","0","2"]]'
+btb --d 1 eta \\
+    --n 1
+python3 not-an-example.py
+```
+
+## Later
+
+```sh
+btb ball
+```
+"""
+
+
+def test_readme_examples_are_parsed_and_timed_per_side(tmp_path):
+    tool = _load()
+    readme = tmp_path / "README.md"
+    readme.write_text(_STUB_README)
+    assert tool.readme_examples(str(readme)) == [
+        ["label", "--vertex", '[["1","0","0","2"]]'],
+        ["--d", "1", "eta", "--n", "1"]]
+    runs = [_untraced(tmp_path, "apartment", 1, 3.0, 20.0)]
+    out = tmp_path / "BENCH_0.json"
+    assert tool.main(["--parent"] + runs + ["--change"] + runs
+                     + ["--out", str(out), "--readme", str(readme),
+                        "--readme-parent", str(ROOT), "--readme-change",
+                        str(ROOT), "--readme-repeats", "1"]) == 0
+    timed = json.loads(out.read_text())["readme"]
+    assert timed["repeats"] == 1
+    assert set(timed["median_s"]) == {
+        """label --vertex '[["1","0","0","2"]]'""", "--d 1 eta --n 1"}
+    for sides in timed["median_s"].values():
+        assert set(sides) == {"parent", "change"}
+        assert all(isinstance(s, float) for s in sides.values())
+
+
+def test_a_failing_readme_example_is_an_error(tmp_path, capsys):
+    tool = _load()
+    readme = tmp_path / "README.md"
+    readme.write_text("## CLI\n\n```sh\nbtb --d x eta --n 1\n```\n")
+    runs = [_untraced(tmp_path, "apartment", 1, 3.0, 20.0)]
+    assert tool.main(["--parent"] + runs + ["--change"] + runs
+                     + ["--out", str(tmp_path / "o.json"), "--readme",
+                        str(readme), "--readme-change", str(ROOT),
+                        "--readme-repeats", "1"]) == 2
+    assert "exited 2" in capsys.readouterr().err

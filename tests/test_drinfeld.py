@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from btbuildings.building import ApartmentPoint, BuildingDescriptor, PolyVertex, involution_lambda, apartment_point_of_vertex
 from btbuildings.drinfeld import (
@@ -267,6 +268,63 @@ def test_membership_is_gl_o_invariant():
             assert _memberships(x) == _memberships(y)
             checked += 1
     assert checked >= 8
+
+
+_INVARIANCE_CASES = [(2, ((2, 1),), 1), (2, ((2, 2),), 2), (3, ((1, 2),), 1),
+                     (2, ((2, 1), (2, 1)), 1)]
+
+
+@st.composite
+def _o_elements(draw, model, unit=False):
+    digits = draw(st.lists(st.integers(0, model.q - 1), min_size=1,
+                           max_size=3))
+    if unit:
+        digits[0] = draw(st.integers(1, model.q - 1))
+    return model.from_digits(digits)
+
+
+@st.composite
+def _gl_o(draw, model, n):
+    """Lower unitriangular times upper triangular with unit diagonal, both
+    over O: an element of GL_n(O)."""
+    one, zero = model.one(), model.zero()
+    lower = [[draw(_o_elements(model)) if i > j else (one if i == j else zero)
+              for j in range(n)] for i in range(n)]
+    upper = [[draw(_o_elements(model, unit=i == j)) if i <= j else zero
+              for j in range(n)] for i in range(n)]
+    return matmul(model, lower, upper)
+
+
+@st.composite
+def _rigid_points(draw, q, tower, d):
+    """As `_seeded_points`: a k-rational coordinate plus a small
+    K-perturbation, divided by s_K^m, m < e_K."""
+    base = LaurentModel.get(q)
+    K = base
+    for e, f in tower:
+        K = ExtensionDescriptor(K, e=e, f=f).extension
+    coords = []
+    for _ in range(d):
+        y = K.from_digits(draw(st.lists(st.integers(0, K.q - 1), min_size=3,
+                                        max_size=3)),
+                          shift=draw(st.integers(0, 3 * K.ramification - 1)))
+        r = tower_embed(draw(_o_elements(base)), K)
+        m = draw(st.integers(0, K.ramification - 1))
+        coords.append((r + y) / K.uniformizer() ** m)
+    try:
+        return RigidPoint(BuildingDescriptor([(base, d)]), K, [coords])
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_membership_is_gl_o_invariant_under_hypothesis(data):
+    q, tower, d = data.draw(st.sampled_from(_INVARIANCE_CASES))
+    x = data.draw(_rigid_points(q, tower, d))
+    y = _translate(x, data.draw(_gl_o(LaurentModel.get(q), d + 1)))
+    assume(y is not None)
+    assert _memberships(x) == _memberships(y)
 
 
 def test_membership_depth_beyond_the_first_level():

@@ -2,7 +2,8 @@
 
     python3 tools/bench_record.py --parent P1.txt P2.txt .. \\
         --change C1.txt C2.txt .. --out BENCH_6.json \\
-        [--tier1-parent T1.txt --tier1-change T2.txt]
+        [--tier1-parent T1.txt --tier1-change T2.txt] \\
+        [--readme-parent DIR --readme-change DIR --readme-repeats K]
 
 Each input file is the standard output of one `perfbench/run.py` run, for
 one workload or for `all`: its `# <workload> seed=<s> trace=<t> ..` lines
@@ -18,15 +19,24 @@ A tier-1 file is the output of one tier-1 pytest run with `-s`, so that
 the acceptance tests' `[criterion N] PASS (x s < B s)` lines show: it gives
 the run's pass and failure counts and wall time, from pytest's closing
 "N passed .. in T s" line, and each criterion's time and budget (criterion
-9 prints no budget).  Standard library only.
+9 prints no budget).
+
+The README timings run each `btb` example of the README's CLI block (one
+per `btb ` line, continuation lines joined) K times in fresh processes
+against the `src/` of each checkout, alternating the parent and the
+change, and record the median wall seconds per example and side.  An
+example that exits nonzero is an error.  Standard library only.
 """
 
 import argparse
 import json
 import os
 import re
+import shlex
 import statistics
+import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HEADER = re.compile(r"^# (\S+) seed=(-?\d+) trace=([01]) ")
@@ -69,6 +79,46 @@ def read_tier1(path):
             "failed": counts.get("failed", 0) + counts.get("error", 0),
             "wall_s": float(closing[-1].group(2)),
             "criteria": dict(sorted(criteria.items(), key=lambda kv: int(kv[0])))}
+
+
+def readme_examples(path):
+    """The argv of each `btb` line of the CLI block of a README."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    except IndexError:
+        raise ValueError(f"{path}: no ```sh block under '## CLI'") from None
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("btb ")]
+
+
+def _run_example(checkout, argv):
+    """Wall seconds of `btb argv` in a fresh process on checkout's src/."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
+               PYTHONHASHSEED="0")
+    start = time.perf_counter()
+    code = subprocess.call([sys.executable, "-m", "btbuildings.cli"] + argv,
+                           cwd=checkout, env=env, stdout=subprocess.DEVNULL,
+                           stderr=subprocess.DEVNULL)
+    elapsed = time.perf_counter() - start
+    if code:
+        raise ValueError(f"btb {shlex.join(argv)} exited {code} in {checkout}")
+    return elapsed
+
+
+def time_readme(examples, checkouts, repeats):
+    """{command: {side: median seconds}} over `repeats` alternating runs."""
+    out = {}
+    for argv in examples:
+        times = {side: [] for side in checkouts}
+        for _ in range(repeats):
+            for side, checkout in checkouts.items():
+                times[side].append(_run_example(checkout, argv))
+        out[shlex.join(argv)] = {side: statistics.median(ts)
+                                 for side, ts in times.items()}
+    return out
 
 
 def summary(values):
@@ -128,7 +178,16 @@ def main(argv=None):
     ap.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
     ap.add_argument("--tier1-parent", help="tier-1 pytest -s output, parent")
     ap.add_argument("--tier1-change", help="tier-1 pytest -s output, change")
+    ap.add_argument("--readme", default=os.path.join(ROOT, "README.md"),
+                    help="the README whose CLI examples are timed")
+    ap.add_argument("--readme-parent", help="checkout of the parent commit")
+    ap.add_argument("--readme-change", help="checkout of the change")
+    ap.add_argument("--readme-repeats", type=int, default=3,
+                    help="fresh-process runs per example and side")
     args = ap.parse_args(argv)
+    checkouts = {side: path for side, path in (("parent", args.readme_parent),
+                                               ("change", args.readme_change))
+                 if path}
     try:
         with open(args.contract) as fh:
             contract = json.load(fh)
@@ -136,6 +195,11 @@ def main(argv=None):
         tier1 = {side: read_tier1(path) for side, path in
                  (("parent", args.tier1_parent), ("change", args.tier1_change))
                  if path}
+        if checkouts:
+            bench["readme"] = {
+                "repeats": args.readme_repeats,
+                "median_s": time_readme(readme_examples(args.readme),
+                                        checkouts, args.readme_repeats)}
     except (OSError, ValueError, KeyError) as ex:
         print(f"bench_record: {ex}", file=sys.stderr)
         return 2
