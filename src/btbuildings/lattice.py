@@ -423,7 +423,7 @@ def action(model, g):
     g is read once, with no field-level elimination: it is scaled by
     pi^(-m), m its minimal entry valuation, to a primitive O-matrix G, and
     the model bounds D_g = v(det G) by B without eliminating
-    (`det_valuation_bound`).  The class [G] comes from a search over the
+    (`det_valuation_bound`; B >= 0, as G is primitive with no zero row).  The class [G] comes from a search over the
     digit precision M that the guard of `_triangularize_digits` certifies.
     It starts at M = `_SEARCH_START`.  When the guard fails after reading
     the pivot sum D', so that M < 2D' + 1, it retries at 2D' + 2, and when
@@ -448,8 +448,6 @@ def action(model, g):
         scale = model.uniformizer() ** (-minval)
         rows = [[x * scale for x in row] for row in rows]
     top = 2 * model.det_valuation_bound(rows) + 1
-    if top < 1:
-        raise ValueError("singular matrix")
     M = min(_SEARCH_START, top)
     while True:
         ops = digit_ops(model, M)

@@ -144,9 +144,9 @@ def test_readme_examples_are_parsed_and_timed_per_side(tmp_path):
     assert tool.main(["--parent"] + runs + ["--change"] + runs
                      + ["--out", str(out), "--readme", str(readme),
                         "--readme-parent", str(ROOT), "--readme-change",
-                        str(ROOT), "--readme-repeats", "1"]) == 0
+                        str(ROOT)]) == 0
     timed = json.loads(out.read_text())["readme"]
-    assert timed["repeats"] == 1
+    assert timed["repeats"] == tool.README_REPEATS
     assert set(timed["median_s"]) == {
         """label --vertex '[["1","0","0","2"]]'""", "--d 1 eta --n 1"}
     for sides in timed["median_s"].values():
@@ -161,6 +161,5 @@ def test_a_failing_readme_example_is_an_error(tmp_path, capsys):
     runs = [_untraced(tmp_path, "apartment", 1, 3.0, 20.0)]
     assert tool.main(["--parent"] + runs + ["--change"] + runs
                      + ["--out", str(tmp_path / "o.json"), "--readme",
-                        str(readme), "--readme-change", str(ROOT),
-                        "--readme-repeats", "1"]) == 2
+                        str(readme), "--readme-change", str(ROOT)]) == 2
     assert "exited 2" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import shlex
@@ -375,12 +376,14 @@ def test_hashseed_independent_artifacts(tmp_path, hashseed):
 
 
 def _readme_examples():
-    """The argv of each `btb` line of the README's CLI block."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    return [shlex.split(line)[1:]
-            for line in block.replace("\\\n", " ").splitlines()
-            if line.startswith("btb ")]
+    """The argv of each `btb` line of the README's CLI block, as parsed by
+    tools/bench_record.py, which times the same examples."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "bench_record", root / "tools" / "bench_record.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool.readme_examples(root / "README.md")
 
 
 # SHA-256 of each example's stdout; `verify projection-agreement` is left

@@ -3,7 +3,7 @@
     python3 tools/bench_record.py --parent P1.txt P2.txt .. \\
         --change C1.txt C2.txt .. --out BENCH_6.json \\
         [--tier1-parent T1.txt --tier1-change T2.txt] \\
-        [--readme-parent DIR --readme-change DIR --readme-repeats K]
+        [--readme-parent DIR --readme-change DIR]
 
 Each input file is the standard output of one `perfbench/run.py` run, for
 one workload or for `all`: its `# <workload> seed=<s> trace=<t> ..` lines
@@ -22,10 +22,11 @@ the run's pass and failure counts and wall time, from pytest's closing
 9 prints no budget).
 
 The README timings run each `btb` example of the README's CLI block (one
-per `btb ` line, continuation lines joined) K times in fresh processes
-against the `src/` of each checkout, alternating the parent and the
-change, and record the median wall seconds per example and side.  An
-example that exits nonzero is an error.  Standard library only.
+per `btb ` line, continuation lines joined) README_REPEATS times in fresh
+processes against the `src/` of each checkout, the parent and the change
+taking turns to run first, and record the median wall seconds per example
+and side.  An example that exits nonzero is an error.  Standard library
+only.
 """
 
 import argparse
@@ -44,6 +45,7 @@ CRITERION = re.compile(
     r"\[criterion (\d+)\] PASS \(([\d.]+)s(?: < ([\d.]+)s)?\)")
 CLOSING = re.compile(r"^=*\s*(.*\bin ([\d.]+)s\b.*?)\s*=*$")
 COUNT = re.compile(r"(\d+) (passed|failed|errors?|skipped|deselected)")
+README_REPEATS = 3
 
 
 def read_run(path):
@@ -108,13 +110,16 @@ def _run_example(checkout, argv):
     return elapsed
 
 
-def time_readme(examples, checkouts, repeats):
-    """{command: {side: median seconds}} over `repeats` alternating runs."""
+def time_readme(examples, checkouts):
+    """{command: {side: median seconds}} over README_REPEATS runs per side.
+
+    The side that runs first alternates from one repeat to the next."""
     out = {}
     for argv in examples:
         times = {side: [] for side in checkouts}
-        for _ in range(repeats):
-            for side, checkout in checkouts.items():
+        for repeat in range(README_REPEATS):
+            order = list(checkouts.items())
+            for side, checkout in order[::-1] if repeat % 2 else order:
                 times[side].append(_run_example(checkout, argv))
         out[shlex.join(argv)] = {side: statistics.median(ts)
                                  for side, ts in times.items()}
@@ -182,8 +187,6 @@ def main(argv=None):
                     help="the README whose CLI examples are timed")
     ap.add_argument("--readme-parent", help="checkout of the parent commit")
     ap.add_argument("--readme-change", help="checkout of the change")
-    ap.add_argument("--readme-repeats", type=int, default=3,
-                    help="fresh-process runs per example and side")
     args = ap.parse_args(argv)
     checkouts = {side: path for side, path in (("parent", args.readme_parent),
                                                ("change", args.readme_change))
@@ -197,9 +200,9 @@ def main(argv=None):
                  if path}
         if checkouts:
             bench["readme"] = {
-                "repeats": args.readme_repeats,
+                "repeats": README_REPEATS,
                 "median_s": time_readme(readme_examples(args.readme),
-                                        checkouts, args.readme_repeats)}
+                                        checkouts)}
     except (OSError, ValueError, KeyError) as ex:
         print(f"bench_record: {ex}", file=sys.stderr)
         return 2
