@@ -13,9 +13,9 @@ from itertools import product
 from .errors import BudgetError
 from .gf import row_space, rref
 from .lattice import (
-    action, class_pair_min_valuation, class_pair_residue, dual,
-    neighbors_by_colength, pair_index_normalized, solve_in_basis_valuations,
-    standard_neighbor_subspaces, standard_vertex, vertex_from_diagonal,
+    action, class_pair_residue, dual, inverse_column_minima,
+    neighbors_by_colength, pair_index_normalized, standard_neighbor_subspaces,
+    standard_vertex, vertex_from_diagonal,
 )
 from .linalg import identity, inverse, matmul
 
@@ -224,7 +224,7 @@ def _chain_order(comps):
     shifts = [(offsets[k] + D0 - comps[k].det_valuation()) // n for k in order]
     steps = list(zip(order, shifts))
     for (a, ca), (b, cb) in zip(steps, steps[1:] + [(order[0], 1)]):
-        if class_pair_min_valuation(comps[a], comps[b]) + cb - ca < 0:
+        if class_pair_residue(comps[a], comps[b])[0] + cb - ca < 0:
             return None
     return order, shifts
 
@@ -543,12 +543,11 @@ def distance_f(x, y):
 
 def factor_window_fvals(c, window_exps):
     """f(c, y) for every diagonal class y in the window, sharing one
-    triangular solve: for y with primitive exponents m, the minimal
+    scaled inverse: for y with primitive exponents m, the minimal
     containment shift is -min_j(m_j + w_j), w_j the column minima of
-    v(T^{-1}), and f = n*c + sum(m) - v(det T)."""
+    v(T^{-1}) (`inverse_column_minima`), and f = n*c + sum(m) - v(det T)."""
     n = c.n
-    vals = solve_in_basis_valuations(c)
-    w = [min(vals[i][j] for i in range(n)) for j in range(n)]
+    w = inverse_column_minima(c)
     D = c.det_valuation()
     out = []
     for m in window_exps:
@@ -572,14 +571,11 @@ def is_directed_edge(x, y):
 
 def project_apartment(x):
     """Norm-formula projection tau_Lambda onto the standard apartment: per
-    factor, the exponent of the basis vector e_j is m_j = min_i v(u_i) where
-    u solves T u = e_j against the canonical lattice basis T."""
-    factors = []
-    for c in x.components:
-        vals = solve_in_basis_valuations(c)
-        exps = tuple(min(vals[i][j] for i in range(c.n)) for j in range(c.n))
-        factors.append((None, exps))
-    return ApartmentPoint(factors)
+    factor, the exponent of the basis vector e_j is m_j = min_i v(u_i), u
+    the j-th column of T^{-1} for the primitive basis T
+    (`inverse_column_minima`); -m_j is the least c with pi^c e_j in L."""
+    return ApartmentPoint([(None, tuple(inverse_column_minima(c)))
+                           for c in x.components])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from .errors import BudgetError
 from .field import (INF, FieldElement, basis_valuations, enumerate_residues,
                     expand_over, tower_embed)
 from .lattice import (VertexClass, _triangularize_digits, digit_ops, dual,
-                      solve_in_basis_valuations)
+                      inverse_column_minima)
 from .linalg import rank
 from .subdivision import chamber_chart
 
@@ -360,8 +360,7 @@ class _FactorNorm:
         `_span` lattice S, so one exists iff S does not contain pi^(-1)
         O^{d+1}, i.e. iff h - minval - 1 + min v(P^-1) < 0."""
         cls, shift = self._span(lam, 0)
-        inv = solve_in_basis_valuations(cls)
-        return shift - 1 + min(min(row) for row in inv) < 0
+        return shift - 1 + min(inverse_column_minima(cls)) < 0
 
 
 def _check_budget(work, budget):

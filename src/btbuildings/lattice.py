@@ -14,28 +14,32 @@ O/pi^M, and one way into it from a matrix: `action(model, g)` reduces g
 itself at a digit precision that the reduction's guard certifies,
 searched upward from a few digits to at most 2B+1 for a height bound B
 on v(det g), so no field-level elimination is left on the class path; it
-computes every image [g L] as a digit product.  `canonical_form` of an
-outside basis is the image of the standard class, the class of g, and
-the neighbors of [L] are the images [T U] of the standard neighbors U
-under its primitive matrix T, with the digit columns of the standard
-neighbors cached per precision.  `dual` reads pi^D T^{-1} off forward
-solves, and so does `class_pair_residue`: the minimal containment shift
-of a pair of classes and the residue matrix at that shift, from which a
-window (`building.FactorBall`) tells the distance of each neighbor
-before it computes any, and then computes only those it needs.  The
-nu-image (`subdivision`) and the norm lattices of a rigid point
-(`drinfeld`) build their generators in digits directly.  Each caller
-fixes its precision from a bound on the determinant valuation D of the
-primitive lattice, so that the reduction gets the 2D+1 guard digits
-argued in `_triangularize_digits`; it raises PrecisionError, an
-ArithmeticError, when the precision it is given falls short.  The tests
-check it against an exhaustive span oracle over O/pi^k.
+computes every image [g L] as a digit product (`_digit_product`).
+`canonical_form` of an outside basis is the image of the standard class,
+the class of g, and the neighbors of [L] are the images [T U] of the
+standard neighbors U under its primitive matrix T, with the digit columns
+of the standard neighbors cached per precision.  Every question about
+T^{-1} reads Y = pi^D T^{-1}, D = v(det T), from one forward substitution
+(`_scaled_inverse`): `dual` reduces the rows of Y,
+`inverse_column_minima` reads the valuations of its columns (the
+apartment projection, the f-values of a window, the Drinfeld norm test),
+and `class_pair_residue` reads the digit product Y_x T_y: the minimal
+containment shift of a pair of classes and the residue matrix at that
+shift, from which a window (`building.FactorBall`) tells the distance of
+each neighbor before it computes any, and `subdivision.chamber_chart` the
+residue flag of a chain.  The nu-image (`subdivision`) and the norm
+lattices of a rigid point (`drinfeld`) build their generators in digits
+directly.  Each caller fixes its precision from a bound on the
+determinant valuation D of the primitive lattice, so that the reduction
+gets the 2D+1 guard digits argued in `_triangularize_digits`; it raises
+PrecisionError, an ArithmeticError, when the precision it is given falls
+short.  The tests check it against an exhaustive span oracle over O/pi^k.
 """
 
 from functools import lru_cache
 from itertools import combinations
 
-from .field import INF, FieldElement, PAdicModel
+from .field import FieldElement, PAdicModel
 from .gf import from_base, series_div, to_base
 
 
@@ -179,7 +183,7 @@ class LauDigitOps:
         return a[k:] + (0,) * k
 
     def shift_up(self, a, k):
-        return (0,) * k + a[: self.M - k]
+        return ((0,) * k + a)[: self.M]
 
     def unit_inv(self, a):
         out = self._inv_cache.get(a)
@@ -479,10 +483,9 @@ def action(model, g):
     return apply
 
 
-def _product_class(ops, gcols, tcols):
-    """The class of the digit product G T, G and T given by their digit
-    columns; the precision of `ops` must meet the 2D+1 guard for
-    D = v(det G) + v(det T)."""
+def _digit_product(ops, gcols, tcols):
+    """The digit columns of G T, G and T given by their digit columns,
+    skipping the zero entries of both."""
     n = len(tcols)
     zero = ops.zero()
     cols = []
@@ -494,8 +497,44 @@ def _product_class(ops, gcols, tcols):
                     if x != zero:
                         col[i] = ops.add(col[i], ops.mul(t, x))
         cols.append(col)
-    exps, lower, _ = _triangularize_digits(ops, cols, n)
+    return cols
+
+
+def _product_class(ops, gcols, tcols):
+    """The class of the digit product G T, G and T given by their digit
+    columns; the precision of `ops` must meet the 2D+1 guard for
+    D = v(det G) + v(det T)."""
+    cols = _digit_product(ops, gcols, tcols)
+    exps, lower, _ = _triangularize_digits(ops, cols, len(cols))
     return VertexClass(ops.model, exps, lower)
+
+
+def _scaled_inverse(ops, v):
+    """The digit columns of Y = pi^D T^{-1}, T the primitive matrix of v and
+    D = v(det T) < M, by forward substitution against the identity.
+
+    T is lower triangular with diagonal pi^(a_i), so det T = pi^D and Y is
+    the adjugate of T: integral and lower triangular, y_jj = pi^(D - a_j).
+    Entry i > j of column j is (-sum_{j<=k<i} T_ik y_kj) / pi^(a_i), a shift
+    down by a_i digits that fills the top a_i digits with zeros.  So y_ij is
+    exact modulo pi^(M - a_(j+1) - .. - a_i), and Y modulo pi^(M - D)."""
+    n = v.n
+    tcols = v.digit_columns(ops)
+    zero = ops.zero()
+    top = ops.shift_up(ops.residue_coeff(1), v.det_valuation())
+    ycols = []
+    for j in range(n):
+        y = [zero] * n
+        y[j] = ops.shift_down(top, v.exps[j])
+        for i in range(j + 1, n):
+            acc = zero
+            for k in range(j, i):
+                t = tcols[k][i]
+                if t != zero and y[k] != zero:
+                    acc = ops.sub(acc, ops.mul(t, y[k]))
+            y[i] = ops.shift_down(acc, v.exps[i])
+        ycols.append(y)
+    return ycols
 
 
 def canonical_form(model, basis):
@@ -525,15 +564,13 @@ def standard_vertex(model, n):
 def dual(v):
     """Class of the dual lattice for the standard bilinear form sum a_j b_j.
 
-    For T the primitive matrix and D = v(det T), the rows of pi^D T^{-1}
-    span pi^D L*; its columns solve T y = pi^D e_j by forward substitution,
-    whose divisions by the pivots lose at most D digits, so the rows are
-    exact mod pi^(M - D).  v(det pi^D L*) = (n-1)D bounds the primitive D
-    of the dual, and M = (2n-1)D + 2 leaves the 2(n-1)D + 1 guard digits."""
+    For T the primitive matrix and D = v(det T), the rows of
+    Y = pi^D T^{-1} span pi^D L*, and `_scaled_inverse` gives them exact
+    mod pi^(M - D).  v(det pi^D L*) = (n-1)D bounds the primitive D of the
+    dual, and M = (2n-1)D + 2 leaves the 2(n-1)D + 1 guard digits."""
     n, D = v.n, v.det_valuation()
     ops = digit_ops(v.model, (2 * n - 1) * D + 2)
-    tcols = v.digit_columns(ops)
-    ys = [_forward_solve_scaled(ops, tcols, e, D) for e in _unit_columns(ops, n)]
+    ys = _scaled_inverse(ops, v)
     exps, lower, _ = _triangularize_digits(ops, [list(row) for row in zip(*ys)], n)
     return VertexClass(v.model, exps, lower)
 
@@ -630,46 +667,18 @@ def all_neighbors(v):
 
 
 # ---------------------------------------------------------------------------
-# fast class-pair arithmetic used by the building layer
+# questions about T^{-1}: projections and class pairs
 # ---------------------------------------------------------------------------
 
-def solve_in_basis_valuations(v):
-    """Valuation matrix of T^{-1} (T the primitive column matrix of v):
-    entry [i][j] = v((T^{-1})_{ij}).  Values are exact."""
-    n = v.n
+def inverse_column_minima(v):
+    """The column minima w_j = min_i v((T^{-1})_ij) of the inverse of the
+    primitive matrix T of v.  At 2D+2 digits, D = v(det T), the columns of
+    Y = pi^D T^{-1} are exact mod pi^(D+2) (`_scaled_inverse`), and column j
+    holds pi^(D - a_j) on the diagonal, so its minimum is at most D and is
+    read exactly."""
     D = v.det_valuation()
     ops = digit_ops(v.model, 2 * D + 2)
-    tcols = v.digit_columns(ops)
-    vals = []
-    for col in _unit_columns(ops, n):
-        y = _forward_solve_scaled(ops, tcols, col, D)
-        vals.append([ops.val(yi) - D if ops.val(yi) < ops.M else INF for yi in y])
-    return [[vals[j][i] for j in range(n)] for i in range(n)]
-
-
-def _unit_columns(ops, n):
-    """The columns of the n x n identity matrix as digit vectors."""
-    one = ops.residue_coeff(1)
-    return [[one if i == j else ops.zero() for i in range(n)] for j in range(n)]
-
-
-def _forward_solve_scaled(ops, tcols, b, D):
-    """Solve T y = pi^D b by forward substitution; returns digit vector of y
-    (y is integral because pi^D T^{-1} has O entries)."""
-    n = len(tcols)
-    b = [ops.shift_up(x, D) if ops.val(x) < ops.M else x for x in b]
-    y = [ops.zero()] * n
-    for i in range(n):
-        acc = b[i]
-        for k in range(i):
-            if ops.val(y[k]) < ops.M and ops.val(tcols[k][i]) < ops.M:
-                acc = ops.sub(acc, ops.mul(tcols[k][i], y[k]))
-        a_i = ops.val(tcols[i][i])
-        unit = ops.shift_down(tcols[i][i], a_i)
-        if ops.val(acc) < a_i:
-            raise ArithmeticError("non-integral forward solve")
-        y[i] = ops.mul(ops.unit_inv(unit), ops.shift_down(acc, a_i))
-    return y
+    return [min(map(ops.val, col)) - D for col in _scaled_inverse(ops, v)]
 
 
 def class_pair_residue(x, y):
@@ -679,31 +688,28 @@ def class_pair_residue(x, y):
     residue-field ints.  The columns of A span the image of pi^c L_y in
     L_x / pi L_x, in the coordinates of the columns of T_x.
 
-    Both come from the forward solves T_x y = pi^Dx T_y e_j, Dx = v(det T_x):
-    the solves are exact modulo pi^(M - Dx), and m <= 0 (L_x <= O^n while
-    L_y has a unit coordinate) puts the digit Dx + m that A reads below
-    M - Dx for M = 2(Dx + Dy) + 4."""
-    n = x.n
-    Dx, Dy = x.det_valuation(), y.det_valuation()
-    ops = digit_ops(x.model, 2 * (Dx + Dy) + 4)
-    tx = x.digit_columns(ops)
-    ys = [_forward_solve_scaled(ops, tx, col, Dx) for col in y.digit_columns(ops)]
-    low = min(ops.val(a) for col in ys for a in col)
-    rows = tuple(tuple(ops.code(ops.shift_down(col[i], low), 1) for col in ys)
+    Both are read off the digit product Y_x T_y, Y_x = pi^Dx T_x^{-1} and
+    Dx = v(det T_x), at M = 2Dx + 2 digits, with no division.  Y_x is exact
+    mod pi^(M - Dx) (`_scaled_inverse`), and the digits of T_y are exact
+    mod pi^M at any M (an exponent a >= M reads 0, which is pi^a mod pi^M),
+    so Y_x T_y = pi^Dx T_x^{-1} T_y is exact mod pi^(Dx + 2).  Its minimal
+    valuation is Dx + m with m <= 0: were every entry of T_x^{-1} T_y in
+    pi O, then T_y = T_x (T_x^{-1} T_y) would lie in pi O^n, against
+    the primitivity of L_y.  So that minimum is read exactly, and so is the
+    digit Dx + m <= Dx of each entry that A reads; D(y) takes no part."""
+    n, Dx = x.n, x.det_valuation()
+    ops = digit_ops(x.model, 2 * Dx + 2)
+    prod = _digit_product(ops, _scaled_inverse(ops, x), y.digit_columns(ops))
+    low = min(ops.val(a) for col in prod for a in col)
+    rows = tuple(tuple(ops.code(ops.shift_down(col[i], low), 1) for col in prod)
                  for i in range(n))
     return low - Dx, rows
-
-
-def class_pair_min_valuation(x, y):
-    """min over entries of v(T_x^{-1} T_y), for the primitive representatives.
-    This is -c where pi^c L_y <= L_x is the minimal containment shift."""
-    return class_pair_residue(x, y)[0]
 
 
 def pair_index_normalized(x, y):
     """f(x,y) = [M:L] where M is x's lattice and L is y's scaled so that
     M >= L, pi M not >= L (the directed distance in one factor)."""
-    c = -class_pair_min_valuation(x, y)
+    c = -class_pair_residue(x, y)[0]
     return x.n * c + y.det_valuation() - x.det_valuation()
 
 

@@ -10,9 +10,8 @@ from itertools import permutations, product
 from .building import ApartmentPoint, _chain_order
 from .errors import BudgetError
 from .gf import row_space
-from .lattice import (VertexClass, _triangularize_digits, action, digit_ops,
-                      vertex_from_diagonal)
-from .linalg import solve, transpose
+from .lattice import (VertexClass, _triangularize_digits, action,
+                      class_pair_residue, digit_ops, vertex_from_diagonal)
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +141,13 @@ def chamber_chart(comps):
     [<pi u_1,..,pi u_{js[k]}, u_{js[k]+1},..,u_n>].
 
     The order and the representatives L_k = pi^(c_k) P_k come from
-    `_chain_order`, and js are the label offsets.  One solve against the
-    first vertex's canonical basis T_0 gives the residue flag of the L_k in
-    L_0 / pi L_0; it is diagonalized over the residue field and lifted
-    through T_0."""
+    `_chain_order`, and js are the label offsets.  The residue flag of the
+    L_k in L_0 / pi L_0 is the column space of the residue matrix of
+    `class_pair_residue(L_0, L_k)`, read at the shift c_k: on a chain,
+    pi^(c_k) P_k lies in L_0 but not in pi L_0, so c_k is the minimal
+    containment shift, and anything else is an ArithmeticError.  The flag
+    is diagonalized over the residue field and lifted through the
+    primitive basis T_0 of L_0."""
     model = comps[0].model
     n = comps[0].n
     found = _chain_order(comps)
@@ -156,17 +158,13 @@ def chamber_chart(comps):
     L0 = chain[0]
     T0 = L0.primitive_matrix()
     gf = model.residue_gf()
-    pi = model.uniformizer()
-    # residue coordinates in L_0 / pi L_0 of the generators of L_k, k >= 1
-    rhs = [[x * pi ** c for x in col]
-           for c, cls in zip(shifts[1:], chain[1:])
-           for col in transpose(cls.primitive_matrix())]
-    vecs = []
-    for sol in solve(model, T0, rhs):
-        if any(x.valuation() < 0 for x in sol):
-            raise ValueError("face chain solve gave a non-integral coordinate")
-        vecs.append([model.to_digits(x, 1)[0] for x in sol])
-    flags = [row_space(gf, vecs[k:k + n]) for k in range(0, len(vecs), n)]
+    flags = []
+    for c, cls in zip(shifts[1:], chain[1:]):
+        m, A = class_pair_residue(L0, cls)
+        if m != -c:
+            raise ArithmeticError("chain member is not at its minimal "
+                                  "containment shift")
+        flags.append(row_space(gf, zip(*A)))
     l0 = L0.label()
     js = [(cls.label() - l0) % n for cls in chain]
     # adapted residue basis: the last n - js[k] vectors span W_k; a

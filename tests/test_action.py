@@ -20,7 +20,7 @@ from btbuildings.field import (INF, ExtensionDescriptor, LaurentModel,
                                PAdicModel)
 from btbuildings.lattice import (
     PrecisionError, VertexClass, _triangularize_digits, action,
-    canonical_form, class_pair_min_valuation, digit_ops, dual,
+    canonical_form, class_pair_residue, digit_ops, dual,
     neighbors_by_colength, pair_index_normalized, skeleton_distance,
     standard_vertex, vertex_from_diagonal,
 )
@@ -292,6 +292,26 @@ def _divisor_valuations(mat, p):
     return sorted(sympy.multiplicity(p, snf[i, i]) for i in range(mat.rows))
 
 
+@pytest.mark.parametrize("model", FIELDS, ids=repr)
+def test_class_pair_residue_equals_the_field_level_product(model):
+    """(m, A) of `class_pair_residue` is m = min v(T_x^{-1} T_y) and
+    A = pi^(-m) T_x^{-1} T_y mod pi, T_x^{-1} T_y from field-level linear
+    algebra; a class against itself gives (0, I)."""
+    rng = random.Random(f"pair-residue:{model!r}")
+    pi = model.uniformizer()
+    for n in (2, 3, 4):
+        for _ in range(12):
+            x, y = random_vertex(model, n, rng), random_vertex(model, n, rng)
+            prod = matmul(model, inverse(model, x.primitive_matrix()),
+                          y.primitive_matrix())
+            m = min(e.valuation() for row in prod for e in row)
+            residue = tuple(tuple(model.to_digits(e * pi ** -m, 1)[0]
+                                  for e in row) for row in prod)
+            assert class_pair_residue(x, y) == (m, residue)
+            unit = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+            assert class_pair_residue(x, x) == (0, unit)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_class_pairs_and_dual_against_smith_normal_forms(p):
     """The elementary divisors of T_x^{-1} T_y have the valuations of those
@@ -307,7 +327,7 @@ def test_class_pairs_and_dual_against_smith_normal_forms(p):
             ty = _integer_matrix(y.primitive_matrix())
             vals = [a - x.det_valuation()
                     for a in _divisor_valuations(tx.adjugate() * ty, p)]
-            assert class_pair_min_valuation(x, y) == vals[0]
+            assert class_pair_residue(x, y)[0] == vals[0]
             assert pair_index_normalized(x, y) == sum(vals) - n * vals[0]
             assert skeleton_distance(x, y) == vals[-1] - vals[0]
             pairing = _integer_matrix(dual(x).primitive_matrix()).T * tx

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from btbuildings.building import (
@@ -12,11 +13,13 @@ from btbuildings.building import (
     is_directed_edge, is_face, labelling_C, labelling_D, matrix_power,
     neighbor_steps, project_apartment, shift_generator, sigma_mu)
 from btbuildings.errors import BudgetError
-from btbuildings.field import ExtensionDescriptor, LaurentModel, PAdicModel
+from btbuildings.field import (INF, ExtensionDescriptor, LaurentModel,
+                               PAdicModel)
 from btbuildings.lattice import (
-    all_neighbors, canonical_form, class_pair_min_valuation,
-    neighbors_by_colength, pair_index_normalized, skeleton_distance,
-    standard_vertex, vertex_from_diagonal)
+    _triangularize_digits, all_neighbors, canonical_form, class_pair_residue,
+    digit_ops, inverse_column_minima, neighbors_by_colength,
+    pair_index_normalized, skeleton_distance, standard_vertex,
+    vertex_from_diagonal)
 from btbuildings.linalg import det, solve, transpose
 from btbuildings.verify import random_unimodular, random_vertex, window_exps
 
@@ -161,6 +164,59 @@ def test_project_commutes_with_diagonal_torus():
         shifted = ApartmentPoint([(None, tuple(e - ai for e, ai in
                                                zip(pt.exponents(0), a)))])
         assert pt_g == shifted
+
+
+def _least_containing_shift(v, j):
+    """Least c with pi^c e_j in L, L the primitive lattice of v, by
+    reduction alone: pi^c e_j lies in L iff adjoining it to the columns of
+    T keeps the pivot sum at v(det L) = D, and pi^D O^n <= L."""
+    n, D = v.n, v.det_valuation()
+    ops = digit_ops(v.model, 2 * D + 2)
+    one = ops.residue_coeff(1)
+    for c in range(D + 1):
+        extra = [ops.shift_up(one, c) if i == j else ops.zero()
+                 for i in range(n)]
+        exps, _lower, _ = _triangularize_digits(
+            ops, v.digit_columns(ops) + [extra], n)
+        if sum(exps) == D:
+            return c
+    raise AssertionError(f"pi^{D} e_{j} is not in a lattice of colength {D}")
+
+
+def _rational_valuation(r, p):
+    if r == 0:
+        return INF
+    return sympy.multiplicity(p, r.p) - sympy.multiplicity(p, r.q)
+
+
+# seeded single-factor windows (model, d, radius)
+_INVERSE_WINDOWS = [(Q2, 1, 3), (Q2, 2, 2), (Q3, 2, 1), (F4T, 2, 1),
+                    (Q2, 3, 1)]
+
+
+def test_inverse_column_minima_are_the_least_containing_shifts():
+    """The column minima w of v(T^{-1}) that the projection and the window
+    f-values read: -w_j is the least c with pi^c e_j in L on every vertex of
+    seeded windows, and for p-adic classes w are the column minima of the
+    exact rational T^{-1} (sympy)."""
+    rng = random.Random(1111)
+    checked = 0
+    for model, d, radius in _INVERSE_WINDOWS:
+        B = BuildingDescriptor([(model, d)])
+        center = PolyVertex((random_vertex(model, d + 1, rng),))
+        window = Ball(B, center, radius, detail="vertices", budget=10**6)
+        for x in window.vertices:
+            v = x.components[0]
+            w = inverse_column_minima(v)
+            assert project_apartment(x) == ApartmentPoint([(None, w)])
+            assert w == [-_least_containing_shift(v, j) for j in range(v.n)]
+            if isinstance(model, PAdicModel):
+                inv = sympy.Matrix([[int(e.raw) for e in row]
+                                    for row in v.primitive_matrix()]).inv()
+                assert w == [min(_rational_valuation(inv[i, j], model.p)
+                                 for i in range(v.n)) for j in range(v.n)]
+            checked += 1
+    assert checked > 250
 
 
 def test_act_examples():
@@ -315,7 +371,7 @@ def test_matrix_power_inverse():
 
 def _containment_shift(x, y):
     """Minimal c with pi^c L_y <= L_x (primitive representatives)."""
-    return -class_pair_min_valuation(x, y)
+    return -class_pair_residue(x, y)[0]
 
 
 def _chain_order_by_permutations(comps):

@@ -74,12 +74,14 @@ def test_classes_come_from_one_lattice_path():
     # the canonical-stability suite; every other class is [g L] by
     # lattice.action or a digit computation, and action fixes its precision
     # by the reduction's own guard, so lattice needs no field-level linear
-    # algebra at all
+    # algebra at all; subdivision reads the residue flags of its chamber
+    # charts off lattice.class_pair_residue, so it needs none either
     found = [name for name in _find(_calls_canonical_form)
              if name.split(":")[0] not in ("cli.py", "verify.py")]
     assert not found, f"use lattice.action instead: {found}"
-    tree = ast.parse((SRC / "lattice.py").read_text())
-    names = {alias.name for node in tree.body
-             if isinstance(node, ast.ImportFrom) for alias in node.names
-             if node.module == "linalg" or alias.name == "linalg"}
-    assert not names, f"lattice imports {sorted(names)} from linalg"
+    for module in ("lattice.py", "subdivision.py"):
+        tree = ast.parse((SRC / module).read_text())
+        names = {alias.name for node in tree.body
+                 if isinstance(node, ast.ImportFrom) for alias in node.names
+                 if node.module == "linalg" or alias.name == "linalg"}
+        assert not names, f"{module} imports {sorted(names)} from linalg"

@@ -395,6 +395,26 @@ def test_digit_and_exact_backends_agree():
                 assert canonical_form(model, nb.primitive_matrix()) == nb
 
 
+def test_digit_backends_agree_on_shifts_past_the_precision():
+    # pi^k x mod pi^M is 0 for every k >= M in both backends, and a tuple
+    # vector keeps its M digits, so the digit columns of a class with an
+    # exponent above M multiply like any others
+    M = 3
+    for model in (Q2, Q3, F2T, F4T):
+        ops = digit_ops(model, M)
+        q = model.residue_size
+        one = ops.residue_coeff(1)
+        for k in range(2 * M + 2):
+            shifted = ops.shift_up(one, k)
+            assert ops.val(shifted) == min(k, M)
+            assert (shifted == ops.zero()) == (k >= M)
+            for code in (1, q + 1, q ** M - 1):
+                got = ops.shift_up(ops.from_code(code, M), k)
+                assert ops.code(got, M) == code * q ** k % q ** M
+        cols = VertexClass(model, (0, 5), ((1,), ())).digit_columns(ops)
+        assert ops.mul(cols[1][1], cols[0][1]) == ops.zero()
+
+
 def test_serialization_roundtrip():
     rng = random.Random(8)
     for model, n in [(Q2, 2), (F3T, 2), (F2T, 3)]:

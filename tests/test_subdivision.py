@@ -14,7 +14,7 @@ from btbuildings.gf import GF, row_space
 from btbuildings import drinfeld, subdivision
 from btbuildings.drinfeld import diagonalize_norm, membership_depth
 from btbuildings.lattice import (all_neighbors, canonical_form,
-                                 class_pair_min_valuation, skeleton_distance,
+                                 class_pair_residue, skeleton_distance,
                                  standard_vertex, vertex_from_diagonal)
 from btbuildings.linalg import solve, transpose
 from btbuildings.subdivision import (
@@ -104,9 +104,9 @@ def _chart_by_solves(comps):
     order = tuple(sorted(range(len(comps)),
                          key=lambda k: (comps[k].label() - l0) % n))
     chain = [comps[k] for k in order]
-    steps = [-class_pair_min_valuation(a, b) for a, b in zip(chain, chain[1:])]
+    steps = [-class_pair_residue(a, b)[0] for a, b in zip(chain, chain[1:])]
     if (len({c.label() for c in comps}) < len(comps) or 1 - sum(steps)
-            < -class_pair_min_valuation(chain[-1], chain[0])):
+            < -class_pair_residue(chain[-1], chain[0])[0]):
         raise ValueError("vertex set is not a face chain")
     T0 = chain[0].primitive_matrix()
     gf = model.residue_gf()
@@ -195,6 +195,19 @@ def test_chamber_chart_rejects_a_wrong_class(monkeypatch):
     far = vertex_from_diagonal(Q2, (0, 5, 9))
     monkeypatch.setattr(subdivision, "action", lambda model, g: lambda v: far)
     with pytest.raises(ArithmeticError, match="chart verification failed"):
+        chamber_chart(comps)
+
+
+def test_chamber_chart_rejects_a_shift_that_is_not_minimal(monkeypatch):
+    """The residue flag is read at the chain shifts c_k, which are the
+    minimal containment shifts; any other shift is an explicit raise."""
+    B2 = BuildingDescriptor([(Q2, 2)])
+    b = ball(B2, B2.origin(), 1, detail="faces")
+    comps = list(b.chambers[0].factors[0])
+    order, shifts = _chain_order(comps)
+    monkeypatch.setattr(subdivision, "_chain_order",
+                        lambda cs: (order, [shifts[0]] + [c + 1 for c in shifts[1:]]))
+    with pytest.raises(ArithmeticError, match="minimal containment shift"):
         chamber_chart(comps)
 
 
