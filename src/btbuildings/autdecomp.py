@@ -10,7 +10,7 @@ from .building import (PolyVertex, apartment_point_of_vertex, act,
                        basic_chamber, in_standard_apartment, involution_lambda,
                        labelling_C, labelling_D, matrix_power, shift_generator,
                        sigma_mu)
-from .errors import WindowError
+from .errors import BudgetError, WindowError
 from .lattice import action, gaussian_binomial
 from .linalg import inverse, matmul, transpose
 from .subdivision import chamber_chart
@@ -138,7 +138,7 @@ def decompose_hom(f, sizes_in, sizes_out):
 
 def graph_automorphisms_bruteforce(sizes, cap=500000):
     """All automorphisms of the product graph by backtracking over vertex
-    bijections preserving adjacency.  Raises WindowError beyond cap."""
+    bijections preserving adjacency.  Raises BudgetError beyond cap."""
     G = ProductGraph(sizes)
     verts = G.vertices()
     n = len(verts)
@@ -152,7 +152,7 @@ def graph_automorphisms_bruteforce(sizes, cap=500000):
 
     def extend(mapping, used):
         if len(out) > cap:
-            raise WindowError(f"automorphism enumeration exceeded cap {cap}")
+            raise BudgetError(f"automorphism enumeration exceeded cap {cap}")
         k = len(mapping)
         if k == n:
             out.append(tuple(mapping))

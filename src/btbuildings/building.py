@@ -13,7 +13,7 @@ from itertools import product
 from .errors import BudgetError
 from .gf import row_space, rref
 from .lattice import (
-    action, class_pair_residue, dual, inverse_column_minima,
+    action, class_pair_min, class_pair_residue, dual, inverse_column_minima,
     neighbors_by_colength, pair_index_normalized, standard_neighbor_subspaces,
     standard_vertex, vertex_from_diagonal,
 )
@@ -224,7 +224,7 @@ def _chain_order(comps):
     shifts = [(offsets[k] + D0 - comps[k].det_valuation()) // n for k in order]
     steps = list(zip(order, shifts))
     for (a, ca), (b, cb) in zip(steps, steps[1:] + [(order[0], 1)]):
-        if class_pair_residue(comps[a], comps[b])[0] + cb - ca < 0:
+        if class_pair_min(comps[a], comps[b]) + cb - ca < 0:
             return None
     return order, shifts
 

@@ -14,7 +14,7 @@ from .building import ApartmentPoint
 from .errors import BudgetError
 from .field import (INF, FieldElement, basis_valuations, enumerate_residues,
                     expand_over, tower_embed)
-from .lattice import (VertexClass, _triangularize_digits, digit_ops, dual,
+from .lattice import (column_class, digit_ops, dual, guard_precision,
                       inverse_column_minima)
 from .linalg import rank
 from .subdivision import chamber_chart
@@ -329,8 +329,8 @@ class _FactorNorm:
     def work(self, lam, k=0):
         """Predicted work of `_span(lam, k)`: digit precision times the
         entries of the generator matrix."""
-        return (2 * self.n * (self._orders(lam)[1] + k) + 1) * self.n * (
-            self.n + len(self.gens))
+        h = self._orders(lam)[1]
+        return guard_precision(self.n * (h + k)) * self.n * (self.n + len(self.gens))
 
     def _span(self, lam, k):
         """(class of S, h - minval) for S = pi^k O^{d+1} + sum_beta
@@ -338,12 +338,10 @@ class _FactorNorm:
         nu(alpha) >= lam}.
 
         The generators of pi^h S are integral and pi^h S >= pi^(h+k)
-        O^{d+1}, so the primitive lattice P = pi^(-minval) pi^h S has
-        v(det P) <= (d+1)(h + k - minval), and 2(d+1)(h+k) + 1 digits meet
-        the 2D+1 guard of `_triangularize_digits`."""
+        O^{d+1}, so v(det pi^h S) <= (d+1)(h + k) bounds the precision."""
         ms, h = self._orders(lam)
         model, n = self.model, self.n
-        ops = digit_ops(model, 2 * n * (h + k) + 1)
+        ops = digit_ops(model, guard_precision(n * (h + k)))
         pi = model.uniformizer()
         diag = ops.from_field(pi ** (h + k))
         cols = [[diag if r == j else ops.zero() for r in range(n)]
@@ -351,8 +349,8 @@ class _FactorNorm:
         for m, (_vb, col) in zip(ms, self.gens):
             scale = pi ** (h - m)
             cols.append([ops.from_field(c * scale) for c in col])
-        exps, lower, minval = _triangularize_digits(ops, cols, n)
-        return VertexClass(model, exps, lower), h - minval
+        cls, minval = column_class(ops, cols)
+        return cls, h - minval
 
     def reaches(self, lam):
         """Whether nu(alpha) >= lam for some primitive alpha in O^{d+1}:

@@ -2,8 +2,8 @@
 
 Two global models stand in for the complete fields: Q with the p-adic
 valuation, and F_q(t) with the t-adic valuation.  Every computation in
-this package touches only finitely many digits, so exactness is
-preserved with no precision management.
+this package is exact; the one digit precision, that of the lattice
+reduction, is managed in `lattice` and certified by its guard.
 
 Laurent-model elements are reduced ratios of polynomials over F_q with
 a monic denominator (polynomial arithmetic and series division from

@@ -10,30 +10,24 @@ unique, hashable and cheap to produce.  The exposed canonical matrix
 the same data, which is what gets serialized.
 
 There is one reduction, `_triangularize_digits`, over pi-digit vectors in
-O/pi^M, and one way into it from a matrix: `action(model, g)` reduces g
-itself at a digit precision that the reduction's guard certifies,
-searched upward from a few digits to at most 2B+1 for a height bound B
-on v(det g), so no field-level elimination is left on the class path; it
-computes every image [g L] as a digit product (`_digit_product`).
-`canonical_form` of an outside basis is the image of the standard class,
-the class of g, and the neighbors of [L] are the images [T U] of the
-standard neighbors U under its primitive matrix T, with the digit columns
-of the standard neighbors cached per precision.  Every question about
-T^{-1} reads Y = pi^D T^{-1}, D = v(det T), from one forward substitution
-(`_scaled_inverse`): `dual` reduces the rows of Y,
-`inverse_column_minima` reads the valuations of its columns (the
-apartment projection, the f-values of a window, the Drinfeld norm test),
-and `class_pair_residue` reads the digit product Y_x T_y: the minimal
-containment shift of a pair of classes and the residue matrix at that
-shift, from which a window (`building.FactorBall`) tells the distance of
-each neighbor before it computes any, and `subdivision.chamber_chart` the
-residue flag of a chain.  The nu-image (`subdivision`) and the norm
-lattices of a rigid point (`drinfeld`) build their generators in digits
-directly.  Each caller fixes its precision from a bound on the
-determinant valuation D of the primitive lattice, so that the reduction
-gets the 2D+1 guard digits argued in `_triangularize_digits`; it raises
-PrecisionError, an ArithmeticError, when the precision it is given falls
-short.  The tests check it against an exhaustive span oracle over O/pi^k.
+O/pi^M, one entry into it, `column_class`, and one precision rule,
+`guard_precision`: M = lost + bound + 1 digits for generators that lose
+`lost` digits, of a lattice of determinant valuation at most `bound`.  The
+reduction's guard certifies each pass or raises PrecisionError (an
+ArithmeticError), never a wrong class.  `action(model, g)` reduces g
+itself at a precision searched up to B+1 for a height bound B on v(det g),
+with no field-level elimination, and computes every image [g L] as a
+digit product (`_digit_product`): `canonical_form` of an outside basis is
+the image of the standard class, and the neighbors of [L] are the images
+[T U] of the standard neighbors U under its primitive matrix T.  Every
+question about T^{-1} reads Y = pi^D T^{-1}, D = v(det T), from one
+forward substitution (`_scaled_inverse`): `dual` reduces the rows of Y,
+`inverse_column_minima` reads the valuations of its columns, and the digit
+product Y_x T_y gives the minimal containment shift of a pair of classes
+(`class_pair_min`) and the residue matrix at that shift
+(`class_pair_residue`).  `subdivision` and `drinfeld` reduce their digit
+generators through `column_class`.  The tests check the reduction against
+an exhaustive span oracle over O/pi^k.
 """
 
 from functools import lru_cache
@@ -229,10 +223,10 @@ def _triangularize_digits(ops, cols, n):
     vectors, length n).  Returns (exps, lower) of the canonical primitive
     lower-triangular form; the global pi-shift applied is returned too.
 
-    The N = M - minval digits left after the primitive scaling must be at
-    least 2D'+1, D' = a_0 + .. + a_{n-1} the pivot sum the pass reads;
-    PrecisionError otherwise, with D' as its `pivot_sum`, and also when a
-    pivot vanishes modulo pi^M (`pivot_sum` None).
+    The N = M - minval digits left after the primitive scaling must exceed
+    D' = a_0 + .. + a_{n-1}, the pivot sum the pass reads; PrecisionError
+    otherwise, with D' as its `pivot_sum`, and also when a pivot vanishes
+    modulo pi^M (`pivot_sum` None).
 
     Guard lemma: a pass with N > D' is exact, and D' = D.  Let G be the
     O-matrix that the scaled columns agree with modulo pi^N.  Every step
@@ -243,10 +237,10 @@ def _triangularize_digits(ops, cols, n):
     mod pi^(a_i) below it.  C^(-1) = adj(C) / pi^D', so for N > D' the
     matrix X = pi^N C^(-1) E is integral and 0 mod pi, I + X is in GL_n(O),
     and G O^n = C O^n: C is the canonical form.  A singular G never
-    passes, since C (I + X) is nonsingular.  The check asks for 2D'+1 > D'.
+    passes, since C (I + X) is nonsingular.
 
     Conversely, a pass with N > D, D = v(det G), finds every pivot and reads
-    D' = D, so 2D+1 digits always pass the check.  After k pivots the k x k
+    D' = D, so D+1 digits always pass the check.  After k pivots the k x k
     minors of the first k rows of G U and of C agree modulo pi^N; those of C
     vanish except one, pi^(a_0 + .. + a_{k-1}); and the least valuation
     delta_k of those minors is the same for G U and G, and at most D.  So
@@ -258,7 +252,7 @@ def _triangularize_digits(ops, cols, n):
     minval = min(ops.val(v) for col in cols for v in col)
     if minval >= M:
         raise PrecisionError(f"all generators vanish modulo pi^{M}: a zero "
-                             "matrix, or a guard precision below 2D+1")
+                             "matrix, or a guard precision below D+1")
     if minval:
         cols = [[ops.shift_down(v, minval) for v in col] for col in cols]
     remaining = list(cols)
@@ -274,7 +268,7 @@ def _triangularize_digits(ops, cols, n):
         if bestval is None or bestval >= M:
             raise PrecisionError(f"no pivot in row {r} modulo pi^{M}: "
                                  "singular generators, or a guard precision "
-                                 "below 2D+1")
+                                 "below D+1")
         piv = remaining.pop(best)
         a = bestval
         unit = ops.shift_down(piv[r], a)
@@ -289,8 +283,8 @@ def _triangularize_digits(ops, cols, n):
                 col[i] = ops.sub(col[i], ops.mul(mu, piv[i]))
         pivots.append(piv)
         exps.append(a)
-    if M - minval < 2 * sum(exps) + 1:
-        raise PrecisionError(f"guard precision {M - minval} is below 2D+1 "
+    if M - minval <= sum(exps):
+        raise PrecisionError(f"guard precision {M - minval} is below D+1 "
                              f"for determinant valuation D = {sum(exps)}",
                              sum(exps))
     # back-reduction: entry (row i, col c) for i > c reduced mod pi^{a_i}
@@ -308,6 +302,17 @@ def _triangularize_digits(ops, cols, n):
     lower = tuple(tuple(ops.code(pivots[c][i], exps[i]) for i in range(c + 1, n))
                   for c in range(n))
     return tuple(exps), lower, minval
+
+
+def guard_precision(bound, lost=0):
+    """The digit precision M = lost + bound + 1 that leaves bound + 1 exact
+    digits to generators which lose `lost` digits: enough to read any
+    valuation up to `bound`, and to reduce generators of a lattice of
+    determinant valuation at most `bound`.  Scaled by pi^(-minval), those
+    are exact modulo pi^N, N = bound + 1 - minval, and span a primitive
+    lattice with D <= bound - n minval < N: the guard lemma of
+    `_triangularize_digits` makes the pass exact."""
+    return lost + bound + 1
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +421,14 @@ class VertexClass:
         return cols
 
 
+def column_class(ops, cols):
+    """(class, minval): the class of the O-span of the digit columns `cols`
+    (consumed) over `ops`, and the pi-shift of its primitive scaling, from
+    `_triangularize_digits` at the precision of `ops`."""
+    exps, lower, minval = _triangularize_digits(ops, cols, len(cols[0]))
+    return VertexClass(ops.model, exps, lower), minval
+
+
 # The digit precision at which `action` starts its search.
 _SEARCH_START = 4
 
@@ -427,58 +440,52 @@ def action(model, g):
     g is read once, with no field-level elimination: it is scaled by
     pi^(-m), m its minimal entry valuation, to a primitive O-matrix G, and
     the model bounds D_g = v(det G) by B without eliminating
-    (`det_valuation_bound`; B >= 0, as G is primitive with no zero row).  The class [G] comes from a search over the
-    digit precision M that the guard of `_triangularize_digits` certifies.
-    It starts at M = `_SEARCH_START`.  When the guard fails after reading
-    the pivot sum D', so that M < 2D' + 1, it retries at 2D' + 2, and when
-    a pivot vanishes, at 2M; never above 2B + 1.  A pass that meets the
-    guard is exact, and one at M > D_g always does, so the search ends by
-    2B + 1 for an invertible g; a singular g fails every pass, and its
-    failure at 2B + 1 is the ValueError.  A failed guard at M <= D_g reads
-    D' >= M, so each retry at least doubles M.
+    (`det_valuation_bound`; B >= 0, as G is primitive with no zero row).
+    The class [G] comes from a search over the digit precision M that the
+    guard of `_triangularize_digits` certifies, from M = `_SEARCH_START` to
+    at most B + 1 (`guard_precision`).  A pass at M > D_g always meets the
+    guard, and one that meets it is exact, so the search ends by B + 1 for
+    an invertible g; a singular g fails every pass, and its failure at B + 1
+    is the ValueError.  A failed pass retries at max(2M, D' + 1), D' >= M
+    the pivot sum a failed guard reads (0 when a pivot vanished).
 
     [G] is the image of the standard class, and its pivot sum is D_g.  The
     image of a class with primitive matrix T is the class of the digit
-    product G T, and v(det G T) = D_g + D(T) bounds the determinant
-    valuation of its primitive scaling, so 2(D_g + D(T)) + 2 digits meet
-    the 2D+1 guard."""
+    product G T, and v(det G T) = D_g + D(T) is its precision bound."""
     rows = [[x if isinstance(x, FieldElement) else model.element(x) for x in row]
             for row in g]
     if not all(any(row) for row in rows):
         raise ValueError("singular matrix")
-    n = len(rows)
     minval = min(x.valuation() for row in rows for x in row)
     if minval:
         scale = model.uniformizer() ** (-minval)
         rows = [[x * scale for x in row] for row in rows]
-    top = 2 * model.det_valuation_bound(rows) + 1
+    top = guard_precision(model.det_valuation_bound(rows))
     M = min(_SEARCH_START, top)
     while True:
         ops = digit_ops(model, M)
         gcols = [[ops.from_field(x) for x in col] for col in zip(*rows)]
         try:
-            exps, lower, _ = _triangularize_digits(
-                ops, [list(col) for col in gcols], n)
+            image, _ = column_class(ops, [list(col) for col in gcols])
             break
         except PrecisionError as err:
             if M >= top:
                 raise ValueError("singular matrix") from None
-            D = err.pivot_sum
-            M = min(top, 2 * M if D is None else 2 * D + 2)
-    image = VertexClass(model, exps, lower)
+            M = min(top, max(2 * M, guard_precision(err.pivot_sum or 0)))
     D_g = image.det_valuation()
     by_precision = {M: (ops, gcols)}
 
     def apply(v):
         if not v.det_valuation():
             return image
-        M = 2 * (D_g + v.det_valuation()) + 2
+        M = guard_precision(D_g + v.det_valuation())
         if M not in by_precision:
             ops = digit_ops(model, M)
             by_precision[M] = ops, [[ops.from_field(x) for x in col]
                                     for col in zip(*rows)]
         ops, gcols = by_precision[M]
-        return _product_class(ops, gcols, v.digit_columns(ops))
+        return column_class(
+            ops, _digit_product(ops, gcols, v.digit_columns(ops)))[0]
 
     return apply
 
@@ -498,15 +505,6 @@ def _digit_product(ops, gcols, tcols):
                         col[i] = ops.add(col[i], ops.mul(t, x))
         cols.append(col)
     return cols
-
-
-def _product_class(ops, gcols, tcols):
-    """The class of the digit product G T, G and T given by their digit
-    columns; the precision of `ops` must meet the 2D+1 guard for
-    D = v(det G) + v(det T)."""
-    cols = _digit_product(ops, gcols, tcols)
-    exps, lower, _ = _triangularize_digits(ops, cols, len(cols))
-    return VertexClass(ops.model, exps, lower)
 
 
 def _scaled_inverse(ops, v):
@@ -566,13 +564,11 @@ def dual(v):
 
     For T the primitive matrix and D = v(det T), the rows of
     Y = pi^D T^{-1} span pi^D L*, and `_scaled_inverse` gives them exact
-    mod pi^(M - D).  v(det pi^D L*) = (n-1)D bounds the primitive D of the
-    dual, and M = (2n-1)D + 2 leaves the 2(n-1)D + 1 guard digits."""
+    mod pi^(M - D): they lose D digits, and v(det pi^D L*) = (n-1)D."""
     n, D = v.n, v.det_valuation()
-    ops = digit_ops(v.model, (2 * n - 1) * D + 2)
+    ops = digit_ops(v.model, guard_precision((n - 1) * D, lost=D))
     ys = _scaled_inverse(ops, v)
-    exps, lower, _ = _triangularize_digits(ops, [list(row) for row in zip(*ys)], n)
-    return VertexClass(v.model, exps, lower)
+    return column_class(ops, [list(row) for row in zip(*ys)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -649,13 +645,14 @@ def neighbors_by_colength(v, w, indices=None):
     n = v.n
     if not 1 <= w <= n - 1:
         raise ValueError(f"colength must be in 1..{n - 1}, got {w}")
-    M = 2 * (v.det_valuation() + w) + 2
+    M = guard_precision(v.det_valuation() + w)
     ops = digit_ops(v.model, M)
     tcols = v.digit_columns(ops)
     ucols = _standard_neighbor_columns(v.model, n, w, M)
     if indices is None:
         indices = range(len(ucols))
-    return [_product_class(ops, tcols, ucols[j]) for j in indices]
+    return [column_class(ops, _digit_product(ops, tcols, ucols[j]))[0]
+            for j in indices]
 
 
 def all_neighbors(v):
@@ -672,45 +669,50 @@ def all_neighbors(v):
 
 def inverse_column_minima(v):
     """The column minima w_j = min_i v((T^{-1})_ij) of the inverse of the
-    primitive matrix T of v.  At 2D+2 digits, D = v(det T), the columns of
-    Y = pi^D T^{-1} are exact mod pi^(D+2) (`_scaled_inverse`), and column j
-    holds pi^(D - a_j) on the diagonal, so its minimum is at most D and is
-    read exactly."""
+    primitive matrix T of v.  Column j of Y = pi^D T^{-1}, D = v(det T),
+    holds pi^(D - a_j) on the diagonal, so its minimum is at most D, and
+    `_scaled_inverse` loses D digits."""
     D = v.det_valuation()
-    ops = digit_ops(v.model, 2 * D + 2)
+    ops = digit_ops(v.model, guard_precision(D, lost=D))
     return [min(map(ops.val, col)) - D for col in _scaled_inverse(ops, v)]
 
 
-def class_pair_residue(x, y):
-    """(m, A) for the primitive representatives: m = min over entries of
-    v(T_x^{-1} T_y), which is -c for pi^c L_y <= L_x the minimal containment
-    shift, and A = pi^(-m) T_x^{-1} T_y mod pi as a tuple of rows of
-    residue-field ints.  The columns of A span the image of pi^c L_y in
-    L_x / pi L_x, in the coordinates of the columns of T_x.
-
-    Both are read off the digit product Y_x T_y, Y_x = pi^Dx T_x^{-1} and
-    Dx = v(det T_x), at M = 2Dx + 2 digits, with no division.  Y_x is exact
-    mod pi^(M - Dx) (`_scaled_inverse`), and the digits of T_y are exact
-    mod pi^M at any M (an exponent a >= M reads 0, which is pi^a mod pi^M),
-    so Y_x T_y = pi^Dx T_x^{-1} T_y is exact mod pi^(Dx + 2).  Its minimal
-    valuation is Dx + m with m <= 0: were every entry of T_x^{-1} T_y in
-    pi O, then T_y = T_x (T_x^{-1} T_y) would lie in pi O^n, against
-    the primitivity of L_y.  So that minimum is read exactly, and so is the
-    digit Dx + m <= Dx of each entry that A reads; D(y) takes no part."""
-    n, Dx = x.n, x.det_valuation()
-    ops = digit_ops(x.model, 2 * Dx + 2)
+def _pair_product(x, y):
+    """(ops, P, Dx + m): the digit product P = Y_x T_y = pi^Dx T_x^{-1} T_y,
+    Dx = v(det T_x), and its minimal valuation, with no division.  Y_x
+    loses Dx digits (`_scaled_inverse`); the digits of T_y are exact at any
+    M (an exponent a >= M reads 0, which is pi^a mod pi^M).  m = min
+    v(T_x^{-1} T_y) <= 0, or T_y = T_x (T_x^{-1} T_y) would lie in pi O^n,
+    against the primitivity of L_y.  So Dx + 1 exact digits read Dx + m
+    and the digit at Dx + m of each entry; D(y) takes no part."""
+    Dx = x.det_valuation()
+    ops = digit_ops(x.model, guard_precision(Dx, lost=Dx))
     prod = _digit_product(ops, _scaled_inverse(ops, x), y.digit_columns(ops))
-    low = min(ops.val(a) for col in prod for a in col)
+    return ops, prod, min(ops.val(a) for col in prod for a in col)
+
+
+def class_pair_min(x, y):
+    """m = min over entries of v(T_x^{-1} T_y) for the primitive
+    representatives, which is -c for pi^c L_y <= L_x the minimal
+    containment shift (`_pair_product`)."""
+    return _pair_product(x, y)[2] - x.det_valuation()
+
+
+def class_pair_residue(x, y):
+    """(m, A): m = `class_pair_min(x, y)` and A = pi^(-m) T_x^{-1} T_y mod
+    pi as a tuple of rows of residue-field ints, read off the same digit
+    product.  The columns of A span the image of pi^c L_y in L_x / pi L_x,
+    in the coordinates of the columns of T_x."""
+    ops, prod, low = _pair_product(x, y)
     rows = tuple(tuple(ops.code(ops.shift_down(col[i], low), 1) for col in prod)
-                 for i in range(n))
-    return low - Dx, rows
+                 for i in range(x.n))
+    return low - x.det_valuation(), rows
 
 
 def pair_index_normalized(x, y):
     """f(x,y) = [M:L] where M is x's lattice and L is y's scaled so that
     M >= L, pi M not >= L (the directed distance in one factor)."""
-    c = -class_pair_residue(x, y)[0]
-    return x.n * c + y.det_valuation() - x.det_valuation()
+    return y.det_valuation() - x.det_valuation() - x.n * class_pair_min(x, y)
 
 
 def skeleton_distance(x, y):

@@ -10,8 +10,8 @@ from itertools import permutations, product
 from .building import ApartmentPoint, _chain_order
 from .errors import BudgetError
 from .gf import row_space
-from .lattice import (VertexClass, _triangularize_digits, action,
-                      class_pair_residue, digit_ops, vertex_from_diagonal)
+from .lattice import (action, class_pair_residue, column_class, digit_ops,
+                      guard_precision, vertex_from_diagonal)
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +398,7 @@ def _image_vertex_of_factor_point(fpoint, ext):
     (j >= js_k)> and min_k (e [j < js_k] + e - C_k) = e - e x_j, x the
     point's chart coordinates, so G = s^e <s^(-e x_j) nu(u_j)>: the chart
     image.  C_m = e gives s^e nu(L_0) <= G <= nu(L_0), so v(det G) <=
-    e D(L_0) + n e, and 2(e D(L_0) + n e) + 2 digits meet the 2D+1 guard
-    of `_triangularize_digits` (which raises on a shortfall)."""
+    e (D(L_0) + n) bounds the precision of the reduction."""
     e = ext.e
     carrier = [c for c, _ in fpoint]
     if any(c.model is not ext.base for c in carrier):
@@ -409,9 +408,9 @@ def _image_vertex_of_factor_point(fpoint, ext):
         raise ValueError("carrier is not a face chain")
     order, shifts = found
     n, D0 = carrier[0].n, carrier[0].det_valuation()
-    M = 2 * e * (D0 + n) + 2
+    M = guard_precision(e * (D0 + n))
     # the primitive entries have degree <= max exps, so these digits are exact
-    base_ops = digit_ops(ext.base, max(max(c.exps) for c in carrier) + 1)
+    base_ops = digit_ops(ext.base, guard_precision(max(max(c.exps) for c in carrier)))
     cols = []
     C = 0
     for k, shift in zip(order, shifts):
@@ -422,5 +421,4 @@ def _image_vertex_of_factor_point(fpoint, ext):
         pad = (0,) * (e * shift + e - int(C))
         for col in cls.digit_columns(base_ops):
             cols.append([(pad + ext.embed_poly(x) + (0,) * M)[:M] for x in col])
-    exps, lower, _ = _triangularize_digits(digit_ops(ext.extension, M), cols, n)
-    return VertexClass(ext.extension, exps, lower)
+    return column_class(digit_ops(ext.extension, M), cols)[0]

@@ -381,7 +381,7 @@ def suite_projection_agreement(config):
         model = LaurentModel.get(q) if q != 2 else PAdicModel.get(2)
         descriptor = BuildingDescriptor([(model, d)])
         b = ball(descriptor, descriptor.origin(), 2, detail="vertices",
-                 budget=max(config.budget, 20000))
+                 budget=config.budget)
         window = window_exps(d + 1, 3)
         apt_exps = [tuple(-m for m in w) for w in window]
         for x in b.vertices:

@@ -20,7 +20,8 @@ from btbuildings.field import (INF, ExtensionDescriptor, LaurentModel,
                                PAdicModel)
 from btbuildings.lattice import (
     PrecisionError, VertexClass, _triangularize_digits, action,
-    canonical_form, class_pair_residue, digit_ops, dual,
+    canonical_form, class_pair_min, class_pair_residue, column_class,
+    digit_ops, dual, guard_precision,
     neighbors_by_colength, pair_index_normalized, skeleton_distance,
     standard_vertex, vertex_from_diagonal,
 )
@@ -168,25 +169,79 @@ def test_the_precision_search_finds_the_determinant_class(model, start,
     assert {kind for _m, kind in passes} == {"vanish", "guard", "pass"}
 
 
+GUARD_FIELDS = [PAdicModel.get(2), PAdicModel.get(3), LaurentModel.get(2),
+                LaurentModel.get(3), LaurentModel.get(4), S2]
+
+
+@pytest.mark.parametrize("model", GUARD_FIELDS, ids=repr)
+def test_the_guard_refuses_D_digits_and_certifies_D_plus_one(model):
+    # the primitive scaling G of a seeded raw basis, D = v(det G) from one
+    # field-level elimination: D digits never pass the guard, and the
+    # D + 1 of `guard_precision` give the class of the 2D + 2 digit oracle
+    rng = random.Random(f"guard:{model!r}")
+    checked = 0
+    for g in _search_inputs(model, rng):
+        dv = det(model, g).valuation()
+        n = len(g)
+        m = min(x.valuation() for row in g for x in row)
+        D = dv - n * m
+        if dv == INF or not D:
+            continue
+        scale = model.uniformizer() ** (-m)
+
+        def columns(M):
+            ops = digit_ops(model, M)
+            return ops, [[ops.from_field(row[c] * scale) for row in g]
+                         for c in range(n)]
+        with pytest.raises(PrecisionError):
+            column_class(*columns(D))
+        assert column_class(*columns(guard_precision(D)))[0] == \
+            _det_class(model, g)
+        checked += 1
+    assert checked >= 25
+
+
 @pytest.mark.parametrize("row,bound,trace", [
-    (["1", "1+t"], 1, [(1, "vanish"), (2, "guard"), (3, "pass")]),
+    (["1", "1+t"], 1, [(1, "vanish"), (2, "pass")]),
     (["1", "1+t^5"], 5, [(1, "vanish"), (2, "vanish"), (4, "vanish"),
-                         (8, "guard"), (11, "pass")]),
+                         (6, "pass")]),
     (["1+t^20", "1+t^5+t^20"], 20, [(1, "vanish"), (2, "vanish"),
-                                    (4, "vanish"), (8, "guard"),
-                                    (12, "pass")]),
+                                    (4, "vanish"), (8, "pass")]),
 ])
 def test_every_retry_branch_runs_from_one_digit(row, bound, trace,
                                                 monkeypatch):
     # [[1, 1], row] has v(det) = 1 or 5 and the degree bound B = deg row:
-    # its second pivot vanishes below v(det) + 1 digits, M doubles until
-    # the pivot shows, and the guard then asks for 2 v(det) + 2, capped at
-    # 2B + 1
+    # its second pivot vanishes below v(det) + 1 digits, and M doubles,
+    # capped at B + 1, until the pivot shows and the pass meets the guard
     model = LaurentModel.get(2)
     passes = _spy_passes(monkeypatch)
     g = [[model.one(), model.one()], [model.element(x) for x in row]]
     assert model.det_valuation_bound(g) == bound
     assert action(model, g)(standard_vertex(model, 2)) == \
+        _det_class(model, g)
+    assert passes == trace
+
+
+@pytest.mark.parametrize("rows,bound,trace", [
+    ([["t", "t"], ["1", "1+t"]], 2,
+     [(1, "vanish"), (2, "guard"), (3, "pass")]),
+    ([["t", "t"], ["1+t^20", "1+t+t^20"]], 21,
+     [(1, "vanish"), (2, "guard"), (4, "pass")]),
+    ([["t^3", "t^3", "t^3"], ["1+t^20", "1+t^3+t^20", "1+t^20"],
+      ["1", "1", "1+t^3"]], 26,
+     [(1, "vanish"), (2, "vanish"), (4, "guard"), (10, "pass")]),
+])
+def test_a_failed_guard_retries_at_the_pivot_sum_or_twice_the_precision(
+        rows, bound, trace, monkeypatch):
+    # the first row lies in pi O, so the first pivot is pi^a with a > 0 and
+    # a pass that finds every pivot can read a pivot sum D' >= M.  The
+    # retry is at max(D' + 1, 2M), capped at B + 1: D' = 2 at M = 2 gives
+    # 4, capped at 3 in the first case; D' = 9 at M = 4 gives 10
+    model = LaurentModel.get(2)
+    passes = _spy_passes(monkeypatch)
+    g = [[model.element(x) for x in row] for row in rows]
+    assert model.det_valuation_bound(g) == bound
+    assert action(model, g)(standard_vertex(model, len(g))) == \
         _det_class(model, g)
     assert passes == trace
 
@@ -218,14 +273,14 @@ def test_singular_matrices_fail_the_search(model, monkeypatch):
         with pytest.raises(ValueError, match="^singular matrix$"):
             action(model, g)
         assert all(kind != "pass" for _m, kind in passes)
-    # a primitive singular matrix fails every pass, the last at 2B + 1
+    # a primitive singular matrix fails every pass, the last at B + 1
     g = _rank_deficient(model, rng, 3)
     m = min(x.valuation() for row in g for x in row)
     g = [[x * model.uniformizer() ** -m for x in row] for row in g]
     del passes[:]
     with pytest.raises(ValueError, match="^singular matrix$"):
         action(model, g)
-    assert passes[-1][0] == 2 * model.det_valuation_bound(g) + 1
+    assert passes[-1][0] == model.det_valuation_bound(g) + 1
 
 
 @pytest.mark.parametrize("vertex", ['[["1","2","3","6"]]',
@@ -310,6 +365,18 @@ def test_class_pair_residue_equals_the_field_level_product(model):
             assert class_pair_residue(x, y) == (m, residue)
             unit = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
             assert class_pair_residue(x, x) == (0, unit)
+
+
+@pytest.mark.parametrize("model", [PAdicModel.get(2), PAdicModel.get(3),
+                                   LaurentModel.get(2), LaurentModel.get(3),
+                                   LaurentModel.get(4)], ids=repr)
+def test_class_pair_min_is_the_minimum_of_the_residue_pair(model):
+    rng = random.Random(f"pair-min:{model!r}")
+    for n in (2, 3, 4):
+        for _ in range(20):
+            x, y = random_vertex(model, n, rng), random_vertex(model, n, rng)
+            assert class_pair_min(x, y) == class_pair_residue(x, y)[0]
+            assert class_pair_min(y, x) == class_pair_residue(y, x)[0]
 
 
 @pytest.mark.parametrize("p", [2, 3])

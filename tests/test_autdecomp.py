@@ -13,7 +13,7 @@ from btbuildings.building import (
     ball, basic_chamber, in_standard_apartment, involution_lambda, labelling_C,
     matrix_power, shift_generator, sigma_mu)
 from btbuildings.cli import main
-from btbuildings.errors import WindowError
+from btbuildings.errors import BudgetError, WindowError
 from btbuildings.field import LaurentModel, PAdicModel
 from btbuildings.linalg import identity
 from btbuildings.verify import random_unimodular
@@ -69,6 +69,12 @@ def test_aut_order_small_products():
     assert len(graph_automorphisms_bruteforce((2, 2))) == 8 == expected_aut_order((2, 2))
     assert len(graph_automorphisms_bruteforce((2, 2, 2))) == 48 == expected_aut_order((2, 2, 2))
     assert len(graph_automorphisms_bruteforce((4,))) == 24 == expected_aut_order((4,))
+
+
+def test_aut_enumeration_past_its_cap_is_a_budget_overrun():
+    # (2, 2) has 8 automorphisms
+    with pytest.raises(BudgetError, match="exceeded cap 3"):
+        graph_automorphisms_bruteforce((2, 2), cap=3)
 
 
 def test_decompose_reconstruct_roundtrip_random():

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from btbuildings import verify
 from btbuildings.cli import main
 
 
@@ -229,6 +230,22 @@ def test_exit_codes(capsys):
     # unknown suite
     code, _out = run_cli(["verify", "no-such-suite"], capsys)
     assert code == 2
+
+
+def test_projection_agreement_stops_at_its_first_ball_over_budget(
+        capsys, monkeypatch):
+    balls = []
+    real = verify.ball
+
+    def spy(*args, **kwargs):
+        balls.append(kwargs["budget"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "ball", spy)
+    code, _out = run_cli(["verify", "projection-agreement", "--budget", "1"],
+                         capsys)
+    assert code == 3
+    assert balls == [1]
 
 
 @pytest.mark.parametrize("argv", [

@@ -85,3 +85,16 @@ def test_classes_come_from_one_lattice_path():
                  if isinstance(node, ast.ImportFrom) for alias in node.names
                  if node.module == "linalg" or alias.name == "linalg"}
         assert not names, f"{module} imports {sorted(names)} from linalg"
+
+
+def _imports_the_reduction(node):
+    return isinstance(node, ast.ImportFrom) and any(
+        alias.name == "_triangularize_digits" for alias in node.names)
+
+
+def test_only_lattice_imports_the_reduction():
+    # lattice owns the reduction and its one precision rule, guard_precision;
+    # the other modules reduce digit columns through lattice.column_class
+    found = [name for name in _find(_imports_the_reduction)
+             if not name.startswith("lattice.py:")]
+    assert not found, f"reduce through lattice.column_class: {found}"

@@ -7,10 +7,10 @@ from btbuildings import lattice
 from btbuildings.field import INF, LaurentModel, PAdicModel
 from btbuildings.gf import GF
 from btbuildings.lattice import (
-    VertexClass, _standard_neighbors, _triangularize_digits, all_neighbors,
-    canonical_form, digit_ops, dual, gaussian_binomial, neighbors_by_colength,
-    pair_index_normalized, skeleton_distance, standard_neighbor_subspaces,
-    standard_vertex,
+    PrecisionError, VertexClass, _standard_neighbors, _triangularize_digits,
+    all_neighbors, canonical_form, digit_ops, dual, gaussian_binomial,
+    neighbors_by_colength, pair_index_normalized, skeleton_distance,
+    standard_neighbor_subspaces, standard_vertex,
 )
 from btbuildings.linalg import matmul
 from btbuildings.verify import random_unimodular, random_vertex
@@ -122,17 +122,25 @@ def test_canonical_form_matches_span_oracle(model, n):
 
 @pytest.mark.parametrize("model", [Q2, F2T])
 def test_reduction_below_guard_precision_raises(model):
-    # diag(1, pi^3) needs 2*3+1 digits; with fewer the reduction must refuse
+    # diag(1, pi^3) needs 3+1 digits; with fewer the reduction must refuse
     # rather than return a class it cannot certify
-    def cols(ops):
+    def cols(ops, exps):
         one = ops.residue_coeff(1)
-        return [[one, ops.zero()], [ops.zero(), ops.shift_up(one, 3)]]
-    for M in (3, 4, 6):
+        return [[ops.shift_up(one, a) if i == j else ops.zero()
+                 for i in range(len(exps))] for j, a in enumerate(exps)]
+    for M in (1, 2, 3):
         ops = digit_ops(model, M)
         with pytest.raises(ArithmeticError):
-            _triangularize_digits(ops, cols(ops), 2)
-    ops = digit_ops(model, 7)
-    assert _triangularize_digits(ops, cols(ops), 2)[0] == (0, 3)
+            _triangularize_digits(ops, cols(ops, (0, 3)), 2)
+    ops = digit_ops(model, 4)
+    assert _triangularize_digits(ops, cols(ops, (0, 3)), 2)[0] == (0, 3)
+    # diag(1, pi^2, pi^2) shows every pivot at 4 digits, and the guard
+    # refuses the pivot sum 4 it reads there
+    with pytest.raises(PrecisionError) as err:
+        _triangularize_digits(ops, cols(ops, (0, 2, 2)), 3)
+    assert err.value.pivot_sum == 4
+    ops = digit_ops(model, 5)
+    assert _triangularize_digits(ops, cols(ops, (0, 2, 2)), 3)[0] == (0, 2, 2)
 
 
 def test_dual_examples():
