@@ -291,6 +291,8 @@ def cmd_verify(args):
         dmax = _flag_ints("--d", args.d, "an integer")
         if len(dmax) != 1:
             raise ValueError(f"--d must be an integer, got {args.d!r}")
+        if dmax[0] < 1:
+            raise ValueError(f"--d must be at least 1, got {args.d!r}")
         kwargs = {"qs": tuple(_flag_ints("--q", args.q)), "dmax": dmax[0]}
     report = run_suite(args.suite, config, **kwargs)
     emit(args, report)

@@ -20,8 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .gf import (INF, GF, from_base, is_prime, padd, pdivmod, pgcd, pmul,
-                 pneg, pord, ptrim, series_div, to_base)
+from .gf import (INF, GF, from_base, padd, pdivmod, pgcd, pmul, pneg,
+                 pord, prime_power, ptrim, series_div, to_base)
 from .linalg import solve, transpose
 
 _EXT_VARS = ("t", "s", "u", "v", "z")
@@ -47,7 +47,7 @@ class PAdicModel:
         return m
 
     def __init__(self, p):
-        if not is_prime(p):
+        if prime_power(p) != (p, 1):  # raises for a non-prime-power
             raise ValueError(f"p must be prime, got {p}")
         self.p = p
         self.residue_size = p
@@ -290,61 +290,45 @@ class LaurentModel:
         s = s.replace(" ", "")
         if not s:
             raise ValueError("empty element")
-        num_s, den_s = s, None
-        depth = 0
-        for i, ch in enumerate(s):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "/" and depth == 0:
-                num_s, den_s = s[:i], s[i + 1:]
-                break
-        num = self._poly_parse(num_s)
-        den = self._poly_parse(den_s) if den_s is not None else (1,)
+        num_s, slash, den_s = s.partition("/")
+        num, a = self._poly_parse(num_s)
+        den, b = self._poly_parse(den_s) if slash else ((1,), 0)
         if not den:
             raise ValueError(f"zero denominator in {s!r}")
-        return self.element(num, den)
+        # num t^a / (den t^b) with a, b <= 0
+        return self.element((0,) * -b + num, (0,) * -a + den)
 
     def _poly_parse(self, s):
+        """A sum of monomials c*w^a*t^k, k and a any integers, optionally in
+        one pair of parentheses, as (poly, low): the sum is poly * t^low,
+        low <= 0 its most negative t-exponent (0 if there is none)."""
         gf = self.gf
-        if s.startswith("(") and s.endswith(")"):
-            depth = 0
-            ok = True
-            for i, ch in enumerate(s):
-                if ch == "(":
-                    depth += 1
-                elif ch == ")":
-                    depth -= 1
-                    if depth == 0 and i != len(s) - 1:
-                        ok = False
-                        break
-            if ok:
-                s = s[1:-1]
+        if s[:1] == "(" and s[-1:] == ")":
+            s = s[1:-1]
         coeffs = {}
         for term in s.split("+"):
-            if not term:
-                raise ValueError("empty term")
             cw, wexp, texp = 1, 0, 0
             for part in term.split("*"):
-                if not part:
-                    raise ValueError(f"bad term {term!r}")
-                if part[0].isdigit():
-                    cw = gf.mul(cw, gf.scalar(int(part)))
-                elif part[0] == "w":
-                    wexp += int(part[2:]) if part.startswith("w^") else 1
-                elif part[0] == self.var:
-                    texp += int(part[2:]) if part.startswith(f"{self.var}^") else 1
+                name, caret, exp = part.partition("^")
+                k = int(exp) if caret else 1
+                if name.isdigit() and not caret:
+                    cw = gf.mul(cw, gf.scalar(int(name)))
+                elif name == "w":
+                    if gf.m == 1:
+                        raise ValueError(f"no generator w in the prime "
+                                         f"field F_{gf.q}: {term!r}")
+                    wexp += k
+                elif name == self.var:
+                    texp += k
                 else:
                     raise ValueError(f"bad factor {part!r} in {term!r}")
             c = gf.mul(cw, gf.pow(gf.from_coeffs([0, 1]), wexp)) if wexp else cw
             coeffs[texp] = gf.add(coeffs.get(texp, 0), c)
-        if not coeffs:
-            return ()
-        out = [0] * (max(coeffs) + 1)
+        low = min(0, *coeffs)
+        out = [0] * (max(coeffs) - low + 1)
         for k, c in coeffs.items():
-            out[k] = c
-        return ptrim(out)
+            out[k - low] = c
+        return ptrim(out), low
 
     def residue_gf(self):
         return self.gf
@@ -549,9 +533,9 @@ class ExtensionDescriptor:
     @lru_cache(maxsize=None)
     def _w_powers(self):
         """W^0, .., W^(f-1) in F_{q^f}, W the generator of its coefficient
-        codec (1 over a prime field)."""
+        codec (over a prime field f = 1, and W^0 = 1)."""
         gf_big = self.extension.gf
-        W = gf_big.from_coeffs([0, 1]) if gf_big.m > 1 else 1
+        W = gf_big.from_coeffs([0, 1])
         return tuple(gf_big.pow(W, b) for b in range(self.f))
 
     @lru_cache(maxsize=None)

@@ -6,6 +6,14 @@ g is the lexicographically smallest monic irreducible of degree m over
 F_p, coefficients compared low-degree-first, so the encoding (and hence
 every enumeration order downstream) is deterministic.
 
+Every field, prime or not, has one access path: add, sub and mul read a
+table t[a][b], neg and inv a table t[a].  The tables are filled from one
+scalar definition of each operation: addition coefficient-wise mod p,
+multiplication as a polynomial product mod g on plain ints, negation as
+multiplication by p - 1 = -1, and the inverse by pow.  Up to _TABLE_CAP
+elements the tables are lists built with the field; above it they fill
+each entry on its first lookup.
+
 This module also owns the encodings built on F_q: the base-b digit codec
 (`to_base`/`from_base`, low digit first) behind GF elements, pi-adic digit
 vectors and residue codes; the polynomial toolkit over a GF (tuples
@@ -14,22 +22,12 @@ division that gives t-adic digits and unit inverses.
 """
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import accumulate, repeat
 
 INF = math.inf
 
-_TABLE_CAP = 256  # build full mul/inv tables up to this field size
-
-
-def is_prime(n):
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
+_TABLE_CAP = 256  # list tables up to this field size; self-filling dicts above
 
 
 def prime_power(q):
@@ -204,8 +202,22 @@ def smallest_irreducible(p, m):
     raise ArithmeticError(f"no monic irreducible of degree {m} over F_{p}")
 
 
+class _Filled(dict):
+    """A table that fills itself: the entry for key k is fill(k), computed
+    on its first lookup and kept."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 class GF:
-    """Arithmetic in F_q, q = p^m.  Instances are cached; use GF.get(q)."""
+    """Arithmetic in F_q, q = p^m.  Instances are cached; use GF.get(q).
+    Each operation reads one table: add_table[a][b], sub_table[a][b],
+    mul_table[a][b], neg_table[a], inv_table[a]."""
 
     _cache = {}
 
@@ -222,10 +234,17 @@ class GF:
         self.p = p
         self.m = m
         self.modulus = smallest_irreducible(p, m)
-        self._mul_table = None
-        self._inv_table = None
-        if m > 1 and q <= _TABLE_CAP:
+        if q <= _TABLE_CAP:
             self._build_tables()
+        else:
+            def table(op):
+                return _Filled(lambda a: _Filled(partial(op, a)))
+            self.add_table = table(self._add)
+            self.mul_table = table(self._poly_mul)
+            self.neg_table = self.mul_table[p - 1]  # -a = (p-1)*a
+            self.sub_table = table(
+                lambda a, b: self.add_table[a][self.neg_table[b]])
+            self.inv_table = _Filled(self._inv)
 
     def __repr__(self):
         return f"GF({self.q})"
@@ -238,26 +257,46 @@ class GF:
     def from_coeffs(self, c):
         return from_base(c[: self.m], self.p)
 
+    # -- the scalar definitions the tables are filled from --
+
+    def _add(self, a, b):
+        """a + b, coefficient-wise mod p."""
+        p, m = self.p, self.m
+        return from_base([(x + y) % p for x, y in
+                          zip(to_base(a, p, m), to_base(b, p, m))], p)
+
     def _poly_mul(self, a, b):
-        """a*b as polynomials in w over F_p, reduced mod the modulus."""
-        fp = GF.get(self.p)
-        prod = pmul(fp, ptrim(self.to_coeffs(a)), ptrim(self.to_coeffs(b)))
-        return self.from_coeffs(pdivmod(fp, prod, self.modulus)[1])
+        """a*b as polynomials in w over F_p, reduced mod the monic modulus
+        g, on plain ints mod p: w^m = -(g_0 + .. + g_{m-1} w^{m-1})."""
+        p, m, g = self.p, self.m, self.modulus
+        prod = [0] * (2 * m - 1)
+        for i, x in enumerate(to_base(a, p, m)):
+            for j, y in enumerate(to_base(b, p, m)):
+                prod[i + j] += x * y
+        for k in range(2 * m - 2, m - 1, -1):
+            c = prod[k] % p
+            for i in range(m):
+                prod[k - m + i] -= c * g[i]
+        return from_base([c % p for c in prod[:m]], p)
+
+    def _inv(self, a):
+        """a^-1 = a^(e-1) / N(a), e = (q-1)/(p-1): the norm N(a) = a^e lies
+        in F_p, where pow inverts it (for q = p this is pow(a, -1, p))."""
+        r = self.pow(a, (self.q - 1) // (self.p - 1) - 1)
+        return self._poly_mul(r, pow(self._poly_mul(r, a), -1, self.p))
 
     def _build_tables(self):
-        """Multiplication and inverse tables from the powers of a primitive
-        element g, a*b = g^(log a + log b): at most q polynomial products
-        per candidate g, then O(q^2) lookups."""
+        """The list tables, from the powers of a primitive element g:
+        a*b = g^(log a + log b), and with Zech's 1 + g^n (Lidl and
+        Niederreiter, ch. 9) a + b = a * (1 + g^(log b - log a)).  At most
+        q polynomial products per candidate g and q scalar additions, then
+        O(q^2) lookups."""
         q = self.q
         order = q - 1
-        for g in range(2, q):
-            powers = [1]
-            while len(powers) < order:
-                nxt = self._poly_mul(powers[-1], g)
-                if nxt == 1:
-                    break
-                powers.append(nxt)
-            if len(powers) == order:
+        for g in range(1, q):
+            powers = list(accumulate(repeat(g, order - 1), self._poly_mul,
+                                     initial=1))
+            if len(set(powers)) == order:
                 break
         else:
             raise ArithmeticError(f"GF({q}) has no primitive element")
@@ -265,58 +304,40 @@ class GF:
         for i, a in enumerate(powers):
             log[a] = i
         twice = powers + powers
-        self._mul_table = [[0] * q] + [
+        self.mul_table = mul = [[0] * q] + [
             [0] + [twice[log[a] + log[b]] for b in range(1, q)]
             for a in range(1, q)]
-        self._inv_table = [0] + [powers[-log[a] % order] for a in range(1, q)]
+        self.inv_table = [0] + [powers[-log[a] % order] for a in range(1, q)]
+        zech = [self._add(1, x) for x in powers]
+        self.add_table = [list(range(q))] + [
+            [a] + [mul[a][zech[(log[b] - log[a]) % order]] for b in range(1, q)]
+            for a in range(1, q)]
+        self.neg_table = neg = mul[self.p - 1]  # -a = (p-1)*a
+        self.sub_table = [[row[c] for c in neg] for row in self.add_table]
 
     # -- arithmetic --
 
     def add(self, a, b):
-        if self.m == 1:
-            return (a + b) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        while a or b:
-            out += ((a % p + b % p) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        return self.add_table[a][b]
 
     def neg(self, a):
-        if self.m == 1:
-            return (-a) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        while a:
-            out += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return self.neg_table[a]
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return self.sub_table[a][b]
 
     def mul(self, a, b):
-        if self.m == 1:
-            return (a * b) % self.p
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return self._poly_mul(a, b)
+        return self.mul_table[a][b]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero in GF")
-        if self.m == 1:
-            return pow(a, -1, self.p)
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        return self.pow(a, self.q - 2)
+        return self.inv_table[a]
 
     def pow(self, a, n):
+        """a^n; a negative n raises inv(a) to -n."""
+        if n < 0:
+            a, n = self.inv(a), -n
         out = 1
         b = a
         while n:
@@ -341,24 +362,17 @@ class GF:
             raise ValueError(f"{other!r} does not extend {self!r}")
         if other.q == self.q:
             return list(range(self.q))
-        gen_img = None
-        for c in range(other.q):
+
+        def at(coeffs, x):
+            """sum_i coeffs[i] x^i in the target, by Horner's rule."""
             acc = 0
-            for coef in reversed(self.modulus):
-                acc = other.add(other.mul(acc, c), coef % self.p)
-            if acc == 0:
-                gen_img = c
-                break
+            for c in reversed(coeffs):
+                acc = other.add(other.mul(acc, x), c)
+            return acc
+
+        gen_img = next((c for c in range(other.q) if not at(self.modulus, c)),
+                       None)
         if gen_img is None:
             raise ArithmeticError(
                 f"the modulus of {self!r} has no root in {other!r}")
-        table = [0] * self.q
-        for a in range(self.q):
-            acc = 0
-            img = 1
-            for coef in self.to_coeffs(a):
-                if coef:
-                    acc = other.add(acc, other.mul(coef, img))
-                img = other.mul(img, gen_img)
-            table[a] = acc
-        return table
+        return [at(self.to_coeffs(a), gen_img) for a in range(self.q)]

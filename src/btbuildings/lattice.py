@@ -107,8 +107,8 @@ class PadDigitOps:
 
 class LauDigitOps:
     """O/t^M for a Laurent model; digit vectors are tuples of GF ints, len M.
-    Prime residue fields use direct mod-p arithmetic; prime powers go through
-    the cached GF multiplication tables."""
+    Entries are added, subtracted and multiplied by reading the residue
+    field's add, sub and mul tables directly, for every q."""
 
     def __init__(self, model, M):
         self.model = model
@@ -117,8 +117,9 @@ class LauDigitOps:
         self.q = model.q
         self._zero = (0,) * M
         self._inv_cache = {}
-        self._prime = self.gf.m == 1
-        self._mt = None if self._prime else self.gf._mul_table
+        self._add = self.gf.add_table
+        self._sub = self.gf.sub_table
+        self._mul = self.gf.mul_table
 
     def zero(self):
         return self._zero
@@ -136,41 +137,23 @@ class LauDigitOps:
         return self.M
 
     def add(self, a, b):
-        if self._prime:
-            p = self.q
-            return tuple((x + y) % p for x, y in zip(a, b))
-        gf = self.gf
-        return tuple(gf.add(x, y) for x, y in zip(a, b))
+        t = self._add
+        return tuple(t[x][y] for x, y in zip(a, b))
 
     def sub(self, a, b):
-        if self._prime:
-            p = self.q
-            return tuple((x - y) % p for x, y in zip(a, b))
-        gf = self.gf
-        return tuple(gf.sub(x, y) for x, y in zip(a, b))
+        t = self._sub
+        return tuple(t[x][y] for x, y in zip(a, b))
 
     def mul(self, a, b):
         M = self.M
         out = [0] * M
-        if self._prime:
-            p = self.q
-            for i, ai in enumerate(a):
-                if ai:
-                    top = M - i
-                    for j, bj in enumerate(b[:top]):
-                        if bj:
-                            out[i + j] = (out[i + j] + ai * bj) % p
-            return tuple(out)
-        gf = self.gf
-        mt = self._mt
+        add = self._add
         for i, ai in enumerate(a):
             if ai:
-                row = mt[ai] if mt is not None else None
-                top = M - i
-                for j, bj in enumerate(b[:top]):
+                row = self._mul[ai]
+                for j, bj in enumerate(b[:M - i], i):
                     if bj:
-                        prod = row[bj] if row is not None else gf.mul(ai, bj)
-                        out[i + j] = gf.add(out[i + j], prod)
+                        out[j] = add[out[j]][row[bj]]
         return tuple(out)
 
     def shift_down(self, a, k):

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,53 @@ def test_verify_gaussian_binomials(capsys):
     assert obj["passed"]
     assert any(c["enumerated"] == 15 for c in obj["counts"])
     assert obj["suite"] == "gaussian-binomials" and obj["seed"] == 0
+
+
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_gaussian_binomials_rejects_d_below_one(d, capsys):
+    code = main(["verify", "gaussian-binomials", "--q", "2", "--d", d])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert "--d must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("field,entry,code,label", [
+    ("laurent:2", "t^-1", 0, [1]),
+    ("laurent:4", "w^-1", 0, [0]),
+    ("laurent:2", "w+1", 2, None),
+])
+def test_laurent_entries_with_negative_exponents_and_w(field, entry, code,
+                                                       label, capsys):
+    """t^-1 parses exactly, w^-1 is the inverse of w, and w over a prime
+    residue field is an input error that names w; each ends within 1 s."""
+    vertex = json.dumps([["1", "0", "0", entry]])
+    start = time.perf_counter()
+    got = main(["--field", field, "--d", "1", "label", "--vertex", vertex])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert got == code
+    if label is None:
+        assert "no generator w" in captured.err
+    else:
+        assert json.loads(captured.out)["label"] == label
+
+
+# SHA-256 of two balls over residue fields above the GF table cap, as the
+# mod-p and polynomial-product arithmetic that the tables replaced wrote them
+_LARGE_FIELD_DIGESTS = {
+    "--field laurent:512 --d 1 --radius 1 ball":
+        "eef557dcfadf6c54dca71b41829cf347101a1474912a244f81a49e138acafc6b",
+    "--field padic:1009 --d 1 --radius 1 ball":
+        "d7d4ea500390a710f1d53f317863feda1f87fd5c91d31803e312cd7a36b60140",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_LARGE_FIELD_DIGESTS))
+def test_large_field_balls_are_unchanged(command, capsys):
+    code, out = run_cli(shlex.split(command), capsys)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == _LARGE_FIELD_DIGESTS[command]
 
 
 def test_eta_command(capsys):

@@ -30,6 +30,56 @@ def test_text_parse_contract(model, zero_den, spaced, plain):
         assert parse(spaced) == model.element(plain)
 
 
+def _monomial(c, a, k):
+    """The text of c*w^a*t^k, each factor written only when it is not 1."""
+    parts = [str(c)] if c != 1 else []
+    parts += [] if a == 0 else ["w"] if a == 1 else [f"w^{a}"]
+    parts += [] if k == 0 else ["t"] if k == 1 else [f"t^{k}"]
+    return "*".join(parts) or "1"
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_monomial_sums_parse_to_their_value(q):
+    """Seeded sums of c*w^a*t^k with a and k in [-3, 3] (a = 0 over a prime
+    residue field, which has no w) parse to the value field arithmetic
+    gives, and so do their quotients."""
+    model = LaurentModel.get(q)
+    gf = model.gf
+    rng = random.Random(f"parse:{q}")
+    t = model.uniformizer()
+    w = model.element((gf.from_coeffs([0, 1]),))
+    sums = []
+    for _ in range(40):
+        terms, value = [], model.zero()
+        for _ in range(rng.randrange(1, 5)):
+            c, k = rng.randrange(1, gf.p), rng.randint(-3, 3)
+            a = rng.randint(-3, 3) if gf.m > 1 else 0
+            terms.append(_monomial(c, a, k))
+            value = value + model.element(c) * w ** a * t ** k
+        text = "+".join(terms)
+        assert model.elem_parse(text) == value, text
+        sums.append((text, value))
+    for (s1, v1), (s2, v2) in zip(sums, sums[1:]):
+        if v2 != model.zero():
+            assert model.elem_parse(f"({s1})/({s2})") == v1 / v2
+
+
+def test_negative_t_exponents_and_w_over_a_prime_field():
+    t = F2T.uniformizer()
+    assert F2T.elem_parse("t+t^-1") == (F2T.one() + t * t) / t
+    assert valuation(F2T.elem_parse("t+t^-1")) == -1
+    assert F2T.elem_parse("t^-1") == F2T.one() / t
+    assert F2T.elem_parse("t^-1*t^2") == t
+    assert F2T.elem_parse("1/t^-2") == t * t
+    for model, text in [(F2T, "w+1"), (F3T, "2*w^2"), (F2T, "t/w")]:
+        with pytest.raises(ValueError, match="no generator w"):
+            model.elem_parse(text)
+    w = F4T.elem_parse("w")
+    assert F4T.elem_parse("w^-1") * w == F4T.one()
+    with pytest.raises(ZeroDivisionError):
+        F4T.gf.pow(0, -1)
+
+
 def test_valuation_examples():
     assert valuation(Q2.element(12)) == 2
     x = F2T.element("t^2") / F2T.element("1+t")

@@ -1,7 +1,7 @@
 """The F_q layer against sympy's galoistools (test-only oracle): GF(q)
-multiplication and inverse tables, the multiplication fallback above the
-table cap, the choice of modulus, the polynomial toolkit, the digit codec
-and the truncated series division."""
+arithmetic tables, the self-filling tables above the table cap, the
+choice of modulus, the polynomial toolkit, the digit codec and the
+truncated series division."""
 
 import random
 from itertools import product
@@ -13,8 +13,8 @@ from sympy.polys.domains import ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from btbuildings.gf import (
-    GF, from_base, padd, pdivmod, pgcd, pmul, pneg, pord, ptrim, rref,
-    series_div, smallest_irreducible, to_base,
+    _TABLE_CAP, GF, from_base, padd, pdivmod, pgcd, pmul, pneg, pord, ptrim,
+    rref, series_div, smallest_irreducible, to_base,
 )
 
 
@@ -42,7 +42,7 @@ def _oracle_inv(F, a):
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
 def test_mul_and_inv_tables_match_sympy(q):
     F = GF.get(q)
-    assert F._mul_table is not None and F._inv_table is not None
+    assert isinstance(F.mul_table, list) and isinstance(F.inv_table, list)
     assert gt.gf_irreducible_p(_high(F.modulus), F.p, ZZ)
     for a in range(q):
         for b in range(q):
@@ -55,7 +55,7 @@ def test_largest_tables_match_polynomial_products():
     # the tables come from the powers of a primitive element; every entry
     # must equal the reduced polynomial product
     F = GF.get(256)
-    assert F._mul_table is not None
+    assert isinstance(F.mul_table, list)
     rng = random.Random(256)
     for _ in range(3000):
         a, b = rng.randrange(256), rng.randrange(256)
@@ -66,7 +66,7 @@ def test_largest_tables_match_polynomial_products():
 
 def test_mul_fallback_above_the_table_cap_matches_sympy():
     F = GF.get(512)
-    assert F._mul_table is None
+    assert isinstance(F.mul_table, dict)
     assert gt.gf_irreducible_p(_high(F.modulus), F.p, ZZ)
     rng = random.Random(512)
     for _ in range(300):
@@ -74,6 +74,49 @@ def test_mul_fallback_above_the_table_cap_matches_sympy():
         assert F.mul(a, b) == _oracle_mul(F, a, b)
     for a in [1, 2, 511] + [rng.randrange(1, 512) for _ in range(20)]:
         assert F.inv(a) == _oracle_inv(F, a)
+
+
+def _oracle_pow(F, a, n):
+    if n < 0:
+        a, n = _oracle_inv(F, a), -n
+    h = gt.gf_pow_mod(_high(F.to_coeffs(a)), n, _high(F.modulus), F.p, ZZ)
+    return F.from_coeffs(_low(h))
+
+
+def _entries(table):
+    """The number of entries a q x q table holds."""
+    return sum(map(len, table.values() if isinstance(table, dict) else table))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 4, 8, 9, 25, 27, 256, 257, 512])
+def test_arithmetic_matches_sympy(q):
+    """add, sub, neg, mul, inv and pow against galoistools: every pair up
+    to q = 27, seeded pairs above.  Above the table cap the tables fill on
+    lookup and none of them ever holds all q x q entries."""
+    F = GF.get(q)
+    p = F.p
+    rng = random.Random(f"gf:{q}")
+    if q <= 27:
+        pairs = list(product(range(q), repeat=2))
+    else:
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(400)]
+    for a, b in pairs:
+        ha, hb = _high(F.to_coeffs(a)), _high(F.to_coeffs(b))
+        assert F.add(a, b) == F.from_coeffs(_low(gt.gf_add(ha, hb, p, ZZ)))
+        assert F.sub(a, b) == F.from_coeffs(_low(gt.gf_sub(ha, hb, p, ZZ)))
+        assert F.neg(a) == F.from_coeffs(_low(gt.gf_neg(ha, p, ZZ)))
+        assert F.mul(a, b) == _oracle_mul(F, a, b)
+        if a:
+            assert F.inv(a) == _oracle_inv(F, a)
+            n = rng.randrange(-5, 20)
+            assert F.pow(a, n) == _oracle_pow(F, a, n)
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        F.pow(0, -1)
+    full = [_entries(t) == q * q
+            for t in (F.add_table, F.sub_table, F.mul_table)]
+    assert full == [q <= _TABLE_CAP] * 3
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6),

@@ -423,6 +423,41 @@ def test_digit_backends_agree_on_shifts_past_the_precision():
         assert ops.mul(cols[1][1], cols[0][1]) == ops.zero()
 
 
+def _integral(model, rng):
+    """A seeded element of O: a polynomial over a unit denominator."""
+    q = model.q
+    num = [rng.randrange(q) for _ in range(rng.randrange(0, 6))]
+    den = [rng.randrange(1, q)] + [rng.randrange(q)
+                                   for _ in range(rng.randrange(0, 3))]
+    return model.element(num, den)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 512])
+def test_laurent_digit_backend_matches_field_arithmetic(q):
+    """LauDigitOps reads the GF tables directly, above the table cap too;
+    add, sub, mul, unit_inv and from_field equal the field model's
+    arithmetic truncated mod t^M."""
+    model = LaurentModel.get(q)
+    rng = random.Random(f"lau:{q}")
+    t = model.uniformizer()
+    for M in (1, 2, 4, 7):
+        ops = digit_ops(model, M)
+
+        def digits(x):
+            return tuple(model.to_digits(x, M))
+
+        for _ in range(25):
+            x, y = _integral(model, rng), _integral(model, rng)
+            low = [rng.randrange(q) for _ in range(M)]
+            assert ops.from_field(model.element(low) + t ** M * x) == tuple(low)
+            a, b = ops.from_field(x), ops.from_field(y)
+            assert ops.add(a, b) == digits(x + y)
+            assert ops.sub(a, b) == digits(x - y)
+            assert ops.mul(a, b) == digits(x * y)
+            if x.valuation() == 0:
+                assert ops.unit_inv(a) == digits(model.one() / x)
+
+
 def test_serialization_roundtrip():
     rng = random.Random(8)
     for model, n in [(Q2, 2), (F3T, 2), (F2T, 3)]:
