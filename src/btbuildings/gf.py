@@ -11,8 +11,9 @@ table t[a][b], neg and inv a table t[a].  The tables are filled from one
 scalar definition of each operation: addition coefficient-wise mod p,
 multiplication as a polynomial product mod g on plain ints, negation as
 multiplication by p - 1 = -1, and the inverse by pow.  Up to _TABLE_CAP
-elements the tables are lists built with the field; above it they fill
-each entry on its first lookup.
+elements the tables are lists built with the field; above it a table
+fills an entry on its first lookup and keeps it, so it holds one entry per
+distinct pair looked up, and all q x q only if every pair is.
 
 This module also owns the encodings built on F_q: the base-b digit codec
 (`to_base`/`from_base`, low digit first) behind GF elements, pi-adic digit
@@ -22,8 +23,7 @@ division that gives t-adic digits and unit inverses.
 """
 
 import math
-from functools import lru_cache, partial
-from itertools import accumulate, repeat
+from functools import lru_cache
 
 INF = math.inf
 
@@ -203,14 +203,17 @@ def smallest_irreducible(p, m):
 
 
 class _Filled(dict):
-    """A table that fills itself: the entry for key k is fill(k), computed
-    on its first lookup and kept."""
+    """A table that fills itself: the entry for key k is fill(*args, k),
+    computed on its first lookup and kept, so it holds one entry per
+    distinct key looked up."""
 
-    def __init__(self, fill):
-        self.fill = fill
+    __slots__ = ("fill", "args")
+
+    def __init__(self, fill, *args):
+        self.fill, self.args = fill, args
 
     def __missing__(self, key):
-        value = self[key] = self.fill(key)
+        value = self[key] = self.fill(*self.args, key)
         return value
 
 
@@ -236,14 +239,12 @@ class GF:
         self.modulus = smallest_irreducible(p, m)
         if q <= _TABLE_CAP:
             self._build_tables()
-        else:
-            def table(op):
-                return _Filled(lambda a: _Filled(partial(op, a)))
-            self.add_table = table(self._add)
-            self.mul_table = table(self._poly_mul)
+        else:  # row a of a table is _Filled(op, a)
+            self.add_table = _Filled(_Filled, self._add)
+            self.mul_table = _Filled(_Filled, self._poly_mul)
             self.neg_table = self.mul_table[p - 1]  # -a = (p-1)*a
-            self.sub_table = table(
-                lambda a, b: self.add_table[a][self.neg_table[b]])
+            self.sub_table = _Filled(_Filled, lambda a, b:
+                                     self.add_table[a][self.neg_table[b]])
             self.inv_table = _Filled(self._inv)
 
     def __repr__(self):
@@ -288,32 +289,37 @@ class GF:
     def _build_tables(self):
         """The list tables, from the powers of a primitive element g:
         a*b = g^(log a + log b), and with Zech's 1 + g^n (Lidl and
-        Niederreiter, ch. 9) a + b = a * (1 + g^(log b - log a)).  At most
-        q polynomial products per candidate g and q scalar additions, then
-        O(q^2) lookups."""
+        Niederreiter, ch. 9) a + b = a * (1 + g^(log b - log a)).  A
+        candidate g costs its order in products; each row is a slice of the
+        powers read at the logs."""
         q = self.q
         order = q - 1
-        for g in range(1, q):
-            powers = list(accumulate(repeat(g, order - 1), self._poly_mul,
-                                     initial=1))
-            if len(set(powers)) == order:
+        for g in range(1, q):  # the powers of g != 0 return to 1
+            powers = [1]
+            while (nxt := self._poly_mul(powers[-1], g)) != 1:
+                powers.append(nxt)
+            if len(powers) == order:
                 break
         else:
             raise ArithmeticError(f"GF({q}) has no primitive element")
         log = [0] * q
         for i, a in enumerate(powers):
             log[a] = i
+        logs = log[1:]
         twice = powers + powers
-        self.mul_table = mul = [[0] * q] + [
-            [0] + [twice[log[a] + log[b]] for b in range(1, q)]
-            for a in range(1, q)]
+        zech = [self._add(1, x) for x in powers] * 2  # 1 + g^n, n mod order
+        self.mul_table = mul = [[0] * q]
+        self.add_table = add = [list(range(q))]
+        for a in range(1, q):
+            la = log[a]
+            row = [0, *map(twice[la:].__getitem__, logs)]
+            mul.append(row)
+            shifted = zech[order - la:]  # shifted[log b] = 1 + g^(log b - la)
+            add.append([a, *map(row.__getitem__,
+                                map(shifted.__getitem__, logs))])
         self.inv_table = [0] + [powers[-log[a] % order] for a in range(1, q)]
-        zech = [self._add(1, x) for x in powers]
-        self.add_table = [list(range(q))] + [
-            [a] + [mul[a][zech[(log[b] - log[a]) % order]] for b in range(1, q)]
-            for a in range(1, q)]
         self.neg_table = neg = mul[self.p - 1]  # -a = (p-1)*a
-        self.sub_table = [[row[c] for c in neg] for row in self.add_table]
+        self.sub_table = [list(map(row.__getitem__, neg)) for row in add]
 
     # -- arithmetic --
 
@@ -362,17 +368,24 @@ class GF:
             raise ValueError(f"{other!r} does not extend {self!r}")
         if other.q == self.q:
             return list(range(self.q))
-
-        def at(coeffs, x):
-            """sum_i coeffs[i] x^i in the target, by Horner's rule."""
+        gen_img = None
+        for c in range(other.q):
             acc = 0
-            for c in reversed(coeffs):
-                acc = other.add(other.mul(acc, x), c)
-            return acc
-
-        gen_img = next((c for c in range(other.q) if not at(self.modulus, c)),
-                       None)
+            for coef in reversed(self.modulus):
+                acc = other.add(other.mul(acc, c), coef % self.p)
+            if acc == 0:
+                gen_img = c
+                break
         if gen_img is None:
             raise ArithmeticError(
                 f"the modulus of {self!r} has no root in {other!r}")
-        return [at(self.to_coeffs(a), gen_img) for a in range(self.q)]
+        table = [0] * self.q
+        for a in range(self.q):
+            acc = 0
+            img = 1
+            for coef in self.to_coeffs(a):
+                if coef:
+                    acc = other.add(acc, other.mul(coef, img))
+                img = other.mul(img, gen_img)
+            table[a] = acc
+        return table

@@ -5,7 +5,6 @@ import os
 import shlex
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -46,11 +45,10 @@ def test_gaussian_binomials_rejects_d_below_one(d, capsys):
 def test_laurent_entries_with_negative_exponents_and_w(field, entry, code,
                                                        label, capsys):
     """t^-1 parses exactly, w^-1 is the inverse of w, and w over a prime
-    residue field is an input error that names w; each ends within 1 s."""
+    residue field is an input error that names w.  GF.pow's negative
+    exponents, behind w^-1, are checked directly in test_gf."""
     vertex = json.dumps([["1", "0", "0", entry]])
-    start = time.perf_counter()
     got = main(["--field", field, "--d", "1", "label", "--vertex", vertex])
-    assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert got == code
     if label is None:

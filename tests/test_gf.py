@@ -119,6 +119,19 @@ def test_arithmetic_matches_sympy(q):
     assert full == [q <= _TABLE_CAP] * 3
 
 
+@pytest.mark.parametrize("q", [512, 1009])
+def test_tables_above_the_cap_hold_the_pairs_looked_up(q):
+    """Above the table cap a table holds one entry per distinct pair looked
+    up, however often each is read."""
+    F = GF(q)  # a fresh instance, not the shared GF.get(q)
+    rng = random.Random(f"fill:{q}")
+    pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(300)]
+    for a, b in pairs + pairs[::2]:
+        F.add(a, b)
+        F.mul(a, b)
+    assert _entries(F.add_table) == _entries(F.mul_table) == len(set(pairs))
+
+
 @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
                                  (3, 2), (3, 3), (3, 4), (5, 2), (5, 3),
                                  (7, 2)])
