@@ -11,7 +11,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .autdecomp import AutWord, _int_list, decompose_hom, normal_form
+from .autdecomp import (AutWord, _int_list, _square_matrix, decompose_hom,
+                        normal_form)
 from .building import (BuildingDescriptor, PolyVertex, ball, involution_lambda,
                        labelling_C, project_apartment)
 from .drinfeld import (Poly, RigidPoint, deform, eval_abs, membership_depth,
@@ -32,13 +33,21 @@ def _flag_ints(flag, text, form="a comma-separated list of integers"):
         raise ValueError(f"{flag} must be {form}, got {text!r}") from None
 
 
+def _flag_int(flag, text):
+    """The one integer of a flag value."""
+    values = _flag_ints(flag, text, "an integer")
+    if len(values) != 1:
+        raise ValueError(f"{flag} must be an integer, got {text!r}")
+    return values[0]
+
+
 def parse_field(spec):
     kind, _, param = spec.partition(":")
     models = {"padic": (PAdicModel, "p"), "laurent": (LaurentModel, "q")}
     if kind not in models:
         raise ValueError(f"unknown field spec {spec!r}; use padic:p or laurent:q")
     model, size = models[kind]
-    return model.get(_flag_ints(f"--field {kind}:{size}", param, "an integer")[0])
+    return model.get(_flag_int(f"--field {kind}:{size}", param))
 
 
 def build_descriptor(args):
@@ -71,25 +80,25 @@ def parse_vertex(descriptor, text):
         if "matrix_per_factor" not in obj:
             raise ValueError("a vertex object needs a 'matrix_per_factor' field")
         obj = obj["matrix_per_factor"]
-    sizes = [(d + 1) ** 2 for d in descriptor.dims]
+    if not isinstance(obj, list) or len(obj) != descriptor.r:
+        raise ValueError(f"vertex must be a list of {descriptor.r} matrices, "
+                         "one flat row-major list of strings per factor")
     comps = []
-    for (model, d), flat in zip(descriptor.factors,
-                                _string_lists(obj, sizes, "vertex")):
-        n = d + 1
-        mat = [[model.elem_parse(flat[i * n + j]) for j in range(n)]
-               for i in range(n)]
-        cols = [[mat[j][i] for j in range(n)] for i in range(n)]
-        comps.append(canonical_form(model, cols))
+    for (model, d), flat in zip(descriptor.factors, obj):
+        mat = _square_matrix(model, d + 1, flat)
+        comps.append(canonical_form(model, [list(col) for col in zip(*mat)]))
     return PolyVertex(tuple(comps))
 
 
-def emit(args, obj, dot=None):
+def emit(args, obj):
+    """Write the JSON artifact obj; a command with DOT output writes it
+    through `_write` instead."""
     if args.format == "dot":
-        if dot is None:
-            raise ValueError("this command has no DOT output")
-        text = dot
-    else:
-        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        raise ValueError("this command has no DOT output")
+    _write(args, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def _write(args, text):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -103,7 +112,10 @@ def cmd_ball(args):
               else descriptor.origin())
     b = ball(descriptor, center, args.radius, detail=args.detail,
              budget=args.budget)
-    emit(args, b.to_json_obj(), dot=b.to_dot())
+    if args.format == "dot":
+        _write(args, b.to_dot())
+    else:
+        emit(args, b.to_json_obj())
     return 0
 
 
@@ -146,11 +158,9 @@ def cmd_subdivide(args):
 
 
 def cmd_eta(args):
-    d = _flag_ints("--d", args.d, "an integer")
-    if len(d) != 1:
-        raise ValueError(f"--d must be an integer, got {args.d!r}")
-    charts = eta_chambers(d[0], args.n)
-    emit(args, {"d": d[0], "n": args.n, "count": len(charts),
+    d = _flag_int("--d", args.d)
+    charts = eta_chambers(d, args.n)
+    emit(args, {"d": d, "n": args.n, "count": len(charts),
                 "charts": [{"sigma": list(c.sigma), "a": list(c.a),
                             "vertices": [list(v) for v in c.vertices()]}
                            for c in charts]})
@@ -279,48 +289,44 @@ def cmd_retract(args):
 
 
 def cmd_verify(args):
-    ignored = args.given & {"field", "d", "r", "radius", "depth"}
-    if args.suite == "gaussian-binomials" and args.q:
-        ignored.discard("d")
-    if ignored:
-        raise ValueError("verify does not read "
-                         + ", ".join(f"--{k}" for k in sorted(ignored)))
+    override = args.suite == "gaussian-binomials" and args.q
+    if "d" in args.given and not override:
+        raise ValueError("verify reads --d only with gaussian-binomials --q")
     config = Config(budget=args.budget, seed=args.seed)
     kwargs = {}
-    if args.suite == "gaussian-binomials" and args.q:
-        dmax = _flag_ints("--d", args.d, "an integer")
-        if len(dmax) != 1:
-            raise ValueError(f"--d must be an integer, got {args.d!r}")
-        if dmax[0] < 1:
+    if override:
+        dmax = _flag_int("--d", args.d)
+        if dmax < 1:
             raise ValueError(f"--d must be at least 1, got {args.d!r}")
-        kwargs = {"qs": tuple(_flag_ints("--q", args.q)), "dmax": dmax[0]}
+        kwargs = {"qs": tuple(_flag_ints("--q", args.q)), "dmax": dmax}
     report = run_suite(args.suite, config, **kwargs)
     emit(args, report)
     return 0 if report["passed"] else 1
 
 
-_COMMON_DEFAULTS = {
-    "field": "padic:2", "d": "1", "r": None, "radius": 2, "depth": 3,
-    "seed": 0, "budget": 20000, "format": "json", "out": None,
+# the common flags, accepted before and after the subcommand: name ->
+# (default, add_argument keywords)
+_COMMON = {
+    "field": ("padic:2", {"help": "comma list of padic:p | laurent:q "
+                                  "(default padic:2)"}),
+    "d": ("1", {"help": "comma list of factor dimensions"}),
+    "r": (None, {"type": int, "help": "factor count check"}),
+    "radius": (2, {"type": int}),
+    "depth": (3, {"type": int}),
+    "seed": (0, {"type": int}),
+    "budget": (20000, {"type": int}),
+    "format": ("json", {"choices": ["json", "dot"]}),
+    "out": (None, {"help": "write the artifact to a file"}),
 }
+_DESCRIPTOR = ("field", "d", "r")  # read by `build_descriptor`
 
 
-def _add_common(parser):
-    """The common flags, accepted before and after the subcommand.  They
-    default to absent, so that `main` can tell which were given."""
-    S = argparse.SUPPRESS
-    parser.add_argument("--field", default=S,
-                        help="comma list of padic:p | laurent:q (default padic:2)")
-    parser.add_argument("--d", default=S,
-                        help="comma list of factor dimensions")
-    parser.add_argument("--r", type=int, default=S, help="factor count check")
-    parser.add_argument("--radius", type=int, default=S)
-    parser.add_argument("--depth", type=int, default=S)
-    parser.add_argument("--seed", type=int, default=S)
-    parser.add_argument("--budget", type=int, default=S)
-    parser.add_argument("--format", choices=["json", "dot"], default=S)
-    parser.add_argument("--out", default=S,
-                        help="write the artifact to a file")
+def _add_common(parser, names):
+    """The common flags `names`.  They default to absent, so that `main`
+    can tell which were given."""
+    for name in names:
+        parser.add_argument(f"--{name}", default=argparse.SUPPRESS,
+                            **_COMMON[name][1])
 
 
 def make_parser():
@@ -328,63 +334,75 @@ def make_parser():
         prog="btb", allow_abbrev=False,
         description="Exact computations on Bruhat-Tits buildings, their "
                     "products, and rigid points of Drinfeld spaces")
-    _add_common(p)
+    _add_common(p, _COMMON)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
+    def add_parser(name, reads, **kw):
+        """A subcommand that reads the common flags `reads`, and --format
+        and --out through `emit`; `main` rejects the others."""
+        reads = reads + ("format", "out")
         s = sub.add_parser(name, allow_abbrev=False, **kw)
-        _add_common(s)
+        _add_common(s, reads)
+        s.set_defaults(reads=reads)
         return s
 
-    s = add_parser("ball", help="window of the building around a vertex")
+    s = add_parser("ball", _DESCRIPTOR + ("radius", "budget"),
+                   help="window of the building around a vertex")
     s.add_argument("--vertex", default=None)
     s.add_argument("--detail", choices=["vertices", "edges", "faces"],
                    default="faces")
     s.set_defaults(func=cmd_ball)
 
-    s = add_parser("project", help="norm-formula apartment projection")
+    s = add_parser("project", _DESCRIPTOR,
+                   help="norm-formula apartment projection")
     s.add_argument("--vertex", required=True)
     s.set_defaults(func=cmd_project)
 
-    s = add_parser("label", help="labelling C of a vertex")
+    s = add_parser("label", _DESCRIPTOR, help="labelling C of a vertex")
     s.add_argument("--vertex", required=True)
     s.set_defaults(func=cmd_label)
 
-    s = add_parser("involution", help="dual-lattice involution lambda")
+    s = add_parser("involution", _DESCRIPTOR,
+                   help="dual-lattice involution lambda")
     s.add_argument("--vertex", required=True)
     s.add_argument("--mask", default=None, help="comma list of 0/1 per factor")
     s.set_defaults(func=cmd_involution)
 
-    s = add_parser("subdivide", help="subdivide the chambers of a window")
+    s = add_parser("subdivide", _DESCRIPTOR + ("radius", "budget"),
+                   help="subdivide the chambers of a window")
     s.add_argument("--marking", required=True, help="comma list per factor")
     s.set_defaults(func=cmd_subdivide)
 
-    s = add_parser("eta", help="alcove charts of the dilated simplex")
+    s = add_parser("eta", ("d",), help="alcove charts of the dilated simplex")
     s.add_argument("--n", type=int, required=True)
     s.set_defaults(func=cmd_eta)
 
-    s = add_parser("extend", help="embed a vertex along a field extension")
+    s = add_parser("extend", _DESCRIPTOR,
+                   help="embed a vertex along a field extension")
     s.add_argument("--vertex", default=None)
     s.add_argument("--e", type=int, default=1, help="ramification index")
     s.add_argument("--f", type=int, default=1, help="residue degree")
     s.set_defaults(func=cmd_extend)
 
-    s = add_parser("decompose-aut", help="decompose a product-graph map")
+    s = add_parser("decompose-aut", (), help="decompose a product-graph map")
     s.add_argument("--map", required=True,
                    help='JSON {"sizes_in":[..],"sizes_out":[..],"map":[[u,v],..]}')
     s.set_defaults(func=cmd_decompose_aut)
 
-    s = add_parser("normal-form", help="normal form of a generator word")
+    s = add_parser("normal-form", _DESCRIPTOR + ("radius", "budget"),
+                   help="normal form of a generator word")
     s.add_argument("--word", required=True, help="AutWord JSON")
     s.set_defaults(func=cmd_normal_form)
 
-    s = add_parser("omega", help="Schneider-Stuhler membership of a point")
+    s = add_parser("omega", _DESCRIPTOR + ("depth", "budget"),
+                   help="Schneider-Stuhler membership of a point")
     s.add_argument("--point", required=True, help="JSON coords per factor")
     s.add_argument("--ext", default="2,1",
                    help='extension tower "e,f[;e,f..]" above the base field')
     s.set_defaults(func=cmd_omega)
 
-    s = add_parser("retract", help="deformation rho_t toward the skeleton")
+    s = add_parser("retract", _DESCRIPTOR,
+                   help="deformation rho_t toward the skeleton")
     s.add_argument("--point", required=True)
     s.add_argument("--ext", default="2,1")
     s.add_argument("--poly", required=True,
@@ -392,7 +410,8 @@ def make_parser():
     s.add_argument("--t", default="0,1/2,1", help="comma list of t-exponents")
     s.set_defaults(func=cmd_retract)
 
-    s = add_parser("verify", help="run a named invariant suite")
+    s = add_parser("verify", ("d", "seed", "budget"),
+                   help="run a named invariant suite")
     s.add_argument("suite")
     s.add_argument("--q", default=None, help="suite parameter override")
     s.set_defaults(func=cmd_verify)
@@ -402,11 +421,21 @@ def make_parser():
 
 def main(argv=None):
     parser = make_parser()
-    args = parser.parse_args(argv)
-    args.given = {k for k in _COMMON_DEFAULTS if hasattr(args, k)}
-    for k, v in _COMMON_DEFAULTS.items():
+    args, extra = parser.parse_known_args(argv)
+    args.given = {k for k in _COMMON if hasattr(args, k)}
+    # a common flag that the subparser does not define lands in extra
+    after = {a.partition("=")[0][2:] for a in extra if a.startswith("--")}
+    unread = [k for k in _COMMON
+              if k not in args.reads and (k in args.given or k in after)]
+    if unread:
+        print(f"input error: {args.command} does not read "
+              + ", ".join(f"--{k}" for k in unread), file=sys.stderr)
+        return 2
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    for k, (default, _kw) in _COMMON.items():
         if k not in args.given:
-            setattr(args, k, v)
+            setattr(args, k, default)
     try:
         return args.func(args)
     except BudgetError as ex:

@@ -270,18 +270,16 @@ def _triangularize_digits(ops, cols, n):
         raise PrecisionError(f"guard precision {M - minval} is below D+1 "
                              f"for determinant valuation D = {sum(exps)}",
                              sum(exps))
-    # back-reduction: entry (row i, col c) for i > c reduced mod pi^{a_i}
+    # back-reduction: entry (row i, col c) for i > c reduced mod pi^{a_i};
+    # the pivot entry is pi^{a_i}, so the step leaves the residue in col[i]
     for c in range(n):
         col = pivots[c]
         for i in range(c + 1, n):
-            a_i = exps[i]
-            resid = ops.trunc(col[i], a_i)
-            mu = ops.shift_down(ops.sub(col[i], resid), a_i)
+            mu = ops.shift_down(col[i], exps[i])
             if ops.val(mu) < M:
                 ref = pivots[i]
                 for k in range(i, n):
                     col[k] = ops.sub(col[k], ops.mul(mu, ref[k]))
-            col[i] = resid
     lower = tuple(tuple(ops.code(pivots[c][i], exps[i]) for i in range(c + 1, n))
                   for c in range(n))
     return tuple(exps), lower, minval

@@ -242,68 +242,68 @@ def _alcove_template(d, N):
     and per alcove the indices of its points."""
     points = eta_integer_points(d, N)
     pt_index = {z: k for k, z in enumerate(points)}
-    weights = [(_barycentric_of_point(z, N), tuple(Fraction(zi, N) for zi in z))
-               for z in points]
+    lams = [_barycentric_of_point(z, N) for z in points]
+    coords = [tuple(Fraction(zi, N) for zi in z) for z in points]
     alcoves = [[pt_index[v] for v in chart.vertices()]
                for chart in eta_chambers(d, N)]
-    return weights, alcoves
+    return lams, coords, alcoves
 
 
 def subdivide_chambers(descriptor, chambers, marking):
     """Replace each closed chamber product(F_i) by product(F_i[M_i]): each
-    distinct factor chamber is subdivided once, and the product alcoves are
-    the products of its factor alcoves."""
+    distinct factor chamber is subdivided once, and the product of the
+    factor templates is built once and mapped into every chamber."""
     r = descriptor.r
     if len(marking.per_factor) != r:
         raise ValueError("marking factor count mismatch")
     sub = SubdividedComplex(descriptor, marking)
-    templates = []
-    if chambers:  # eta_chambers rejects a marking only when it is used
-        templates = [(d, *_alcove_template(d, N))
-                     for d, N in zip(descriptor.dims, marking.per_factor)]
+    if not chambers:  # eta_chambers rejects a marking only when it is used
+        return sub
+    lams, coords, alcoves = zip(*(_alcove_template(d, N) for d, N
+                                  in zip(descriptor.dims, marking.per_factor)))
+    # the product template: points (tuples of factor template points) in
+    # order of first appearance, alcoves (products of factor alcoves), and
+    # edges (a, b, i) that vary factor i within one of its alcoves, a simplex
+    tindex, talcoves, tedges = {}, [], set()
+    for combo in product(*alcoves):
+        talcoves.append([tindex.setdefault(vt, len(tindex))
+                         for vt in product(*combo)])
+        tedges.update((tindex[vt], tindex[vt[:i] + (other,) + vt[i + 1:]], i)
+                      for vt in product(*combo) for i in range(r)
+                      for other in combo[i] if other > vt[i])
     fids = [{} for _ in range(r)]
-    # per factor and distinct factor chamber: (factor point id, chart
-    # coordinates) per template point
+    # per factor and distinct factor chamber: factor point id per template point
     fplists = [{} for _ in range(r)]
     pid = {}
     for chamber in chambers:
-        for i, fverts in enumerate(chamber.factors):
+        for i, (fverts, d) in enumerate(zip(chamber.factors, descriptor.dims)):
             if fverts in fplists[i]:
                 continue
-            d, weights, alcoves = templates[i]
             # a chain of d + 1 distinct classes has label offsets 0..d
             found = _chain_order(list(fverts)) if len(fverts) == d + 1 else None
             if found is None:
                 raise ValueError("factor face is not a chamber")
             chain = [fverts[j] for j in found[0]]
             plist = fplists[i][fverts] = []
-            for lam, coords in weights:
+            for lam in lams[i]:
                 key = tuple(sorted(((c, w) for c, w in zip(chain, lam) if w > 0),
                                    key=lambda cl: cl[0].sort_key()))
-                plist.append((fids[i].setdefault(key, len(fids[i])), coords))
-            sub.factor_alcoves[i].extend(tuple(sorted(plist[k][0] for k in a))
-                                         for a in alcoves)
+                plist.append(fids[i].setdefault(key, len(fids[i])))
+            sub.factor_alcoves[i].extend(tuple(sorted(plist[k] for k in a))
+                                         for a in alcoves[i])
+        # template points are distinct in a chamber: new ids follow their order
         plists = [fplists[i][fverts] for i, fverts in enumerate(chamber.factors)]
-        # assemble product points per alcove product
-        for combo in product(*(alcoves for _d, _w, alcoves in templates)):
-            self_ids = {}
-            for vt in product(*combo):
-                key = tuple(plists[i][vt[i]][0] for i in range(r))
-                if key not in pid:
-                    pid[key] = len(sub.points)
-                    sub.points.append(key)
-                    sub.coords.append(tuple(plists[i][vt[i]][1]
-                                            for i in range(r)))
-                self_ids[vt] = pid[key]
-            sub.subchambers.append(tuple(sorted(set(self_ids.values()))))
-            # edges: vary one factor within its alcove (factor alcoves are
-            # simplices, so all pairs there are edges)
-            for vt, a in self_ids.items():
-                for i in range(r):
-                    for other in combo[i]:
-                        b = self_ids[vt[:i] + (other,) + vt[i + 1:]]
-                        if a != b:
-                            sub.edges.add((min(a, b), max(a, b), i))
+        ids = []
+        for tp in tindex:
+            key = tuple(plist[k] for plist, k in zip(plists, tp))
+            if key not in pid:
+                pid[key] = len(sub.points)
+                sub.points.append(key)
+                sub.coords.append(tuple(c[k] for c, k in zip(coords, tp)))
+            ids.append(pid[key])
+        sub.subchambers.extend(tuple(sorted(ids[k] for k in a)) for a in talcoves)
+        sub.edges.update((min(ids[a], ids[b]), max(ids[a], ids[b]), i)
+                         for a, b, i in tedges)
     sub.subchambers = sorted(set(sub.subchambers))
     sub.factor_points = [list(f) for f in fids]
     sub.factor_alcoves = [sorted(set(a)) for a in sub.factor_alcoves]

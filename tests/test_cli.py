@@ -104,6 +104,21 @@ def test_ball_and_dot(capsys, tmp_path):
     assert open(dot_file).read().startswith("graph ball {")
 
 
+@pytest.mark.parametrize("fmt,unused", [("json", "to_dot"),
+                                        ("dot", "to_json_obj")])
+def test_ball_builds_only_the_format_it_emits(fmt, unused, capsys,
+                                              monkeypatch):
+    from btbuildings.building import Ball
+
+    def built(self):
+        pytest.fail(f"{unused} was built for --format {fmt}")
+
+    monkeypatch.setattr(Ball, unused, built)
+    code, out = run_cli(["--d", "1", "--radius", "1", "--format", fmt,
+                         "ball"], capsys)
+    assert code == 0 and out
+
+
 def test_involution_command(capsys):
     vertex = json.dumps([["1", "0", "0", "2"]])
     code, out = run_cli(["involution", "--vertex", vertex], capsys)
@@ -407,6 +422,41 @@ def test_verify_rejects_flags_it_does_not_read(argv, capsys):
     assert out == ""
 
 
+# per command: the arguments it requires, and the common flags it reads
+_COMMANDS = {
+    "ball": ([], {"field", "d", "r", "radius", "budget"}),
+    "project": (["--vertex", f"[{_V}]"], {"field", "d", "r"}),
+    "label": (["--vertex", f"[{_V}]"], {"field", "d", "r"}),
+    "involution": (["--vertex", f"[{_V}]"], {"field", "d", "r"}),
+    "subdivide": (["--marking", "2"], {"field", "d", "r", "radius", "budget"}),
+    "eta": (["--n", "2"], {"d"}),
+    "extend": ([], {"field", "d", "r"}),
+    "decompose-aut": (["--map", "{}"], set()),
+    "normal-form": (["--word", "[]"], {"field", "d", "r", "radius", "budget"}),
+    "omega": (["--point", '[["s"]]'], {"field", "d", "r", "depth", "budget"}),
+    "retract": (["--point", '[["s"]]', "--poly", "[]"], {"field", "d", "r"}),
+    # --d only with gaussian-binomials --q (test above)
+    "verify": (["eta-counts"], {"d", "seed", "budget"}),
+}
+# every command reads --format and --out
+_FLAG_VALUES = {"field": "padic:2", "d": "1", "r": "1", "radius": "1",
+                "depth": "1", "seed": "1", "budget": "100"}
+
+
+@pytest.mark.parametrize("command,flag,before", [
+    (command, flag, before) for command, (_args, reads) in _COMMANDS.items()
+    for flag in _FLAG_VALUES if flag not in reads
+    for before in (True, False)])
+def test_a_common_flag_the_command_does_not_read_is_rejected(
+        command, flag, before, capsys):
+    given = [f"--{flag}", _FLAG_VALUES[flag]]
+    args = [command] + _COMMANDS[command][0]
+    code = main(given + args if before else args + given)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"{command} does not read --{flag}" in captured.err
+
+
 def test_global_flags_after_subcommand(capsys):
     code, out = run_cli(["verify", "eta-counts", "--seed", "5"], capsys)
     assert code == 0
@@ -414,8 +464,7 @@ def test_global_flags_after_subcommand(capsys):
 
 
 def test_seeded_byte_determinism(capsys):
-    argv = ["--field", "laurent:3", "--d", "2", "--radius", "1", "--seed", "11",
-            "ball"]
+    argv = ["--field", "laurent:3", "--d", "2", "--radius", "1", "ball"]
     code1, out1 = run_cli(argv, capsys)
     code2, out2 = run_cli(argv, capsys)
     assert code1 == code2 == 0
@@ -428,11 +477,11 @@ def test_hashseed_independent_artifacts(tmp_path, hashseed):
     env = dict(os.environ, PYTHONHASHSEED=hashseed)
     out = subprocess.run(
         [sys.executable, "-m", "btbuildings.cli", "--field", "laurent:2",
-         "--d", "1", "--radius", "2", "--seed", "3", "ball"],
+         "--d", "1", "--radius", "2", "ball"],
         capture_output=True, text=True, env=env, check=True)
     ref = subprocess.run(
         [sys.executable, "-m", "btbuildings.cli", "--field", "laurent:2",
-         "--d", "1", "--radius", "2", "--seed", "3", "ball"],
+         "--d", "1", "--radius", "2", "ball"],
         capture_output=True, text=True,
         env=dict(os.environ, PYTHONHASHSEED="1"), check=True)
     assert out.stdout == ref.stdout

@@ -332,6 +332,14 @@ def _subdivide_by_charts(descriptor, chambers, marking):
     ([(Q2, 2), (Q2, 2)], 2, [2, 2], False),
     ([(F2T, 2)], 1, [3], False),
     ([(F2T, 2)], 1, [3], True),
+    # three factors (radius 2 has no chamber), mixed dimensions, and a
+    # marking that leaves one factor whole while it cuts another in three
+    ([(F2T, 1), (Q3, 1), (F3T, 1)], 3, [2, 3, 2], False),
+    ([(F2T, 1), (Q3, 1), (F3T, 1)], 3, [2, 3, 2], True),
+    ([(Q2, 2), (F2T, 1)], 2, [2, 3], False),
+    ([(Q2, 2), (F2T, 1)], 2, [2, 3], True),
+    ([(Q3, 1), (F2T, 2)], 2, [1, 3], False),
+    ([(Q3, 1), (F2T, 2)], 2, [1, 3], True),
 ])
 def test_subdivision_equals_the_chamber_chart_reference(factors, radius,
                                                         marking, flip):
