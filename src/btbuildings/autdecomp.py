@@ -6,12 +6,11 @@ that restores a word to a pure factor exchange on the standard apartment.
 
 from itertools import product
 
-from .building import (PolyVertex, apartment_point_of_vertex, act,
-                       basic_chamber, in_standard_apartment, involution_lambda,
-                       labelling_C, labelling_D, matrix_power, shift_generator,
-                       sigma_mu)
+from .building import (PolyVertex, apartment_point_of_vertex, basic_chamber,
+                       in_standard_apartment, labelling_C, labelling_D,
+                       matrix_power, shift_generator, sigma_mu)
 from .errors import BudgetError, WindowError
-from .lattice import action, gaussian_binomial
+from .lattice import action, dual, gaussian_binomial
 from .linalg import inverse, matmul, transpose
 from .subdivision import chamber_chart
 
@@ -201,19 +200,35 @@ class AutWord:
     {"kind": "lambda", "mask": [0 or 1 per factor]}, {"kind": "exchange",
     "mu": [a permutation of factors of equal dimension and field]} and
     {"kind": "shift", "factor": i, "power": k}.  The shift generator f has
-    f^(d+1) = pi I, which fixes every class, so k acts mod d+1.  Each
-    generator is checked and built into a map on vertices once, here;
-    `gens` keeps the dicts, from which longer words are composed."""
+    f^(d+1) = pi I, which fixes every class, so k acts mod d+1.  The
+    generators are checked and composed once, here, into the main theorem's
+    shape: output factor i applies the class maps maps[i], in order, to
+    input factor source[i], each class once per word.  `gens` keeps the
+    dicts, from which longer words are composed."""
 
     def __init__(self, descriptor, gens):
         self.descriptor = descriptor
         self.gens = list(gens)
-        self._steps = [_step(descriptor, g) for g in self.gens]
+        self.source = tuple(range(descriptor.r))
+        self.maps = ((),) * descriptor.r
+        for g in self.gens:
+            perm, fmaps = _step(descriptor, g)
+            self.source = tuple(self.source[j] for j in perm)
+            self.maps = tuple(self.maps[j] + fs for j, fs in zip(perm, fmaps))
+        self._images = [{} for _ in range(descriptor.r)]
+
+    def image(self, i, c):
+        """Output factor i of a class c of input factor source[i]."""
+        if c not in self._images[i]:
+            img = c
+            for f in self.maps[i]:
+                img = f(img)
+            self._images[i][c] = img
+        return self._images[i][c]
 
     def apply(self, x):
-        for step in self._steps:
-            x = step(x)
-        return x
+        return PolyVertex(tuple(self.image(i, x.components[j])
+                                for i, j in enumerate(self.source)))
 
     @classmethod
     def from_json_obj(cls, descriptor, obj):
@@ -237,23 +252,21 @@ _GENERATOR_FIELDS = {"group": ("matrices",), "lambda": ("mask",),
 
 
 def _step(descriptor, g):
-    """The map on vertices of one generator dict, checked to fit the
-    descriptor."""
+    """A generator dict, checked to fit the descriptor, as a factor
+    permutation and a tuple of class maps per output factor."""
     kind = _generator_kind(g)
     r = descriptor.r
     if kind == "group":
         mats = g["matrices"]
         if not isinstance(mats, list) or len(mats) != r:
             raise ValueError("group generator factor count mismatch")
-        maps = [None if g is None else action(model, g)
-                for g, model in zip(mats, descriptor.models)]
-        return lambda x: PolyVertex(tuple(c if f is None else f(c)
-                                          for f, c in zip(maps, x.components)))
+        return range(r), [() if g is None else (action(model, g),)
+                          for g, model in zip(mats, descriptor.models)]
     if kind == "lambda":
         mask = _int_list(g["mask"], "mask")
         if len(mask) != r or any(m not in (0, 1) for m in mask):
             raise ValueError(f"lambda mask must list {r} entries, each 0 or 1")
-        return lambda x: involution_lambda(x, mask)
+        return range(r), [(dual,) if m else () for m in mask]
     if kind == "exchange":
         mu = _int_list(g["mu"], "mu")
         if sorted(mu) != list(range(r)):
@@ -264,14 +277,14 @@ def _step(descriptor, g):
                for i, j in enumerate(mu)):
             raise ValueError("exchange between different fields is only defined "
                              "on apartment points")
-        return lambda x: PolyVertex(tuple(x.components[j] for j in mu))
+        return mu, [()] * r
     i, power = _int_list([g["factor"], g["power"]], "shift factor and power")
     if not 0 <= i < r:
         raise ValueError("shift factor out of range")
     model, d = descriptor.factors[i]
     f = action(model, matrix_power(model, shift_generator(model, d + 1),
                                    power % (d + 1)))
-    return lambda x: x.replace(i, f(x.components[i]))
+    return range(r), [(f,) if j == i else () for j in range(r)]
 
 
 def _generator_kind(g):
@@ -407,37 +420,24 @@ def _offset_counts(b, v):
 
 def _restoring_element(word, descriptor):
     """Per-factor matrices A with act(A) o word mapping the basic chamber to
-    itself and the origin to itself.  The image chamber's adapted chart is
-    monomial on diagonal classes; its inverse followed by the coordinate
-    reversal lands on the basic chamber, and shift powers fix the origin."""
-    delta = basic_chamber(descriptor)
-    img_delta = [word.apply(v) for v in delta.vertices()]
-    for v in img_delta:
-        if not in_standard_apartment(v):
-            raise WindowError(
-                "word does not preserve the standard apartment; the normal "
-                "form is computed for apartment-preserving words only")
-    g_parts = []
-    for i, (model, d) in enumerate(descriptor.factors):
-        comps = []
-        seen = set()
-        for v in img_delta:
-            c = v.components[i]
-            if c not in seen:
-                seen.add(c)
-                comps.append(c)
-        B, order, js = chamber_chart(comps)
-        n = d + 1
-        rev = [[model.one() if i2 + j2 == n - 1 else model.zero()
-                for j2 in range(n)] for i2 in range(n)]
-        g_parts.append(matmul(model, rev, inverse(model, B)))
-    origin = descriptor.origin()
-    h_origin = act(g_parts, word.apply(origin))
+    itself and the origin to itself.  The image chamber's factor i, the
+    word's image of the basic chamber's factor source[i], has an adapted
+    chart monomial on diagonal classes; its inverse with reversed rows lands
+    on the basic chamber, and shift powers fix the origin."""
+    delta = basic_chamber(descriptor).factors
+    origin = descriptor.origin().components
+    images = [[word.image(i, c) for c in delta[j]]
+              for i, j in enumerate(word.source)]
+    if not all(c.is_diagonal() for comps in images for c in comps):
+        raise WindowError(
+            "word does not preserve the standard apartment; the normal "
+            "form is computed for apartment-preserving words only")
     g_full = []
-    for i, (model, d) in enumerate(descriptor.factors):
-        ell = h_origin.components[i].label()
+    for i, (comps, (model, d)) in enumerate(zip(images, descriptor.factors)):
+        g = inverse(model, chamber_chart(comps)[0])[::-1]
+        ell = action(model, g)(word.image(i, origin[word.source[i]])).label()
         smat = matrix_power(model, shift_generator(model, d + 1), (-ell) % (d + 1))
-        g_full.append(matmul(model, smat, g_parts[i]))
+        g_full.append(matmul(model, smat, g))
     return g_full
 
 

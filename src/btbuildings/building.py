@@ -13,7 +13,7 @@ from itertools import product
 from .errors import BudgetError
 from .gf import row_space, rref
 from .lattice import (
-    action, class_pair_min, class_pair_residue, dual, inverse_column_minima,
+    action, class_pair_residue, dual, inverse_column_minima,
     neighbors_by_colength, pair_index_normalized, standard_neighbor_subspaces,
     standard_vertex, vertex_from_diagonal,
 )
@@ -72,11 +72,6 @@ class PolyVertex:
 
     def sort_key(self):
         return tuple(c.sort_key() for c in self.components)
-
-    def replace(self, i, comp):
-        parts = list(self.components)
-        parts[i] = comp
-        return PolyVertex(parts)
 
 
 class PolyFace:
@@ -202,7 +197,7 @@ def labelling_D(descriptor, lab):
 # chains and faces
 # ---------------------------------------------------------------------------
 
-def _chain_order(comps):
+def _chain_order(comps, pair_index=None):
     """The ordering of distinct classes, starting at comps[0], that realizes
     L_0 > .. > L_m > pi L_0, with its representatives, or None.
 
@@ -212,8 +207,9 @@ def _chain_order(comps):
     label offset o_k = (label(L_k) - label(L_0)) mod n, and it strictly
     increases.  So the labels fix the only candidate order (equal labels rule
     out a chain), and o_k = n c_k + v(det P_k) - v(det P_0) fixes every
-    c_k.  One containment check per step, pi^(c_k - c_(k-1)) P_k <= P_(k-1),
-    and the closing pi L_0 <= L_m decide the chain."""
+    c_k.  A step x -> y of label offset o in 1..n-1 holds iff f < n, f the
+    positive `pair_index_normalized(x, y)` (or pair_index), o mod n, since
+    y's representatives inside x have colengths f + n j, j >= 0."""
     if len(comps) == 1:
         return (0,), [0]
     n, l0, D0 = comps[0].n, comps[0].label(), comps[0].det_valuation()
@@ -221,12 +217,12 @@ def _chain_order(comps):
     if len(set(offsets)) < len(comps):
         return None
     order = tuple(sorted(range(len(comps)), key=offsets.__getitem__))
-    shifts = [(offsets[k] + D0 - comps[k].det_valuation()) // n for k in order]
-    steps = list(zip(order, shifts))
-    for (a, ca), (b, cb) in zip(steps, steps[1:] + [(order[0], 1)]):
-        if class_pair_min(comps[a], comps[b]) + cb - ca < 0:
-            return None
-    return order, shifts
+    f = pair_index or pair_index_normalized
+    if any(f(comps[a], comps[b]) >= n
+           for a, b in zip(order, order[1:] + order[:1])):
+        return None
+    return order, [(offsets[k] + D0 - comps[k].det_valuation()) // n
+                   for k in order]
 
 
 def is_face(descriptor, vertices):

@@ -41,6 +41,15 @@ def _flag_int(flag, text):
     return values[0]
 
 
+def _flag_d(text):
+    """The one dimension of a --d flag value, at least 1 as in every
+    building."""
+    d = _flag_int("--d", text)
+    if d < 1:
+        raise ValueError(f"--d must be at least 1, got {text!r}")
+    return d
+
+
 def parse_field(spec):
     kind, _, param = spec.partition(":")
     models = {"padic": (PAdicModel, "p"), "laurent": (LaurentModel, "q")}
@@ -158,7 +167,7 @@ def cmd_subdivide(args):
 
 
 def cmd_eta(args):
-    d = _flag_int("--d", args.d)
+    d = _flag_d(args.d)
     charts = eta_chambers(d, args.n)
     emit(args, {"d": d, "n": args.n, "count": len(charts),
                 "charts": [{"sigma": list(c.sigma), "a": list(c.a),
@@ -280,7 +289,11 @@ def cmd_retract(args):
     p = Poly(K, terms)
     out = []
     for t_s in args.t.split(","):
-        t_exp = Fraction(t_s) if t_s != "inf" else float("inf")
+        try:
+            t_exp = float("inf") if t_s == "inf" else Fraction(t_s)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError("--t must be a comma-separated list of rationals "
+                             f"or inf, got {t_s!r}") from None
         av = deform(x, t_exp, p)
         out.append({"t_exponent": t_s, "value_exponent": av.serialize()})
     out_obj = {"path": out, "evaluation": eval_abs(x, p).serialize()}
@@ -295,10 +308,8 @@ def cmd_verify(args):
     config = Config(budget=args.budget, seed=args.seed)
     kwargs = {}
     if override:
-        dmax = _flag_int("--d", args.d)
-        if dmax < 1:
-            raise ValueError(f"--d must be at least 1, got {args.d!r}")
-        kwargs = {"qs": tuple(_flag_ints("--q", args.q)), "dmax": dmax}
+        kwargs = {"qs": tuple(_flag_ints("--q", args.q)),
+                  "dmax": _flag_d(args.d)}
     report = run_suite(args.suite, config, **kwargs)
     emit(args, report)
     return 0 if report["passed"] else 1

@@ -191,10 +191,11 @@ def _is_irreducible(g, p):
 @lru_cache(maxsize=None)
 def smallest_irreducible(p, m):
     """Monic irreducible of degree m over F_p, minimal in the low-degree-first
-    lexicographic order on (c_0, .., c_{m-1})."""
+    lexicographic order on (c_0, .., c_{m-1}).  For m > 1, x divides every
+    candidate with c_0 = 0, so the search starts at c_0 = 1."""
     if m == 1:
         return (0, 1)  # x itself
-    for code in range(p ** m):
+    for code in range(p ** (m - 1), p ** m):
         # low-degree-first lex order: c_0 is the most significant comparison key
         g = tuple(reversed(to_base(code, p, m))) + (1,)
         if _is_irreducible(g, p):

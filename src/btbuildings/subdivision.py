@@ -5,13 +5,15 @@ bigger building equals the e-fold subdivision.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 
 from .building import ApartmentPoint, _chain_order
 from .errors import BudgetError
 from .gf import row_space
 from .lattice import (action, class_pair_residue, column_class, digit_ops,
-                      guard_precision, vertex_from_diagonal)
+                      guard_precision, pair_index_normalized,
+                      vertex_from_diagonal)
 
 
 # ---------------------------------------------------------------------------
@@ -362,17 +364,19 @@ def verify_induced_structure(b, ext):
     """Check that nu maps every subdivided chamber of B_{k'}[e] to a chamber
     of B_k.  nu acts factor by factor and a product of factor chambers is a
     chamber, so it suffices that the d + 1 images of every factor alcove
-    are distinct and form a face chain.  Returns a report dict with
+    are distinct and form a face chain, in which each directed edge (f = 1)
+    of a factor's images is decided once.  Returns a report dict with
     pass/fail and every failing factor alcove."""
     sub = subdivide_ball(b, Marking([ext.e] * b.descriptor.r))
     failures = []
     for i, fpoints in enumerate(sub.factor_points):
         image = [_image_vertex_of_factor_point(fp, ext) for fp in fpoints]
+        pair_index = lru_cache(maxsize=None)(pair_index_normalized)
         for alcove in sub.factor_alcoves[i]:
             img = [image[k] for k in alcove]
             if len(set(img)) != len(img):
                 reason = "image not injective"
-            elif _chain_order(img) is None:
+            elif _chain_order(img, pair_index) is None:
                 reason = "image is not a face"
             else:
                 continue

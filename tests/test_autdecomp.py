@@ -312,6 +312,38 @@ def test_apply_matches_the_dispatching_reference(descriptor, count):
             assert word.apply(x) == _apply_by_dispatch(word, x)
 
 
+def test_label_action_maps_each_factor_class_once():
+    """On the Q_2 x Q_2, d = (2, 2), radius-2 window, the label action of a
+    seeded word maps each class of each output factor at most once: every
+    class map of the composed word sees each of its inputs once."""
+    B22 = BuildingDescriptor([(Q2, 2), (Q2, 2)])
+    b = _ball(B22)
+    rng = random.Random("label-action:22")
+    gens = [{"kind": "exchange", "mu": [1, 0]},
+            {"kind": "group", "matrices": [
+                random_unimodular(Q2, 3, rng, steps=3) for _ in range(2)]},
+            _random_generator(B22, "lambda", rng)]
+    want = label_action(AutWord(B22, gens), b)
+    word = AutWord(B22, gens)
+    seen = []
+
+    def spy(i, k, f):
+        def mapped(c):
+            seen.append((i, k, c))
+            return f(c)
+        return mapped
+
+    word.maps = tuple(tuple(spy(i, k, f) for k, f in enumerate(fs))
+                      for i, fs in enumerate(word.maps))
+    assert all(word.maps)
+    assert label_action(word, b) == want
+    assert len(seen) == len(set(seen))
+    # the first map of output factor i sees every class of its input factor
+    for i, j in enumerate(word.source):
+        assert ({c for i2, k, c in seen if i2 == i and k == 0}
+                == set(b.factor_balls[j].vertices))
+
+
 @pytest.mark.parametrize("model", [Q2, F3T], ids=["Q2", "F3T"])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_shift_generator_to_the_n_is_pi(model, n):

@@ -263,6 +263,23 @@ def test_retract_with_an_unknown_variable_states_the_reason(capsys):
     assert "unknown variable (0, 5)" in captured.err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["eta", "--d", "-1", "--n", "2"], "--d must be at least 1, got '-1'"),
+    (["eta", "--d", "0", "--n", "2"], "--d must be at least 1, got '0'"),
+    (["--field", "laurent:2", "--d", "1", "retract", "--point", '[["s"]]',
+      "--poly", '[{"coeff":"1","monomial":{"1":1}}]', "--t", "0,x"],
+     "--t must be a comma-separated list of rationals or inf, got 'x'"),
+    (["--field", "laurent:2", "--d", "1", "retract", "--point", '[["s"]]',
+      "--poly", '[{"coeff":"1","monomial":{"1":1}}]', "--t", "1/0"],
+     "--t must be a comma-separated list of rationals or inf, got '1/0'"),
+], ids=["eta-d-negative", "eta-d-zero", "retract-t-word", "retract-t-zero-den"])
+def test_bad_eta_d_and_retract_t_name_their_flag(argv, message, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert message in captured.err
+
+
 def test_retract_command(capsys):
     poly = json.dumps([{"coeff": "1", "monomial": {"1": 2}},
                        {"coeff": "s^2", "monomial": {"1": 1}}])

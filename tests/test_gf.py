@@ -132,13 +132,14 @@ def test_tables_above_the_cap_hold_the_pairs_looked_up(q):
     assert _entries(F.add_table) == _entries(F.mul_table) == len(set(pairs))
 
 
-@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
-                                 (3, 2), (3, 3), (3, 4), (5, 2), (5, 3),
-                                 (7, 2)])
+@pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5, 7)
+                                 for m in range(2, 13) if p ** m <= 4096])
 def test_smallest_irreducible_is_irreducible_and_least(p, m):
     g = smallest_irreducible(p, m)
     assert len(g) == m + 1 and g[-1] == 1
-    # the first irreducible in lexicographic order on (c_0, .., c_{m-1})
+    # the first irreducible in lexicographic order on (c_0, .., c_{m-1}),
+    # found by a search over every code, c_0 = 0 included, which the
+    # package skips
     first = next(c + (1,) for c in product(range(p), repeat=m)
                  if gt.gf_irreducible_p(_high(c + (1,)), p, ZZ))
     assert g == first

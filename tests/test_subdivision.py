@@ -14,8 +14,9 @@ from btbuildings.gf import GF, row_space
 from btbuildings import drinfeld, subdivision
 from btbuildings.drinfeld import diagonalize_norm, membership_depth
 from btbuildings.lattice import (all_neighbors, canonical_form,
-                                 class_pair_residue, skeleton_distance,
-                                 standard_vertex, vertex_from_diagonal)
+                                 class_pair_residue, pair_index_normalized,
+                                 skeleton_distance, standard_vertex,
+                                 vertex_from_diagonal)
 from btbuildings.linalg import solve, transpose
 from btbuildings.subdivision import (
     AlcoveChart, Marking, chamber_chart, delta_restrict, eta_chambers,
@@ -618,6 +619,36 @@ def test_induced_structure_names_each_failing_factor_alcove(monkeypatch):
         assert rep["passed"] is False
         assert rep["failures"] == [{"factor": i, "alcove": a, "reason": reason}
                                    for i, a in alcoves]
+
+
+def test_induced_structure_decides_each_directed_image_edge_once(monkeypatch):
+    """On a seeded F_2((t)), d = 2, radius-2 plane window with e = 2, the
+    alcove check decides exactly the distinct label-successor pairs of the
+    alcove images, each once, and reports what the product check reports."""
+    B = BuildingDescriptor([(F2T, 2)])
+    center = PolyVertex((random_vertex(F2T, 3, random.Random(1)),))
+    b = ball(B, center, 2, detail="faces", budget=20000)
+    ext = ExtensionDescriptor(F2T, e=2, f=1)
+    calls = []
+
+    def spy(x, y):
+        calls.append((x, y))
+        return pair_index_normalized(x, y)
+
+    monkeypatch.setattr(subdivision, "pair_index_normalized", spy)
+    rep = verify_induced_structure(b, ext)
+    sub = subdivide_ball(b, Marking([2]))
+    alcoves = sub.factor_alcoves[0]
+    image = [subdivision._image_vertex_of_factor_point(fp, ext)
+             for fp in sub.factor_points[0]]
+    edges = set()
+    for alcove in alcoves:
+        by_label = sorted((image[k] for k in alcove), key=lambda c: c.label())
+        edges.update(zip(by_label, by_label[1:] + by_label[:1]))
+    assert len(calls) == len(set(calls)) == len(edges) < 3 * len(alcoves)
+    assert set(calls) == edges
+    assert rep == _induced_by_product_images(b, ext)
+    assert rep["passed"] and rep["subchambers_checked"] == 4 * len(b.chambers)
 
 
 def test_nu_image_rejects_a_class_off_the_base():
