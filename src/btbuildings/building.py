@@ -197,19 +197,19 @@ def labelling_D(descriptor, lab):
 # chains and faces
 # ---------------------------------------------------------------------------
 
-def _chain_order(comps, pair_index=None):
-    """The ordering of distinct classes, starting at comps[0], that realizes
-    L_0 > .. > L_m > pi L_0, with its representatives, or None.
+def _label_order(comps):
+    """The only candidate chain order of distinct classes, starting at
+    comps[0], with its representatives, read off the labels alone, or None
+    when two labels are equal.  On a face it is the chain order of
+    `_chain_order`; on any other set it decides nothing.
 
     Returns (order, shifts): the k-th chain member is comps[order[k]], and
     its representative is L_k = pi^(shifts[k]) P_k, P_k the primitive one
-    (shifts[0] = 0).  Along such a chain the colength of L_k in L_0 is the
-    label offset o_k = (label(L_k) - label(L_0)) mod n, and it strictly
-    increases.  So the labels fix the only candidate order (equal labels rule
-    out a chain), and o_k = n c_k + v(det P_k) - v(det P_0) fixes every
-    c_k.  A step x -> y of label offset o in 1..n-1 holds iff f < n, f the
-    positive `pair_index_normalized(x, y)` (or pair_index), o mod n, since
-    y's representatives inside x have colengths f + n j, j >= 0."""
+    (shifts[0] = 0).  Along a chain L_0 > .. > L_m > pi L_0 the colength of
+    L_k in L_0 is the label offset o_k = (label(L_k) - label(L_0)) mod n,
+    and it strictly increases.  So the labels fix the order (equal labels
+    rule out a chain), and o_k = n c_k + v(det P_k) - v(det P_0) fixes
+    every c_k."""
     if len(comps) == 1:
         return (0,), [0]
     n, l0, D0 = comps[0].n, comps[0].label(), comps[0].det_valuation()
@@ -217,12 +217,26 @@ def _chain_order(comps, pair_index=None):
     if len(set(offsets)) < len(comps):
         return None
     order = tuple(sorted(range(len(comps)), key=offsets.__getitem__))
+    return order, [(offsets[k] + D0 - comps[k].det_valuation()) // n
+                   for k in order]
+
+
+def _chain_order(comps, pair_index=None):
+    """The ordering of distinct classes, starting at comps[0], that realizes
+    L_0 > .. > L_m > pi L_0, with its representatives, as `_label_order`
+    gives them, or None.  A step x -> y of label offset o in 1..n-1 holds
+    iff f < n, f the positive `pair_index_normalized(x, y)` (or
+    pair_index), o mod n, since y's representatives inside x have
+    colengths f + n j, j >= 0."""
+    found = _label_order(comps)
+    if found is None or len(comps) == 1:
+        return found
+    order, n = found[0], comps[0].n
     f = pair_index or pair_index_normalized
     if any(f(comps[a], comps[b]) >= n
            for a, b in zip(order, order[1:] + order[:1])):
         return None
-    return order, [(offsets[k] + D0 - comps[k].det_valuation()) // n
-                   for k in order]
+    return found
 
 
 def is_face(descriptor, vertices):
@@ -316,7 +330,16 @@ class FactorBall:
     edges are wanted, those at k; the edge closure at the radius computes
     only the neighbors at the radius.  The neighbors at k-1 are never
     computed: their edges are known from the level before.  At detail
-    "vertices", `adj` holds only the edges between consecutive levels."""
+    "vertices", `adj` holds only the edges between consecutive levels.
+
+    Each same-level edge is computed from one end only: u computes its
+    neighbors at k of colength w iff 2w < n, or 2w = n and 2 label(u) < n.
+    Exactly one end of every edge qualifies.  If v is u's colength-w
+    neighbor, then pi L_u < L_v < L_u gives pi L_v < pi L_u < L_v, so u is
+    v's colength-(n - w) neighbor, and label(v) = label(u) + w mod n.  For
+    2w != n, exactly one of w and n - w is below n/2.  For 2w = n, the two
+    labels differ by n/2 mod n, so exactly one of them is below n/2.  So
+    every edge is computed once and `adj` still records both directions."""
 
     def __init__(self, model, d, center, radius, detail, budget):
         self.model = model
@@ -331,6 +354,7 @@ class FactorBall:
         self.vid = {center: 0}
         self.dist = [0]
         adj = {0: set()}
+        n = d + 1
         frontier = [0]
         for k in range(radius + 1):
             wanted = {1} if k < radius else set()
@@ -341,8 +365,11 @@ class FactorBall:
             new = []
             for uid in frontier:
                 u = self.vertices[uid]
+                low = 2 * u.label() < n
                 for w, steps in enumerate(neighbor_steps(center, u), 1):
-                    picked = [j for j, s in enumerate(steps) if s in wanted]
+                    own = 2 * w < n or 2 * w == n and low
+                    picked = [j for j, s in enumerate(steps)
+                              if s in wanted and (s or own)]
                     for j, nb in zip(picked, neighbors_by_colength(u, w, picked)):
                         vid = self.vid.get(nb)
                         if vid is None and steps[j] == 1:

@@ -20,7 +20,8 @@ from .drinfeld import (Poly, RigidPoint, deform, eval_abs, membership_depth,
 from .errors import BudgetError, WindowError
 from .field import ExtensionDescriptor, LaurentModel, PAdicModel
 from .lattice import canonical_form
-from .subdivision import (Marking, eta_chambers, nu_embed, subdivide_ball)
+from .subdivision import (_ETA_D_BOUND, _ETA_N_BOUND, Marking, eta_chambers,
+                          nu_embed, subdivide_ball)
 from .verify import Config, run_suite
 
 
@@ -168,6 +169,10 @@ def cmd_subdivide(args):
 
 def cmd_eta(args):
     d = _flag_d(args.d)
+    if d > _ETA_D_BOUND:
+        raise ValueError(f"--d must be at most {_ETA_D_BOUND} for eta, got {d}")
+    if not 1 <= args.n <= _ETA_N_BOUND:
+        raise ValueError(f"--n must be in 1..{_ETA_N_BOUND}, got {args.n}")
     charts = eta_chambers(d, args.n)
     emit(args, {"d": d, "n": args.n, "count": len(charts),
                 "charts": [{"sigma": list(c.sigma), "a": list(c.a),
@@ -181,6 +186,9 @@ def cmd_extend(args):
     if descriptor.r != 1:
         raise ValueError("extend operates on a single factor")
     model, d = descriptor.factors[0]
+    for flag, value in (("--e", args.e), ("--f", args.f)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     ext = ExtensionDescriptor(model, e=args.e, f=args.f)
     x = (parse_vertex(descriptor, args.vertex) if args.vertex
          else descriptor.origin())

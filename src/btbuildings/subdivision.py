@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 
-from .building import ApartmentPoint, _chain_order
+from .building import ApartmentPoint, _chain_order, _label_order
 from .errors import BudgetError
 from .gf import row_space
 from .lattice import (action, class_pair_residue, column_class, digit_ops,
@@ -394,7 +394,7 @@ def _image_vertex_of_factor_point(fpoint, ext):
     """nu-image of a barycentric factor point with 1/e-integral weights
     lambda_k on its carrier chain L_0 > .. > L_m > pi L_0: the class of
     G = sum_k s^(e - C_k) nu(L_k), C_k = e (lambda_0 + .. + lambda_k), where
-    the representatives L_k = pi^(c_k) P_k are those of `_chain_order` and
+    the representatives L_k = pi^(c_k) P_k are those of `_label_order` and
     nu embeds a basis entrywise: the primitive digit columns of P_k are
     t-polynomials, and t -> s^e maps them to s-polynomials.
 
@@ -402,12 +402,16 @@ def _image_vertex_of_factor_point(fpoint, ext):
     (j >= js_k)> and min_k (e [j < js_k] + e - C_k) = e - e x_j, x the
     point's chart coordinates, so G = s^e <s^(-e x_j) nu(u_j)>: the chart
     image.  C_m = e gives s^e nu(L_0) <= G <= nu(L_0), so v(det G) <=
-    e (D(L_0) + n) bounds the precision of the reduction."""
+    e (D(L_0) + n) bounds the precision of the reduction.
+
+    The carrier must be a face: a single vertex, or a face of a chamber
+    that `subdivide_chambers` has checked.  So its order and shifts are
+    read off the labels (`_label_order`), with no pair decision."""
     e = ext.e
     carrier = [c for c, _ in fpoint]
     if any(c.model is not ext.base for c in carrier):
         raise ValueError("vertex is not over the extension's base model")
-    found = _chain_order(carrier)
+    found = _label_order(carrier)
     if found is None:
         raise ValueError("carrier is not a face chain")
     order, shifts = found

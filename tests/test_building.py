@@ -6,6 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from btbuildings import building
 from btbuildings.building import (
     ApartmentPoint, Ball, BuildingDescriptor, FactorBall, PolyFace, PolyVertex,
     _chain_order, act, apartment_point_of_vertex, ball,
@@ -596,7 +597,8 @@ def _window_by_full_closure(model, d, center, radius):
 
 @pytest.mark.parametrize("model, d, radius", [
     (Q2, 3, 0), (Q2, 3, 1), (Q2, 3, 2), (Q3, 2, 1), (Q3, 2, 2),
-    (F4T, 2, 1), (F2T, 3, 1), (Q2, 2, 3), (F2S, 2, 2), (F2S, 2, 3)],
+    (F4T, 2, 1), (F2T, 3, 1), (Q2, 2, 3), (F2S, 2, 2), (F2S, 2, 3),
+    (F2T, 3, 2)],
     ids=repr)
 def test_classified_window_equals_the_full_closure(model, d, radius):
     center = random_vertex(model, d + 1, random.Random(f"{model!r}:{d}:{radius}"))
@@ -611,6 +613,62 @@ def test_classified_window_equals_the_full_closure(model, d, radius):
         else:
             assert fb.adj == adj
         assert fb.faces == (faces if detail == "faces" else None)
+
+
+def _spy_computed_neighbors(monkeypatch):
+    """The (vertex, neighbor) pairs that windows compute, in order."""
+    computed = []
+
+    def spy(v, w, indices=None):
+        nbs = neighbors_by_colength(v, w, indices)
+        computed.extend((v, nb) for nb in nbs)
+        return nbs
+
+    monkeypatch.setattr(building, "neighbors_by_colength", spy)
+    return computed
+
+
+def _edge_count(adj, dist=None):
+    """Edges of a window's adj; with dist, only those between consecutive
+    levels."""
+    return sum(dist is None or abs(dist[u] - dist[v]) == 1
+               for u, vs in adj.items() for v in vs if u < v)
+
+
+@pytest.mark.parametrize("model, d", [(Q2, 3), (F2T, 3), (Q3, 2), (F4T, 2)],
+                         ids=repr)
+def test_each_window_edge_is_computed_once(model, d, monkeypatch):
+    """Around seeded centers at radius 2, a window computes each of its
+    edges once, from one end: same-level edges at colength w = n/2 (n = 4
+    over Q_2 and F_2((t))) included.  At detail "vertices" it computes the
+    edges between consecutive levels, each once."""
+    center = random_vertex(model, d + 1, random.Random(f"{model!r}:{d}:2"))
+    computed = _spy_computed_neighbors(monkeypatch)
+    edges_adj = None
+    for detail in ("edges", "faces", "vertices"):
+        computed.clear()
+        fb = FactorBall(model, d, center, 2, detail, budget=10**6)
+        assert len({frozenset(pair) for pair in computed}) == len(computed)
+        if detail == "edges":
+            edges_adj = fb.adj
+            want = _edge_count(fb.adj)
+        elif detail == "faces":
+            assert fb.adj == edges_adj
+        else:
+            want = _edge_count(edges_adj, fb.dist)
+        assert len(computed) == want
+
+
+def test_product_window_computes_each_factor_edge_once(monkeypatch):
+    """A two-factor window computes each edge of each factor window once."""
+    rng = random.Random(21)
+    factors = [(Q3, 2), (F2T, 3)]
+    B = BuildingDescriptor(factors)
+    center = PolyVertex(tuple(random_vertex(m, d + 1, rng) for m, d in factors))
+    computed = _spy_computed_neighbors(monkeypatch)
+    b = Ball(B, center, 2, detail="edges", budget=10**6)
+    assert len({frozenset(pair) for pair in computed}) == len(computed)
+    assert len(computed) == sum(_edge_count(fb.adj) for fb in b.factor_balls)
 
 
 STEP_FIELDS = [Q2, Q3, F2T, F4T, F2S]

@@ -280,6 +280,24 @@ def test_bad_eta_d_and_retract_t_name_their_flag(argv, message, capsys):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["eta", "--d", "1", "--n", "0"], "--n must be in 1..6, got 0"),
+    (["eta", "--d", "1", "--n", "7"], "--n must be in 1..6, got 7"),
+    (["eta", "--d", "5", "--n", "2"], "--d must be at most 4 for eta, got 5"),
+    (["--field", "laurent:2", "extend", "--e", "0"],
+     "--e must be at least 1, got 0"),
+    (["--field", "laurent:2", "extend", "--f", "0"],
+     "--f must be at least 1, got 0"),
+], ids=["eta-n-zero", "eta-n-above", "eta-d-above", "extend-e-zero",
+        "extend-f-zero"])
+def test_eta_and_extend_bounds_name_their_flag(argv, message, capsys):
+    """Fixed bounds that no --budget raises are input errors (exit 2)."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert message in captured.err
+
+
 def test_retract_command(capsys):
     poly = json.dumps([{"coeff": "1", "monomial": {"1": 2}},
                        {"coeff": "s^2", "monomial": {"1": 1}}])

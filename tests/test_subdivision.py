@@ -11,7 +11,7 @@ from btbuildings.building import (
 from btbuildings.errors import BudgetError
 from btbuildings.field import ExtensionDescriptor, LaurentModel, PAdicModel
 from btbuildings.gf import GF, row_space
-from btbuildings import drinfeld, subdivision
+from btbuildings import building, drinfeld, subdivision
 from btbuildings.drinfeld import diagonalize_norm, membership_depth
 from btbuildings.lattice import (all_neighbors, canonical_form,
                                  class_pair_residue, pair_index_normalized,
@@ -649,6 +649,33 @@ def test_induced_structure_decides_each_directed_image_edge_once(monkeypatch):
     assert set(calls) == edges
     assert rep == _induced_by_product_images(b, ext)
     assert rep["passed"] and rep["subchambers_checked"] == 4 * len(b.chambers)
+
+
+def test_nu_image_reads_the_chain_order_off_the_labels(monkeypatch):
+    """On the seeded plane window of the test above, the nu-images of all
+    subdivided points make no pair decision: each carrier is a face of a
+    chamber that the subdivision has checked, with d + 1 decisions per
+    distinct chamber (693).  Ordering each carrier again with
+    `_chain_order` took 686 more."""
+    B = BuildingDescriptor([(F2T, 2)])
+    center = PolyVertex((random_vertex(F2T, 3, random.Random(1)),))
+    b = ball(B, center, 2, detail="faces", budget=20000)
+    ext = ExtensionDescriptor(F2T, e=2, f=1)
+    calls = []
+
+    def spy(x, y):
+        calls.append((x, y))
+        return pair_index_normalized(x, y)
+
+    monkeypatch.setattr(building, "pair_index_normalized", spy)
+    sub = subdivide_ball(b, Marking([2]))
+    assert len(calls) == 3 * len({ch.factors[0] for ch in b.chambers}) == 693
+    calls.clear()
+    for fp in sub.factor_points[0]:
+        subdivision._image_vertex_of_factor_point(fp, ext)
+    assert calls == []
+    assert verify_induced_structure(b, ext)["passed"]
+    assert len(calls) == 693
 
 
 def test_nu_image_rejects_a_class_off_the_base():
