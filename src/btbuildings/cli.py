@@ -4,6 +4,10 @@ automorphism analysis, rigid-point queries, verification suites, export.
 Exit codes: 0 pass, 1 verification failure, 2 input error, 3 budget.
 All numeric output is exact (integers and fraction strings); identical
 seed and flags produce byte-identical artifacts.
+
+Each flag is read and checked by its reader in `_FLAGS`, which sees the
+flags read before it; `main` reports a reader's ValueError as an input
+error that names the flag.
 """
 
 import argparse
@@ -15,40 +19,37 @@ from .autdecomp import (AutWord, _int_list, _square_matrix, decompose_hom,
                         normal_form)
 from .building import (BuildingDescriptor, PolyVertex, ball, involution_lambda,
                        labelling_C, project_apartment)
-from .drinfeld import (Poly, RigidPoint, deform, eval_abs, membership_depth,
-                       omega_membership, tau_coordinates)
+from .drinfeld import (Poly, RigidPoint, _assignment_for, deform, eval_abs,
+                       membership_depth, omega_membership, tau_coordinates)
 from .errors import BudgetError, WindowError
 from .field import ExtensionDescriptor, LaurentModel, PAdicModel
+from .gf import prime_power
 from .lattice import canonical_form
 from .subdivision import (_ETA_D_BOUND, _ETA_N_BOUND, Marking, eta_chambers,
                           nu_embed, subdivide_ball)
-from .verify import Config, run_suite
+from .verify import SUITES, Config, run_suite
 
 
-def _flag_ints(flag, text, form="a comma-separated list of integers"):
-    """The integers of a comma-separated flag value; the error names the
-    flag and the form it expects."""
+def _int(text, low=None, high=None):
+    """The one integer of a flag value, in low..high."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"must be an integer, got {text!r}") from None
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"must be in {low}..{high}, got {value}")
+    if low is not None and value < low:
+        raise ValueError(f"must be at least {low}, got {value}")
+    return value
+
+
+def _ints(text):
+    """The integers of a comma-separated flag value."""
     try:
         return [int(x) for x in text.split(",")]
     except ValueError:
-        raise ValueError(f"{flag} must be {form}, got {text!r}") from None
-
-
-def _flag_int(flag, text):
-    """The one integer of a flag value."""
-    values = _flag_ints(flag, text, "an integer")
-    if len(values) != 1:
-        raise ValueError(f"{flag} must be an integer, got {text!r}")
-    return values[0]
-
-
-def _flag_d(text):
-    """The one dimension of a --d flag value, at least 1 as in every
-    building."""
-    d = _flag_int("--d", text)
-    if d < 1:
-        raise ValueError(f"--d must be at least 1, got {text!r}")
-    return d
+        raise ValueError("must be a comma-separated list of integers, "
+                         f"got {text!r}") from None
 
 
 def parse_field(spec):
@@ -57,31 +58,9 @@ def parse_field(spec):
     if kind not in models:
         raise ValueError(f"unknown field spec {spec!r}; use padic:p or laurent:q")
     model, size = models[kind]
-    return model.get(_flag_int(f"--field {kind}:{size}", param))
-
-
-def build_descriptor(args):
-    fields = [parse_field(s) for s in args.field.split(",")]
-    dims = _flag_ints("--d", args.d)
-    if len(fields) == 1 and len(dims) > 1:
-        fields = fields * len(dims)
-    if len(fields) != len(dims):
-        raise ValueError("--field and --d lists must have matching lengths")
-    if args.r is not None and args.r != len(dims):
-        raise ValueError(f"--r {args.r} does not match {len(dims)} factors")
-    return BuildingDescriptor(list(zip(fields, dims)))
-
-
-def _string_lists(obj, sizes, what):
-    """obj, checked to be a list of len(sizes) lists of strings, the k-th
-    of length sizes[k]."""
-    if (not isinstance(obj, list) or len(obj) != len(sizes)
-            or not all(isinstance(row, list) and len(row) == size
-                       and all(isinstance(x, str) for x in row)
-                       for row, size in zip(obj, sizes))):
-        raise ValueError(f"{what} must be a list of {len(sizes)} lists of "
-                         f"{', '.join(map(str, sizes))} strings")
-    return obj
+    if not param.removeprefix("-").isdecimal():
+        raise ValueError(f"{kind}:{size} must be an integer, got {param!r}")
+    return model.get(int(param))
 
 
 def parse_vertex(descriptor, text):
@@ -100,113 +79,68 @@ def parse_vertex(descriptor, text):
     return PolyVertex(tuple(comps))
 
 
-def emit(args, obj):
-    """Write the JSON artifact obj; a command with DOT output writes it
-    through `_write` instead."""
-    if args.format == "dot":
-        raise ValueError("this command has no DOT output")
-    _write(args, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+# flag readers: (text, the values read so far) -> value, or ValueError
+_EXTENDING = ("extend", "omega", "retract")  # commands that build extensions
 
 
-def _write(args, text):
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _read_field(text, got):
+    models = [parse_field(spec) for spec in text.split(",")]
+    if got["command"] in _EXTENDING and isinstance(models[0], PAdicModel):
+        raise ValueError(f"{got['command']} needs laurent:q, as extensions "
+                         "are unsupported in the p-adic model")
+    return models
 
 
-def cmd_ball(args):
-    descriptor = build_descriptor(args)
-    center = (parse_vertex(descriptor, args.vertex) if args.vertex
-              else descriptor.origin())
-    b = ball(descriptor, center, args.radius, detail=args.detail,
-             budget=args.budget)
-    if args.format == "dot":
-        _write(args, b.to_dot())
-    else:
-        emit(args, b.to_json_obj())
-    return 0
+def _read_d(text, got):
+    """The one dimension of `eta` and `verify`; for the other commands the
+    descriptor of the product of --field and --d."""
+    command = got["command"]
+    if command == "verify" and "d" in got["given"] and "q" not in got["given"]:
+        raise ValueError("verify reads --d only with gaussian-binomials --q")
+    dims = [_int(text)] if command in ("eta", "verify") else _ints(text)
+    if min(dims) < 1:
+        raise ValueError(f"must be at least 1, got {text!r}")
+    if command in ("eta", "subdivide") and max(dims) > _ETA_D_BOUND:
+        raise ValueError(f"must be at most {_ETA_D_BOUND} for {command}, "
+                         f"got {text}")
+    if command in ("eta", "verify"):
+        return dims[0]
+    if command in ("extend", "retract") and len(dims) != 1:
+        raise ValueError(f"{command} operates on one factor, got {text!r}")
+    fields = got["field"] * (len(dims) if len(got["field"]) == 1 else 1)
+    if len(fields) != len(dims):
+        raise ValueError(f"lists {len(dims)} factors and --field {len(fields)}")
+    return BuildingDescriptor(list(zip(fields, dims)))
 
 
-def cmd_project(args):
-    descriptor = build_descriptor(args)
-    x = parse_vertex(descriptor, args.vertex)
-    pt = project_apartment(x)
-    emit(args, {"exponents": [[str(e) for e in pt.exponents(i)]
-                              for i in range(descriptor.r)]})
-    return 0
+def _read_r(text, got):
+    r = _int(text)
+    if r != got["d"].r:
+        raise ValueError(f"{r} does not match {got['d'].r} factors")
+    return r
 
 
-def cmd_label(args):
-    descriptor = build_descriptor(args)
-    x = parse_vertex(descriptor, args.vertex)
-    emit(args, {"label": list(labelling_C(x))})
-    return 0
+def _one_of(text, choices):
+    if text not in choices:
+        raise ValueError(f"must be one of {', '.join(choices)}, got {text!r}")
+    return text
 
 
-def cmd_involution(args):
-    descriptor = build_descriptor(args)
-    x = parse_vertex(descriptor, args.vertex)
-    mask = _flag_ints("--mask", args.mask) if args.mask else [1] * descriptor.r
-    if len(mask) != descriptor.r or any(b not in (0, 1) for b in mask):
-        raise ValueError(f"--mask must list {descriptor.r} entries, each 0 or 1")
-    img = involution_lambda(x, mask)
-    emit(args, {"image": [c.serialize() for c in img.components],
-                "label": list(labelling_C(img))})
-    return 0
+def _per_factor(text, got, low, high):
+    values = _ints(text)
+    if len(values) != got["d"].r or not all(low <= v <= high for v in values):
+        raise ValueError(f"must be one integer in {low}..{high} per factor "
+                         f"({got['d'].r}), got {text!r}")
+    return values
 
 
-def cmd_subdivide(args):
-    descriptor = build_descriptor(args)
-    b = ball(descriptor, descriptor.origin(), args.radius, detail="faces",
-             budget=args.budget)
-    marking = Marking(_flag_ints("--marking", args.marking))
-    sub = subdivide_ball(b, marking)
-    emit(args, sub.to_json_obj())
-    return 0
-
-
-def cmd_eta(args):
-    d = _flag_d(args.d)
-    if d > _ETA_D_BOUND:
-        raise ValueError(f"--d must be at most {_ETA_D_BOUND} for eta, got {d}")
-    if not 1 <= args.n <= _ETA_N_BOUND:
-        raise ValueError(f"--n must be in 1..{_ETA_N_BOUND}, got {args.n}")
-    charts = eta_chambers(d, args.n)
-    emit(args, {"d": d, "n": args.n, "count": len(charts),
-                "charts": [{"sigma": list(c.sigma), "a": list(c.a),
-                            "vertices": [list(v) for v in c.vertices()]}
-                           for c in charts]})
-    return 0
-
-
-def cmd_extend(args):
-    descriptor = build_descriptor(args)
-    if descriptor.r != 1:
-        raise ValueError("extend operates on a single factor")
-    model, d = descriptor.factors[0]
-    for flag, value in (("--e", args.e), ("--f", args.f)):
-        if value < 1:
-            raise ValueError(f"{flag} must be at least 1, got {value}")
-    ext = ExtensionDescriptor(model, e=args.e, f=args.f)
-    x = (parse_vertex(descriptor, args.vertex) if args.vertex
-         else descriptor.origin())
-    img = nu_embed(x.components[0], ext)
-    emit(args, {"e": args.e, "f": args.f,
-                "extension_field": {"q": ext.extension.q, "var": ext.extension.var},
-                "image": img.serialize(),
-                "image_label": img.label()})
-    return 0
-
-
-def cmd_decompose_aut(args):
-    obj = json.loads(args.map)
+def _read_map(text, _got):  # the decomposition is the map's check
+    obj = json.loads(text)
     if not isinstance(obj, dict):
-        raise ValueError("--map must be a JSON object")
+        raise ValueError("must be a JSON object")
     for key in ("sizes_in", "sizes_out", "map"):
         if key not in obj:
-            raise ValueError(f"--map has no {key!r} field")
+            raise ValueError(f"has no {key!r} field")
     sizes_in = tuple(_int_list(obj["sizes_in"], "sizes_in"))
     sizes_out = tuple(_int_list(obj["sizes_out"], "sizes_out"))
     pairs = obj["map"]
@@ -217,255 +151,318 @@ def cmd_decompose_aut(args):
          for u, v in pairs}
     if len(f) != len(pairs):
         raise ValueError("map lists a vertex more than once")
-    dec = decompose_hom(f, sizes_in, sizes_out)
-    emit(args, {"mu": list(dec.mu), "gs": [list(g) for g in dec.gs],
-                "constants": {str(k): v for k, v in sorted(dec.consts.items())}})
-    return 0
+    return decompose_hom(f, sizes_in, sizes_out)
 
 
-def cmd_normal_form(args):
-    descriptor = build_descriptor(args)
-    word = AutWord.from_json_obj(descriptor, json.loads(args.word))
-    b = ball(descriptor, descriptor.origin(), args.radius, budget=args.budget)
-    g, r, mu, report = normal_form(word, b)
-    obj = {
-        "g_matrices": [[model.elem_str(x) for row in gi for x in row]
-                       for gi, (model, _d) in zip(g, descriptor.factors)],
-        "r_mask": r,
-        "mu": mu,
-        "report": report,
-    }
-    emit(args, obj)
-    return 0 if report["passed"] else 1
-
-
-def _build_rigid_point(args, descriptor):
-    model = descriptor.models[0]
-    for part in args.ext.split(";"):
+def _read_ext(text, got):
+    """The field K at the top of the tower "e,f[;e,f..]" above factor 0's."""
+    model = got["d"].models[0]
+    for part in text.split(";"):
         e_s, _, f_s = part.partition(",")
         if not (e_s.isdecimal() and f_s.isdecimal()):
-            raise ValueError(f"--ext entry {part!r} is not two integers e,f")
+            raise ValueError(f"entry {part!r} is not two integers e,f")
         model = ExtensionDescriptor(model, e=int(e_s), f=int(f_s)).extension
-    K = model
-    coords = _string_lists(json.loads(args.point), descriptor.dims, "point")
+    return model
+
+
+def _read_point(text, got):
+    descriptor, K = got["d"], got["ext"]
+    coords, dims = json.loads(text), descriptor.dims
+    if (not isinstance(coords, list) or len(coords) != len(dims)
+            or not all(isinstance(row, list) and len(row) == d
+                       and all(isinstance(x, str) for x in row)
+                       for row, d in zip(coords, dims))):
+        raise ValueError(f"point must be a list of {len(dims)} lists of "
+                         f"{', '.join(map(str, dims))} strings")
     return RigidPoint(descriptor, K, [[K.elem_parse(c) for c in factor]
-                                      for factor in coords]), K
+                                      for factor in coords])
 
 
-def cmd_omega(args):
-    if args.depth < 1:
-        raise ValueError(f"--depth must be >= 1, got {args.depth}")
-    descriptor = build_descriptor(args)
-    x, K = _build_rigid_point(args, descriptor)
-    results = []
-    for n in range(1, args.depth + 1):
-        results.append({
-            "n": n,
-            "closed": omega_membership(x, n, closed=True, budget=args.budget),
-            "open": omega_membership(x, n, closed=False, budget=args.budget),
-        })
-    first = membership_depth(x, max_n=args.depth, budget=args.budget)
-    tau = tau_coordinates(x)
-    emit(args, {"memberships": results, "first_depth": first,
-                "tau_exponents": [[str(e) for e in tau.exponents(i)]
-                                  for i in range(descriptor.r)]})
-    return 0
-
-
-def cmd_retract(args):
-    descriptor = build_descriptor(args)
-    if descriptor.r != 1:
-        raise ValueError("retract operates on one factor")
-    x, K = _build_rigid_point(args, descriptor)
-    poly = json.loads(args.poly)
+def _read_poly(text, got):
+    poly = json.loads(text)
     if not isinstance(poly, list) or not all(
             isinstance(term, dict) and isinstance(term.get("coeff"), str)
             and isinstance(term.get("monomial"), dict)
-            and all(j.isdecimal() and type(n) is int
+            and all(j.isdecimal() and type(n) is int and n >= 0
                     for j, n in term["monomial"].items())
             for term in poly):
-        raise ValueError('--poly must be a list of {"coeff": str, '
-                         '"monomial": {"j": int}} objects, each key j the '
-                         'number of a variable')
-    terms = {}
+        raise ValueError('must be a list of {"coeff": str, "monomial": '
+                         '{"j": n}} objects, each key j the number of a '
+                         'variable and n >= 0')
+    K, terms = got["ext"], {}
     for term in poly:
         exps = tuple(sorted(((0, int(j)), n)
                             for j, n in term["monomial"].items()))
         coeff = K.elem_parse(term["coeff"])
-        p_term = terms.get(exps)
-        terms[exps] = coeff if p_term is None else p_term + coeff
+        terms[exps] = terms[exps] + coeff if exps in terms else coeff
     p = Poly(K, terms)
+    _assignment_for(got["point"], p)
+    return p
+
+
+def _read_t(text, _got):
+    """(text, exponent) per t-exponent, each a rational >= 0 or inf."""
     out = []
-    for t_s in args.t.split(","):
+    for t_s in text.split(","):
         try:
             t_exp = float("inf") if t_s == "inf" else Fraction(t_s)
         except (ValueError, ZeroDivisionError):
-            raise ValueError("--t must be a comma-separated list of rationals "
+            raise ValueError("must be a comma-separated list of rationals "
                              f"or inf, got {t_s!r}") from None
-        av = deform(x, t_exp, p)
-        out.append({"t_exponent": t_s, "value_exponent": av.serialize()})
-    out_obj = {"path": out, "evaluation": eval_abs(x, p).serialize()}
-    emit(args, out_obj)
-    return 0
+        if t_exp < 0:
+            raise ValueError(f"t-exponents must be >= 0, got {t_s!r}")
+        out.append((t_s, t_exp))
+    return out
+
+
+def _read_q(text, got):
+    if got["suite"] != "gaussian-binomials":
+        raise ValueError("verify reads --q only with gaussian-binomials")
+    # prime_power raises for a q that is not a prime power
+    return tuple(q for q in _ints(text) if prime_power(q))
+
+
+# flag -> (default, reader, help), in reading order: --field, --d and --r
+# come first, so that the readers after them see the descriptor in
+# got["d"], and --ext before --point and --poly, which read over its field
+_FLAGS = {
+    "field": ("padic:2", _read_field, "comma list of padic:p | laurent:q"),
+    "d": ("1", _read_d, "comma list of factor dimensions"),
+    "r": (None, _read_r, "factor count check"),
+    "radius": ("2", lambda text, got: _int(
+        text, got["d"].r if got["command"] == "normal-form" else 0),
+        "window radius, for normal-form at least the factor count"),
+    "depth": ("3", lambda text, _got: _int(text, 1), "filtration depth"),
+    "seed": ("0", lambda text, _got: _int(text), "suite seed"),
+    "budget": ("20000", lambda text, _got: _int(text, 0), "work budget"),
+    "format": ("json", lambda text, got: _one_of(
+        text, ("json", "dot") if got["command"] == "ball" else ("json",)),
+        "json, or dot for ball"),
+    "out": (None, lambda text, _got: text, "write the artifact to a file"),
+    "vertex": (None, lambda text, got: parse_vertex(got["d"], text),
+               "JSON flat row-major matrix strings per factor"),
+    "detail": ("faces", lambda text, _got: _one_of(
+        text, ("vertices", "edges", "faces")), "vertices | edges | faces"),
+    "mask": (None, lambda text, got: _per_factor(text, got, 0, 1),
+             "comma list of 0/1 per factor"),
+    "marking": (None, lambda text, got: Marking(
+        _per_factor(text, got, 1, _ETA_N_BOUND)), "comma list per factor"),
+    "n": (None, lambda text, _got: _int(text, 1, _ETA_N_BOUND),
+          "dilation of the simplex"),
+    "e": ("1", lambda text, _got: _int(text, 1), "ramification index"),
+    "f": ("1", lambda text, _got: _int(text, 1), "residue degree"),
+    "map": (None, _read_map,
+            'JSON {"sizes_in":[..],"sizes_out":[..],"map":[[u,v],..]}'),
+    "word": (None, lambda text, got: AutWord.from_json_obj(
+        got["d"], json.loads(text)), "AutWord JSON"),
+    "ext": ("2,1", _read_ext, 'extension tower "e,f[;e,f..]" above --field'),
+    "point": (None, _read_point, "JSON coords per factor"),
+    "poly": (None, _read_poly, 'JSON [{"coeff": str, "monomial": {"j": n}}, ..]'),
+    "t": ("0,1/2,1", _read_t, "comma list of t-exponents"),
+    "q": (None, _read_q, "gaussian-binomials residue sizes"),
+}
+
+
+def emit(args, obj):
+    """Write the artifact obj: DOT text as it is, anything else as JSON."""
+    text = (obj if isinstance(obj, str)
+            else json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+
+
+# commands: each receives the values of the flags it reads, already checked,
+# and returns its exit code, None for 0
+def cmd_ball(args):
+    b = ball(args.d, args.vertex or args.d.origin(), args.radius,
+             detail=args.detail, budget=args.budget)
+    emit(args, b.to_dot() if args.format == "dot" else b.to_json_obj())
+
+
+def cmd_project(args):
+    pt = project_apartment(args.vertex)
+    emit(args, {"exponents": [[str(e) for e in pt.exponents(i)]
+                              for i in range(args.d.r)]})
+
+
+def cmd_label(args):
+    emit(args, {"label": list(labelling_C(args.vertex))})
+
+
+def cmd_involution(args):
+    img = involution_lambda(args.vertex, args.mask or [1] * args.d.r)
+    emit(args, {"image": [c.serialize() for c in img.components],
+                "label": list(labelling_C(img))})
+
+
+def cmd_subdivide(args):
+    b = ball(args.d, args.d.origin(), args.radius, detail="faces",
+             budget=args.budget)
+    emit(args, subdivide_ball(b, args.marking).to_json_obj())
+
+
+def cmd_eta(args):
+    charts = eta_chambers(args.d, args.n)
+    emit(args, {"d": args.d, "n": args.n, "count": len(charts),
+                "charts": [{"sigma": list(c.sigma), "a": list(c.a),
+                            "vertices": [list(v) for v in c.vertices()]}
+                           for c in charts]})
+
+
+def cmd_extend(args):
+    ext = ExtensionDescriptor(args.d.models[0], e=args.e, f=args.f)
+    img = nu_embed((args.vertex or args.d.origin()).components[0], ext)
+    emit(args, {"e": args.e, "f": args.f, "image": img.serialize(),
+                "extension_field": {"q": ext.extension.q, "var": ext.extension.var},
+                "image_label": img.label()})
+
+
+def cmd_decompose_aut(args):
+    dec = args.map
+    emit(args, {"mu": list(dec.mu), "gs": [list(g) for g in dec.gs],
+                "constants": {str(k): v for k, v in sorted(dec.consts.items())}})
+
+
+def cmd_normal_form(args):
+    b = ball(args.d, args.d.origin(), args.radius, budget=args.budget)
+    g, r, mu, report = normal_form(args.word, b)
+    emit(args, {"g_matrices": [[model.elem_str(x) for row in gi for x in row]
+                               for gi, model in zip(g, args.d.models)],
+                "r_mask": r, "mu": mu, "report": report})
+    return 0 if report["passed"] else 1
+
+
+def cmd_omega(args):
+    x = args.point
+    results = [{"n": n,
+                "closed": omega_membership(x, n, closed=True, budget=args.budget),
+                "open": omega_membership(x, n, closed=False, budget=args.budget)}
+               for n in range(1, args.depth + 1)]
+    first = membership_depth(x, max_n=args.depth, budget=args.budget)
+    tau = tau_coordinates(x)
+    emit(args, {"memberships": results, "first_depth": first,
+                "tau_exponents": [[str(e) for e in tau.exponents(i)]
+                                  for i in range(args.d.r)]})
+
+
+def cmd_retract(args):
+    x, p = args.point, args.poly
+    out = [{"t_exponent": t_s, "value_exponent": deform(x, t_exp, p).serialize()}
+           for t_s, t_exp in args.t]
+    emit(args, {"path": out, "evaluation": eval_abs(x, p).serialize()})
 
 
 def cmd_verify(args):
-    override = args.suite == "gaussian-binomials" and args.q
-    if "d" in args.given and not override:
-        raise ValueError("verify reads --d only with gaussian-binomials --q")
-    config = Config(budget=args.budget, seed=args.seed)
-    kwargs = {}
-    if override:
-        kwargs = {"qs": tuple(_flag_ints("--q", args.q)),
-                  "dmax": _flag_d(args.d)}
-    report = run_suite(args.suite, config, **kwargs)
+    kwargs = {"qs": args.q, "dmax": args.d} if args.q else {}
+    report = run_suite(args.suite, Config(budget=args.budget, seed=args.seed),
+                       **kwargs)
     emit(args, report)
     return 0 if report["passed"] else 1
 
 
-# the common flags, accepted before and after the subcommand: name ->
-# (default, add_argument keywords)
-_COMMON = {
-    "field": ("padic:2", {"help": "comma list of padic:p | laurent:q "
-                                  "(default padic:2)"}),
-    "d": ("1", {"help": "comma list of factor dimensions"}),
-    "r": (None, {"type": int, "help": "factor count check"}),
-    "radius": (2, {"type": int}),
-    "depth": (3, {"type": int}),
-    "seed": (0, {"type": int}),
-    "budget": (20000, {"type": int}),
-    "format": ("json", {"choices": ["json", "dot"]}),
-    "out": (None, {"help": "write the artifact to a file"}),
+# command -> (function, help, the flags it reads besides --format and
+# --out; a flag marked ! is required)
+_COMMANDS = {
+    "ball": (cmd_ball, "window of the building around a vertex",
+             "field d r radius budget vertex detail"),
+    "project": (cmd_project, "norm-formula apartment projection",
+                "field d r vertex!"),
+    "label": (cmd_label, "labelling C of a vertex", "field d r vertex!"),
+    "involution": (cmd_involution, "dual-lattice involution lambda",
+                   "field d r vertex! mask"),
+    "subdivide": (cmd_subdivide, "subdivide the chambers of a window",
+                  "field d r radius budget marking!"),
+    "eta": (cmd_eta, "alcove charts of the dilated simplex", "d n!"),
+    "extend": (cmd_extend, "embed a vertex along a field extension",
+               "field d r vertex e f"),
+    "decompose-aut": (cmd_decompose_aut, "decompose a product-graph map",
+                      "map!"),
+    "normal-form": (cmd_normal_form, "normal form of a generator word",
+                    "field d r radius budget word!"),
+    "omega": (cmd_omega, "Schneider-Stuhler membership of a point",
+              "field d r depth budget ext point!"),
+    "retract": (cmd_retract, "deformation rho_t toward the skeleton",
+                "field d r ext point! poly! t"),
+    "verify": (cmd_verify, "run a named invariant suite", "d seed budget q"),
 }
-_DESCRIPTOR = ("field", "d", "r")  # read by `build_descriptor`
 
 
-def _add_common(parser, names):
-    """The common flags `names`.  They default to absent, so that `main`
-    can tell which were given."""
-    for name in names:
-        parser.add_argument(f"--{name}", default=argparse.SUPPRESS,
-                            **_COMMON[name][1])
+def _reads(command):
+    """flag -> whether it is required, for the flags `command` reads."""
+    row = _COMMANDS[command][2] + " format out"
+    return {flag.rstrip("!"): flag.endswith("!") for flag in row.split()}
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse for tokens and --help only; `main` reports its errors."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def make_parser():
-    p = argparse.ArgumentParser(
-        prog="btb", allow_abbrev=False,
-        description="Exact computations on Bruhat-Tits buildings, their "
-                    "products, and rigid points of Drinfeld spaces")
-    _add_common(p, _COMMON)
+    """Every flag is a string accepted before or after the command, and
+    listed in the help of the commands that read it."""
+    def add_flags(parser, reads):
+        for flag, (_default, _read, text) in _FLAGS.items():
+            shown = (text + (" (required)" if reads.get(flag) else "")
+                     if flag in reads else argparse.SUPPRESS)
+            parser.add_argument(f"--{flag}", default=argparse.SUPPRESS,
+                                help=shown)
+
+    p = _Parser(prog="btb", allow_abbrev=False, exit_on_error=False,
+                description=__doc__.partition("\n\n")[0])
+    add_flags(p, dict.fromkeys(_FLAGS, False))
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add_parser(name, reads, **kw):
-        """A subcommand that reads the common flags `reads`, and --format
-        and --out through `emit`; `main` rejects the others."""
-        reads = reads + ("format", "out")
-        s = sub.add_parser(name, allow_abbrev=False, **kw)
-        _add_common(s, reads)
-        s.set_defaults(reads=reads)
-        return s
-
-    s = add_parser("ball", _DESCRIPTOR + ("radius", "budget"),
-                   help="window of the building around a vertex")
-    s.add_argument("--vertex", default=None)
-    s.add_argument("--detail", choices=["vertices", "edges", "faces"],
-                   default="faces")
-    s.set_defaults(func=cmd_ball)
-
-    s = add_parser("project", _DESCRIPTOR,
-                   help="norm-formula apartment projection")
-    s.add_argument("--vertex", required=True)
-    s.set_defaults(func=cmd_project)
-
-    s = add_parser("label", _DESCRIPTOR, help="labelling C of a vertex")
-    s.add_argument("--vertex", required=True)
-    s.set_defaults(func=cmd_label)
-
-    s = add_parser("involution", _DESCRIPTOR,
-                   help="dual-lattice involution lambda")
-    s.add_argument("--vertex", required=True)
-    s.add_argument("--mask", default=None, help="comma list of 0/1 per factor")
-    s.set_defaults(func=cmd_involution)
-
-    s = add_parser("subdivide", _DESCRIPTOR + ("radius", "budget"),
-                   help="subdivide the chambers of a window")
-    s.add_argument("--marking", required=True, help="comma list per factor")
-    s.set_defaults(func=cmd_subdivide)
-
-    s = add_parser("eta", ("d",), help="alcove charts of the dilated simplex")
-    s.add_argument("--n", type=int, required=True)
-    s.set_defaults(func=cmd_eta)
-
-    s = add_parser("extend", _DESCRIPTOR,
-                   help="embed a vertex along a field extension")
-    s.add_argument("--vertex", default=None)
-    s.add_argument("--e", type=int, default=1, help="ramification index")
-    s.add_argument("--f", type=int, default=1, help="residue degree")
-    s.set_defaults(func=cmd_extend)
-
-    s = add_parser("decompose-aut", (), help="decompose a product-graph map")
-    s.add_argument("--map", required=True,
-                   help='JSON {"sizes_in":[..],"sizes_out":[..],"map":[[u,v],..]}')
-    s.set_defaults(func=cmd_decompose_aut)
-
-    s = add_parser("normal-form", _DESCRIPTOR + ("radius", "budget"),
-                   help="normal form of a generator word")
-    s.add_argument("--word", required=True, help="AutWord JSON")
-    s.set_defaults(func=cmd_normal_form)
-
-    s = add_parser("omega", _DESCRIPTOR + ("depth", "budget"),
-                   help="Schneider-Stuhler membership of a point")
-    s.add_argument("--point", required=True, help="JSON coords per factor")
-    s.add_argument("--ext", default="2,1",
-                   help='extension tower "e,f[;e,f..]" above the base field')
-    s.set_defaults(func=cmd_omega)
-
-    s = add_parser("retract", _DESCRIPTOR,
-                   help="deformation rho_t toward the skeleton")
-    s.add_argument("--point", required=True)
-    s.add_argument("--ext", default="2,1")
-    s.add_argument("--poly", required=True,
-                   help='JSON [{"coeff": str, "monomial": {"j": n}}, ..]')
-    s.add_argument("--t", default="0,1/2,1", help="comma list of t-exponents")
-    s.set_defaults(func=cmd_retract)
-
-    s = add_parser("verify", ("d", "seed", "budget"),
-                   help="run a named invariant suite")
-    s.add_argument("suite")
-    s.add_argument("--q", default=None, help="suite parameter override")
-    s.set_defaults(func=cmd_verify)
-
+    for command, (_func, text, _row) in _COMMANDS.items():
+        s = sub.add_parser(command, help=text, allow_abbrev=False,
+                           exit_on_error=False)
+        if command == "verify":
+            s.add_argument("suite", choices=sorted(SUITES), metavar="suite")
+        add_flags(s, _reads(command))
     return p
 
 
 def main(argv=None):
-    parser = make_parser()
-    args, extra = parser.parse_known_args(argv)
-    args.given = {k for k in _COMMON if hasattr(args, k)}
-    # a common flag that the subparser does not define lands in extra
-    after = {a.partition("=")[0][2:] for a in extra if a.startswith("--")}
-    unread = [k for k in _COMMON
-              if k not in args.reads and (k in args.given or k in after)]
-    if unread:
-        print(f"input error: {args.command} does not read "
-              + ", ".join(f"--{k}" for k in unread), file=sys.stderr)
-        return 2
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    for k, (default, _kw) in _COMMON.items():
-        if k not in args.given:
-            setattr(args, k, default)
+    name = "btb"  # what an input error names: the flag read, or the line
     try:
-        return args.func(args)
+        ns = make_parser().parse_args(argv)
+        reads = _reads(ns.command)
+        given = {k: v for k, v in vars(ns).items() if k in _FLAGS}
+        for flag in given:
+            if flag not in reads:
+                name = f"--{flag}"
+                raise ValueError(f"{ns.command} does not read {name}")
+        got = {"command": ns.command, "suite": getattr(ns, "suite", None),
+               "given": given}
+        for flag, (default, read, _help) in _FLAGS.items():
+            if flag in reads:
+                name = f"--{flag}"
+                text = given.get(flag, default)
+                if text is None and reads[flag]:
+                    raise ValueError("is required")
+                got[flag] = None if text is None else read(text, got)
+        name = None  # the values are checked: a later ValueError is a fault
+        return _COMMANDS[ns.command][0](argparse.Namespace(**got)) or 0
     except BudgetError as ex:
         print(f"budget exceeded: {ex}", file=sys.stderr)
         return 3
     except WindowError as ex:
         print(f"verification failure: {ex}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, json.JSONDecodeError, OSError) as ex:
-        print(f"input error: {ex}", file=sys.stderr)
-        return 2
+    except argparse.ArgumentError as ex:
+        name, message = ex.argument_name, ex.message
+    except OSError as ex:
+        name, message = "--out", ex
+    except ValueError as ex:
+        if name is None:
+            raise
+        message = ex
+    print(f"input error: {name}: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -969,7 +969,7 @@ SUITES = {
 
 def run_suite(name, config, **kwargs):
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
+        raise ValueError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
     report = SUITES[name](config, **kwargs)
     report["suite"] = name
     report["seed"] = config.seed

@@ -8,9 +8,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from btbuildings import verify
-from btbuildings.cli import main
+from btbuildings import cli, verify
+from btbuildings.cli import main, make_parser
 
 
 def run_cli(argv, capsys):
@@ -27,14 +28,6 @@ def test_verify_gaussian_binomials(capsys):
     assert obj["passed"]
     assert any(c["enumerated"] == 15 for c in obj["counts"])
     assert obj["suite"] == "gaussian-binomials" and obj["seed"] == 0
-
-
-@pytest.mark.parametrize("d", ["0", "-1"])
-def test_gaussian_binomials_rejects_d_below_one(d, capsys):
-    code = main(["verify", "gaussian-binomials", "--q", "2", "--d", d])
-    captured = capsys.readouterr()
-    assert code == 2 and not captured.out
-    assert "--d must be at least 1" in captured.err
 
 
 @pytest.mark.parametrize("field,entry,code,label", [
@@ -156,62 +149,6 @@ def test_decompose_aut_command(capsys):
     assert obj["mu"] == [1, 0]
 
 
-@pytest.mark.parametrize("pairs,sizes_out,reason", [
-    ([[[0], [5]], [[1], [0]]], [2], "image (5,) of (0,) is not a vertex"),
-    ([[[0], [-1]], [[1], [0]]], [2], "image (-1,) of (0,) is not a vertex"),
-    ([[[0], [0]], [[1], [1]]], [2, 2], "image (0,) of (0,) is not a vertex"),
-    ([[[0], [1]]], [2], "no image given for vertex (1,)"),
-    ([[[0], [1]], [[1], [0]], [[7], [1]]], [2],
-     "(7,) is not a vertex of the input graph"),
-    ([[[0], [5]], [[0], [1]], [[1], [0]]], [2],
-     "map lists a vertex more than once"),
-])
-def test_decompose_aut_rejects_a_map_off_the_graphs(pairs, sizes_out, reason,
-                                                     capsys):
-    arg = json.dumps({"sizes_in": [2], "sizes_out": sizes_out, "map": pairs})
-    code = main(["decompose-aut", "--map", arg])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert reason in captured.err
-
-
-@pytest.mark.parametrize("word,reason", [
-    ('[{"kind":"foo"}]', "unknown generator kind 'foo'"),
-    ('[{"factor":0,"power":1}]', "generator has no 'kind' field"),
-    ('[{"kind":"shift","factor":0}]', "shift generator has no 'power' field"),
-    ('[{"kind":"shift","factor":0,"power":1,"extra":3}]',
-     "shift generator has an unknown field 'extra'"),
-])
-def test_normal_form_names_a_bad_generator(word, reason, capsys):
-    code = main(["--d", "1", "normal-form", "--word", word])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert reason in captured.err
-
-
-@pytest.mark.parametrize("argv,reason", [
-    (["--d", "1", "label", "--vertex", '{"x":1}'],
-     "a vertex object needs a 'matrix_per_factor' field"),
-    (["decompose-aut", "--map", '{"sizes_in":[2]}'],
-     "--map has no 'sizes_out' field"),
-    (["--field", "laurent:2", "--d", "1", "omega", "--point", '[["s"]]',
-      "--ext", "2"], "--ext entry '2' is not two integers e,f"),
-    (["--field", "laurent:2", "--d", "1", "omega", "--point", '[["s"]]',
-      "--ext", "2,1,3"], "--ext entry '2,1,3' is not two integers e,f"),
-    (["--field", "laurent:2", "--d", "1", "retract", "--point", '[["s"]]',
-      "--poly", '[{"coeff":"1","monomial":{"x":1}}]'],
-     "each key j the number of a variable"),
-])
-def test_an_input_error_states_what_is_wrong(argv, reason, capsys):
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert reason in captured.err
-
-
 def test_normal_form_command(capsys):
     word = json.dumps([{"kind": "exchange", "mu": [1, 0]}])
     code, out = run_cli(["--d", "1,1", "normal-form", "--word", word], capsys)
@@ -251,51 +188,6 @@ def test_omega_command_over_a_cubic_residue_extension(capsys):
     obj = json.loads(out)
     assert obj["memberships"] == [{"n": 1, "closed": True, "open": True}]
     assert obj["tau_exponents"] == [["0", "0"]]
-
-
-def test_retract_with_an_unknown_variable_states_the_reason(capsys):
-    code = main(["--field", "laurent:2", "--d", "1", "retract",
-                 "--point", '[["s"]]',
-                 "--poly", '[{"coeff":"1","monomial":{"5":1}}]'])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "unknown variable (0, 5)" in captured.err
-
-
-@pytest.mark.parametrize("argv,message", [
-    (["eta", "--d", "-1", "--n", "2"], "--d must be at least 1, got '-1'"),
-    (["eta", "--d", "0", "--n", "2"], "--d must be at least 1, got '0'"),
-    (["--field", "laurent:2", "--d", "1", "retract", "--point", '[["s"]]',
-      "--poly", '[{"coeff":"1","monomial":{"1":1}}]', "--t", "0,x"],
-     "--t must be a comma-separated list of rationals or inf, got 'x'"),
-    (["--field", "laurent:2", "--d", "1", "retract", "--point", '[["s"]]',
-      "--poly", '[{"coeff":"1","monomial":{"1":1}}]', "--t", "1/0"],
-     "--t must be a comma-separated list of rationals or inf, got '1/0'"),
-], ids=["eta-d-negative", "eta-d-zero", "retract-t-word", "retract-t-zero-den"])
-def test_bad_eta_d_and_retract_t_name_their_flag(argv, message, capsys):
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert message in captured.err
-
-
-@pytest.mark.parametrize("argv,message", [
-    (["eta", "--d", "1", "--n", "0"], "--n must be in 1..6, got 0"),
-    (["eta", "--d", "1", "--n", "7"], "--n must be in 1..6, got 7"),
-    (["eta", "--d", "5", "--n", "2"], "--d must be at most 4 for eta, got 5"),
-    (["--field", "laurent:2", "extend", "--e", "0"],
-     "--e must be at least 1, got 0"),
-    (["--field", "laurent:2", "extend", "--f", "0"],
-     "--f must be at least 1, got 0"),
-], ids=["eta-n-zero", "eta-n-above", "eta-d-above", "extend-e-zero",
-        "extend-f-zero"])
-def test_eta_and_extend_bounds_name_their_flag(argv, message, capsys):
-    """Fixed bounds that no --budget raises are input errors (exit 2)."""
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert message in captured.err
 
 
 def test_retract_command(capsys):
@@ -344,133 +236,304 @@ def test_projection_agreement_stops_at_its_first_ball_over_budget(
     assert balls == [1]
 
 
-@pytest.mark.parametrize("argv", [
-    ["--radius", "-1", "ball"],
-    ["--field", "laurent:2", "--d", "1", "--radius", "-1",
-     "subdivide", "--marking", "2"],
-    ["--d", "1,1", "--radius", "-1", "normal-form",
-     "--word", '[{"kind":"exchange","mu":[1,0]}]'],
-    ["--field", "laurent:2", "--d", "1", "omega", "--point", '[["s"]]',
-     "--depth", "0"],
-])
-def test_negative_radius_and_depth_below_one_are_input_errors(argv, capsys):
-    code, out = run_cli(argv, capsys)
-    assert code == 2
-    assert out == ""
+_V = '["1","0","0","2"]'
+_RETRACT = ["--field", "laurent:2", "--d", "1", "retract", "--point", '[["s"]]']
+_OMEGA = ["--field", "laurent:2", "--d", "1", "omega", "--point"]
 
 
-@pytest.mark.parametrize("argv,reason", [
-    (["--d", "x", "label", "--vertex", "[]"],
-     "--d must be a comma-separated list of integers, got 'x'"),
-    (["--d", "1", "involution", "--vertex", '[["1","0","0","2"]]',
-      "--mask", "x"],
-     "--mask must be a comma-separated list of integers, got 'x'"),
-    (["--d", "1", "--radius", "1", "subdivide", "--marking", "x"],
-     "--marking must be a comma-separated list of integers, got 'x'"),
-    (["--field", "padic:x", "--d", "1", "label", "--vertex", "[]"],
-     "--field padic:p must be an integer, got 'x'"),
-    (["--d", "x", "eta", "--n", "2"], "--d must be an integer, got 'x'"),
-    (["--d", "1,2", "eta", "--n", "2"], "--d must be an integer, got '1,2'"),
-    (["--d", "1,3", "verify", "gaussian-binomials", "--q", "2"],
-     "--d must be an integer, got '1,3'"),
-])
-def test_an_integer_flag_names_itself(argv, reason, capsys):
+def _map(pairs, sizes_out=(2,)):
+    return ["decompose-aut", "--map", json.dumps(
+        {"sizes_in": [2], "sizes_out": list(sizes_out), "map": pairs})]
+
+
+def _poly(monomial):
+    return _RETRACT + ["--poly", json.dumps([{"coeff": "1",
+                                              "monomial": monomial}])]
+
+
+# (argv, the flag the error names, a substring of the reason)
+_INPUT_ERRORS = {
+    "map-image-above": (_map([[[0], [5]], [[1], [0]]]),
+                        "map", "image (5,) of (0,) is not a vertex"),
+    "map-image-negative": (_map([[[0], [-1]], [[1], [0]]]),
+                           "map", "image (-1,) of (0,) is not a vertex"),
+    "map-image-wrong-factors": (_map([[[0], [0]], [[1], [1]]], (2, 2)),
+                                "map", "image (0,) of (0,) is not a vertex"),
+    "map-no-image": (_map([[[0], [1]]]),
+                     "map", "no image given for vertex (1,)"),
+    "map-off-the-input": (_map([[[0], [1]], [[1], [0]], [[7], [1]]]),
+                          "map", "(7,) is not a vertex of the input graph"),
+    "map-vertex-twice": (_map([[[0], [5]], [[0], [1]], [[1], [0]]]),
+                         "map", "map lists a vertex more than once"),
+    "map-no-field": (["decompose-aut", "--map", '{"sizes_in":[2]}'],
+                     "map", "has no 'sizes_out' field"),
+    "map-not-an-object": (["decompose-aut", "--map", "[1]"],
+                          "map", "must be a JSON object"),
+    # a JSON boolean is not an integer
+    "map-boolean-vertex": (
+        ["decompose-aut", "--map", '{"sizes_in":[2],"sizes_out":[2],'
+         '"map":[[[false],[true]],[[true],[false]]]}'],
+        "map", "a map vertex must be a list of integers"),
+    "word-unknown-kind": (["--d", "1", "normal-form", "--word",
+                           '[{"kind":"foo"}]'],
+                          "word", "unknown generator kind 'foo'"),
+    "word-no-kind": (["--d", "1", "normal-form", "--word",
+                      '[{"factor":0,"power":1}]'],
+                     "word", "generator has no 'kind' field"),
+    "word-shift-no-power": (["--d", "1", "normal-form", "--word",
+                             '[{"kind":"shift","factor":0}]'],
+                            "word", "shift generator has no 'power' field"),
+    "word-unknown-field": (
+        ["--d", "1", "normal-form", "--word",
+         '[{"kind":"shift","factor":0,"power":1,"extra":3}]'],
+        "word", "shift generator has an unknown field 'extra'"),
+    "word-lambda-mask-two": (["--d", "1", "normal-form", "--word",
+                              '[{"kind":"lambda","mask":[2]}]'],
+                             "word", "lambda mask must list 1 entries"),
+    "word-lambda-mask-negative": (["--d", "1", "normal-form", "--word",
+                                   '[{"kind":"lambda","mask":[-1]}]'],
+                                  "word", "lambda mask must list 1 entries"),
+    "word-zero-denominator": (
+        ["--d", "1", "normal-form", "--word",
+         '[{"kind":"group","matrices":[["1/0","0","0","1"]]}]'],
+        "word", "zero denominator"),
+    "word-not-a-list": (["--d", "1", "normal-form", "--word", "5"],
+                        "word", "word must be a list of generator objects"),
+    "word-boolean-mask": (["--d", "1", "normal-form", "--word",
+                           '[{"kind":"lambda","mask":[true]}]'],
+                          "word", "mask must be a list of integers"),
+    "word-boolean-mu": (["--d", "1,1", "normal-form", "--word",
+                         '[{"kind":"exchange","mu":[true,false]}]'],
+                        "word", "mu must be a list of integers"),
+    "vertex-object-without-matrix": (
+        ["--d", "1", "label", "--vertex", '{"x":1}'],
+        "vertex", "a vertex object needs a 'matrix_per_factor' field"),
+    "vertex-one-of-two-factors": (["--d", "1,1", "label", "--vertex", f"[{_V}]"],
+                                  "vertex", "must be a list of 2 matrices"),
+    "vertex-two-of-one-factor": (
+        ["--d", "1", "--radius", "1", "ball", "--vertex", f"[{_V},{_V}]"],
+        "vertex", "must be a list of 1 matrices"),
+    "vertex-project-one-of-two": (
+        ["--d", "1,1", "project", "--vertex", f"[{_V}]"],
+        "vertex", "must be a list of 2 matrices"),
+    "vertex-a-number": (["--d", "1", "project", "--vertex", "5"],
+                        "vertex", "must be a list of 1 matrices"),
+    "vertex-a-list-of-a-number": (["--d", "1", "project", "--vertex", "[5]"],
+                                  "vertex", "matrix must be a list of 4 strings"),
+    "vertex-integer-entries": (
+        ["--d", "1", "project", "--vertex", "[[1,0,0,2]]"],
+        "vertex", "matrix must be a list of 4 strings"),
+    "vertex-zero-denominator": (
+        ["--d", "1", "project", "--vertex", '[["1/0","0","0","2"]]'],
+        "vertex", "zero denominator"),
+    "vertex-laurent-zero-denominator": (
+        ["--field", "laurent:2", "--d", "1", "project",
+         "--vertex", '[["t/0","0","0","1"]]'],
+        "vertex", "zero denominator"),
+    "mask-two-entries": (["--d", "1", "involution", "--vertex", f"[{_V}]",
+                          "--mask", "0,1"],
+                         "mask", "must be one integer in 0..1 per factor (1)"),
+    "mask-not-0-or-1": (["--d", "1", "involution", "--vertex", f"[{_V}]",
+                         "--mask", "7"],
+                        "mask", "must be one integer in 0..1 per factor (1)"),
+    "mask-word": (["--d", "1", "involution", "--vertex", f"[{_V}]",
+                   "--mask", "x"],
+                  "mask", "must be a comma-separated list of integers, got 'x'"),
+    "ext-one-integer": (_OMEGA + ['[["s"]]', "--ext", "2"],
+                        "ext", "entry '2' is not two integers e,f"),
+    "ext-three-integers": (_OMEGA + ['[["s"]]', "--ext", "2,1,3"],
+                           "ext", "entry '2,1,3' is not two integers e,f"),
+    "point-zero-denominator": (_OMEGA + ['[["1/0"]]'],
+                               "point", "zero denominator"),
+    "point-a-number": (_OMEGA + ["5"],
+                       "point", "point must be a list of 1 lists of 1 strings"),
+    "point-integer-entry": (_OMEGA + ["[[1]]"], "point",
+                            "point must be a list of 1 lists of 1 strings"),
+    "poly-key-not-a-number": (_poly({"x": 1}),
+                              "poly", "each key j the number of a variable"),
+    "poly-negative-exponent": (_poly({"1": -1}), "poly", "n >= 0"),
+    "poly-boolean-exponent": (_poly({"1": True}),
+                              "poly", "each key j the number of a variable"),
+    "eta-d-word": (["--d", "x", "eta", "--n", "2"],
+                   "d", "must be an integer, got 'x'"),
+    "eta-d-list": (["--d", "1,2", "eta", "--n", "2"],
+                   "d", "must be an integer, got '1,2'"),
+    "ball-radius-negative": (["--radius", "-1", "ball"],
+                             "radius", "must be at least 0, got -1"),
+    "subdivide-radius-negative": (
+        ["--field", "laurent:2", "--d", "1", "--radius", "-1",
+         "subdivide", "--marking", "2"], "radius", "must be at least 0, got -1"),
+    "normal-form-radius-negative": (
+        ["--d", "1,1", "--radius", "-1", "normal-form",
+         "--word", '[{"kind":"exchange","mu":[1,0]}]'],
+        "radius", "must be at least 2, got -1"),
+    "omega-depth-zero": (_OMEGA + ['[["s"]]', "--depth", "0"],
+                         "depth", "must be at least 1, got 0"),
+    "d-word": (["--d", "x", "label", "--vertex", "[]"],
+               "d", "must be a comma-separated list of integers, got 'x'"),
+    "marking-word": (["--d", "1", "--radius", "1", "subdivide", "--marking", "x"],
+                     "marking",
+                     "must be a comma-separated list of integers, got 'x'"),
+    "field-padic-word": (["--field", "padic:x", "--d", "1", "label",
+                          "--vertex", "[]"],
+                         "field", "padic:p must be an integer, got 'x'"),
+    "verify-d-list": (["--d", "1,3", "verify", "gaussian-binomials", "--q", "2"],
+                      "d", "must be an integer, got '1,3'"),
+    # an explicit flag is rejected even when it equals the default
+    "verify-field-and-radius": (
+        ["--field", "laurent:3", "--radius", "9", "verify", "eta-counts"],
+        "field", "verify does not read --field"),
+    "verify-field": (["--field", "padic:2", "verify", "eta-counts"],
+                     "field", "verify does not read --field"),
+    "verify-radius": (["--radius", "2", "verify", "eta-counts"],
+                      "radius", "verify does not read --radius"),
+    "verify-depth": (["verify", "eta-counts", "--depth", "3"],
+                     "depth", "verify does not read --depth"),
+    "verify-r": (["--r", "1", "verify", "eta-counts"],
+                 "r", "verify does not read --r"),
+    "verify-d-without-q": (["--d", "2", "verify", "eta-counts"],
+                           "d", "verify reads --d only with gaussian-binomials"),
+    "verify-gaussian-binomials-d-without-q": (
+        ["--d", "3", "verify", "gaussian-binomials"],
+        "d", "verify reads --d only with gaussian-binomials"),
+    "field-not-prime": (["--field", "padic:4", "label", "--vertex", f"[{_V}]"],
+                        "field", "p must be prime, got 4"),
+    "vertex-short": (["label", "--vertex", '[["1","0"]]'],
+                     "vertex", "matrix must be a list of 4 strings"),
+    "point-not-json": (_OMEGA + ["x"], "point", "Expecting value"),
+    "radius-word": (["--radius", "x", "ball"],
+                    "radius", "must be an integer, got 'x'"),
+    "ext-zero": (_OMEGA + ['[["s"]]', "--ext", "0,1"],
+                 "ext", "e and f must be >= 1"),
+    "budget-negative": (["--d", "1", "--radius", "1", "--budget", "-5", "ball"],
+                        "budget", "must be at least 0, got -5"),
+    "normal-form-radius-below-the-factors": (
+        ["--d", "1,1", "--radius", "1", "normal-form", "--word", "[]"],
+        "radius", "must be at least 2, got 1"),
+    "verify-q-with-another-suite": (["verify", "eta-counts", "--q", "2"],
+                                    "q", "verify reads --q only with"),
+    "verify-field-with-q": (
+        ["--field", "laurent:2", "--d", "3", "verify", "gaussian-binomials",
+         "--q", "2"], "field", "verify does not read --field"),
+}
+
+
+def _assert_input_error(argv, flag, reason, capsys):
     code = main(argv)
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"input error: --{flag}: ")
     assert reason in captured.err
 
 
-_V = '["1","0","0","2"]'
+@pytest.mark.parametrize("argv,flag,reason", _INPUT_ERRORS.values(),
+                         ids=_INPUT_ERRORS)
+def test_an_input_error_names_its_flag_and_reason(argv, flag, reason, capsys):
+    _assert_input_error(argv, flag, reason, capsys)
 
 
-@pytest.mark.parametrize("argv", [
-    ["--d", "1,1", "label", "--vertex", f"[{_V}]"],
-    ["--d", "1", "--radius", "1", "ball", "--vertex", f"[{_V},{_V}]"],
-    ["--d", "1,1", "project", "--vertex", f"[{_V}]"],
-    ["--d", "1", "project", "--vertex", "5"],
-    ["--d", "1", "project", "--vertex", "[5]"],
-    ["--d", "1", "project", "--vertex", "[[1,0,0,2]]"],
-    ["--d", "1", "involution", "--vertex", f"[{_V}]", "--mask", "0,1"],
-    ["--d", "1", "involution", "--vertex", f"[{_V}]", "--mask", "7"],
-    ["--d", "1", "normal-form", "--word", '[{"kind":"lambda","mask":[2]}]'],
-    ["--d", "1", "normal-form", "--word", '[{"kind":"lambda","mask":[-1]}]'],
+# The fixed bounds below keep the test names they had before the table.
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_gaussian_binomials_rejects_d_below_one(d, capsys):
+    _assert_input_error(["verify", "gaussian-binomials", "--q", "2", "--d", d],
+                        "d", "must be at least 1", capsys)
+
+
+def test_retract_with_an_unknown_variable_states_the_reason(capsys):
+    _assert_input_error(_poly({"5": 1}), "poly", "unknown variable (0, 5)",
+                        capsys)
+
+
+@pytest.mark.parametrize("argv,flag,reason", [
+    (["eta", "--d", "-1", "--n", "2"], "d", "must be at least 1, got '-1'"),
+    (["eta", "--d", "0", "--n", "2"], "d", "must be at least 1, got '0'"),
+    (_poly({"1": 1}) + ["--t", "0,x"], "t",
+     "must be a comma-separated list of rationals or inf, got 'x'"),
+    (_poly({"1": 1}) + ["--t", "1/0"], "t",
+     "must be a comma-separated list of rationals or inf, got '1/0'"),
+], ids=["eta-d-negative", "eta-d-zero", "retract-t-word", "retract-t-zero-den"])
+def test_bad_eta_d_and_retract_t_name_their_flag(argv, flag, reason, capsys):
+    _assert_input_error(argv, flag, reason, capsys)
+
+
+@pytest.mark.parametrize("argv,flag,reason", [
+    (["eta", "--d", "1", "--n", "0"], "n", "must be in 1..6, got 0"),
+    (["eta", "--d", "1", "--n", "7"], "n", "must be in 1..6, got 7"),
+    (["eta", "--d", "5", "--n", "2"], "d", "must be at most 4 for eta, got 5"),
+    (["--field", "laurent:2", "extend", "--e", "0"],
+     "e", "must be at least 1, got 0"),
+    (["--field", "laurent:2", "extend", "--f", "0"],
+     "f", "must be at least 1, got 0"),
+], ids=["eta-n-zero", "eta-n-above", "eta-d-above", "extend-e-zero",
+        "extend-f-zero"])
+def test_eta_and_extend_bounds_name_their_flag(argv, flag, reason, capsys):
+    """Fixed bounds that no --budget raises are input errors (exit 2)."""
+    _assert_input_error(argv, flag, reason, capsys)
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["--d", "2", "--radius", "1", "subdivide", "--marking", "7"], "marking"),
+    (["--d", "2", "--radius", "0", "subdivide", "--marking", "7"], "marking"),
+    (["--d", "5", "--radius", "1", "subdivide", "--marking", "1"], "d"),
 ])
-def test_vertex_and_mask_must_fit_the_descriptor(argv, capsys):
-    code, out = run_cli(argv, capsys)
-    assert code == 2
-    assert out == ""
+def test_subdivide_checks_its_eta_bounds_before_the_ball(argv, flag, capsys,
+                                                        monkeypatch):
+    """A marking above 6 or a factor dimension above 4 exits 2 whatever the
+    radius, before any window is built: no --budget raises those bounds."""
+    def built(*args, **kwargs):
+        pytest.fail("a ball was built")
+
+    monkeypatch.setattr(cli, "ball", built)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"input error: --{flag}: ")
 
 
-@pytest.mark.parametrize("argv", [
-    ["--d", "1", "project", "--vertex", '[["1/0","0","0","2"]]'],
-    ["--field", "laurent:2", "--d", "1", "project",
-     "--vertex", '[["t/0","0","0","1"]]'],
-    ["--field", "laurent:2", "--d", "1", "omega", "--point", '[["1/0"]]'],
-    ["--d", "1", "normal-form", "--word",
-     '[{"kind":"group","matrices":[["1/0","0","0","1"]]}]'],
-])
-def test_zero_denominator_is_an_input_error(argv, capsys):
-    code, out = run_cli(argv, capsys)
-    assert code == 2
-    assert out == ""
+def test_a_budget_of_zero_is_exceeded(capsys):
+    code = main(["--d", "1", "--radius", "1", "--budget", "0", "ball"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("budget exceeded: ")
 
 
-@pytest.mark.parametrize("argv", [
-    ["--field", "laurent:2", "--d", "1", "omega", "--point", "5"],
-    ["--field", "laurent:2", "--d", "1", "omega", "--point", "[[1]]"],
-    ["--d", "1", "normal-form", "--word", "5"],
-    ["decompose-aut", "--map", "[1]"],
-    ["--field", "laurent:2", "--d", "1", "retract", "--point", '[["s"]]',
-     "--poly", '[{"coeff":"1","monomial":{"1":-1}}]'],
-    # a JSON boolean is not an integer
-    ["decompose-aut", "--map", '{"sizes_in":[2],"sizes_out":[2],'
-     '"map":[[[false],[true]],[[true],[false]]]}'],
-    ["--d", "1", "normal-form", "--word", '[{"kind":"lambda","mask":[true]}]'],
-    ["--d", "1,1", "normal-form", "--word",
-     '[{"kind":"exchange","mu":[true,false]}]'],
-    ["--field", "laurent:2", "--d", "1", "retract", "--point", '[["s"]]',
-     "--poly", '[{"coeff":"1","monomial":{"1":true}}]'],
-])
-def test_json_of_the_wrong_shape_is_an_input_error(argv, capsys):
-    code, out = run_cli(argv, capsys)
-    assert code == 2
-    assert out == ""
+def test_an_unknown_suite_is_a_value_error(capsys):
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        verify.run_suite("nope", verify.Config())
+    assert main(["verify", "nope"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "input error: suite: invalid choice: 'nope'")
 
 
-@pytest.mark.parametrize("argv", [
-    ["--field", "laurent:3", "--radius", "9", "verify", "eta-counts"],
-    ["--field", "padic:2", "verify", "eta-counts"],
-    ["--radius", "2", "verify", "eta-counts"],
-    ["verify", "eta-counts", "--depth", "3"],
-    ["--r", "1", "verify", "eta-counts"],
-    ["--d", "2", "verify", "eta-counts"],
-    ["--d", "3", "verify", "gaussian-binomials"],
-    ["--field", "laurent:2", "--d", "3", "verify", "gaussian-binomials",
-     "--q", "2"],
-])
-def test_verify_rejects_flags_it_does_not_read(argv, capsys):
-    # an explicit flag is rejected even when it equals the default
-    code, out = run_cli(argv, capsys)
-    assert code == 2
-    assert out == ""
+@pytest.mark.parametrize("fault", [KeyError, ValueError])
+def test_a_fault_in_a_command_is_not_an_input_error(fault, monkeypatch):
+    def label(x):
+        raise fault("internal")
+
+    monkeypatch.setattr(cli, "labelling_C", label)
+    with pytest.raises(fault):
+        main(["label", "--vertex", f"[{_V}]"])
 
 
-# per command: the arguments it requires, and the common flags it reads
+_MAP = '{"sizes_in":[2],"sizes_out":[2],"map":[[[0],[1]],[[1],[0]]]}'
+# per command: a valid argv after it, and the common flags it reads
 _COMMANDS = {
-    "ball": ([], {"field", "d", "r", "radius", "budget"}),
+    "ball": (["--d", "1", "--radius", "1"],
+             {"field", "d", "r", "radius", "budget"}),
     "project": (["--vertex", f"[{_V}]"], {"field", "d", "r"}),
     "label": (["--vertex", f"[{_V}]"], {"field", "d", "r"}),
     "involution": (["--vertex", f"[{_V}]"], {"field", "d", "r"}),
-    "subdivide": (["--marking", "2"], {"field", "d", "r", "radius", "budget"}),
+    "subdivide": (["--field", "laurent:2", "--d", "1", "--radius", "1",
+                   "--marking", "2"], {"field", "d", "r", "radius", "budget"}),
     "eta": (["--n", "2"], {"d"}),
-    "extend": ([], {"field", "d", "r"}),
-    "decompose-aut": (["--map", "{}"], set()),
-    "normal-form": (["--word", "[]"], {"field", "d", "r", "radius", "budget"}),
-    "omega": (["--point", '[["s"]]'], {"field", "d", "r", "depth", "budget"}),
-    "retract": (["--point", '[["s"]]', "--poly", "[]"], {"field", "d", "r"}),
-    # --d only with gaussian-binomials --q (test above)
+    "extend": (["--field", "laurent:2"], {"field", "d", "r"}),
+    "decompose-aut": (["--map", _MAP], set()),
+    "normal-form": (["--d", "1", "--radius", "1", "--word", "[]"],
+                    {"field", "d", "r", "radius", "budget"}),
+    "omega": (["--field", "laurent:2", "--point", '[["s"]]'],
+              {"field", "d", "r", "depth", "budget"}),
+    "retract": (["--field", "laurent:2", "--point", '[["s"]]', "--poly", "[]"],
+                {"field", "d", "r"}),
+    # --d only with gaussian-binomials --q (the input errors above)
     "verify": (["eta-counts"], {"d", "seed", "budget"}),
 }
 # every command reads --format and --out
@@ -490,6 +553,51 @@ def test_a_common_flag_the_command_does_not_read_is_rejected(
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert f"{command} does not read --{flag}" in captured.err
+
+
+def test_every_base_argv_runs(capsys):
+    for command, (args, _reads) in _COMMANDS.items():
+        assert main([command] + args) == 0, capsys.readouterr().err
+
+
+_FLAGS = sorted({option for action in make_parser()._actions
+                 for option in action.option_strings} - {"-h", "--help"})
+# malformed or edge values: negative, zero, a list, a word, a zero
+# denominator, empty, JSON of the wrong type or length, unknown keys, and
+# text that starts like a flag
+_VALUES = ["-1", "0", "1,2", "x", "1/0", "", "true", "[]", "[[1]]",
+           '{"x":1}', '[["1","0","0"]]', '[["s"],["s"]]', "-x"]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(sorted(_COMMANDS)), flag=st.sampled_from(_FLAGS),
+       value=st.sampled_from(_VALUES))
+@example(command="ball", flag="--field", value="padic:4")
+@example(command="omega", flag="--point", value="x")
+@example(command="ball", flag="--radius", value="x")
+@example(command="ball", flag="--budget", value="-5")
+def test_a_malformed_flag_value_is_an_input_error_that_names_it(
+        command, flag, value, capsys, monkeypatch, tmp_path):
+    """main returns, never 1 and never with a traceback; an input error (2)
+    writes no output and one line that names the drawn flag, or a flag of
+    the base argv that the drawn value leaves unfit (a --d of 1,2 and a
+    one-factor --vertex); only a budget of 0 is exceeded (3)."""
+    monkeypatch.chdir(tmp_path)  # where --out writes
+    base = _COMMANDS[command][0]
+    if flag in base:
+        i = base.index(flag)
+        base = base[:i] + base[i + 2:]
+    code = main([command] + base + [flag, value])
+    captured = capsys.readouterr()
+    assert code in (0, 2, 3), captured.err
+    if code == 2:
+        named = captured.err.partition(": ")[2].partition(": ")[0]
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert named == flag or named in base, captured.err
+        assert "Traceback" not in captured.err
+    if code == 3:
+        assert (flag, value) == ("--budget", "0"), captured.err
 
 
 def test_global_flags_after_subcommand(capsys):
