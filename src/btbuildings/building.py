@@ -6,6 +6,7 @@ factor by factor and assembled with the L1 distance; the directed-edge
 structure, labelling and projections are computed inside such windows.
 """
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -102,6 +103,33 @@ class PolyFace:
     def vertices(self):
         """All product vertices of the face, in lexicographic factor order."""
         return [PolyVertex(t) for t in product(*self.factors)]
+
+
+class FaceList(Sequence):
+    """The faces of a window as a read-only sequence of PolyFaces, stored as
+    tuples of per-factor vertex id tuples into the factor balls; a PolyFace
+    is built only when its item is read."""
+
+    __slots__ = ("factor_balls", "ids")
+
+    def __init__(self, factor_balls, ids):
+        self.factor_balls = factor_balls
+        self.ids = ids
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self._face(t) for t in self.ids[k]]
+        return self._face(self.ids[k])
+
+    def __iter__(self):
+        return map(self._face, self.ids)
+
+    def _face(self, t):
+        return PolyFace([[fb.vertices[u] for u in c]
+                         for fb, c in zip(self.factor_balls, t)])
 
 
 class ApartmentPoint:
@@ -444,7 +472,7 @@ class Ball:
         self.vertices = []
         self.vid = {}
         self.dist = []
-        tid = {}
+        self._tid = tid = {}  # factor id tuple -> vertex id, in id order
         for t, dtot in tuples:
             v = PolyVertex(tuple(fbs[i].vertices[t[i]] for i in range(r)))
             tid[t] = self.vid[v] = len(self.vertices)
@@ -465,27 +493,24 @@ class Ball:
             self._assemble_faces()
 
     def _assemble_faces(self):
-        """Products of factor faces inside the window.  The window holds the
-        index tuples with sum_i dist_i <= radius, so a product of factor
-        faces t_i lies in it iff sum_i max_{u in t_i} dist_i(u) <= radius."""
-        r = self.descriptor.r
-        fbs = self.factor_balls
-        self.faces = []
-        self.chambers = []
+        """Products of factor faces inside the window, as tuples of factor
+        id tuples.  The window holds the index tuples with
+        sum_i dist_i <= radius, so a product of factor faces t_i lies in it
+        iff sum_i max_{u in t_i} dist_i(u) <= radius.  A factor face has at
+        most d_i + 1 vertices, so a product is a chamber iff its dimension
+        is sum_i d_i."""
         stack = [((), 0, 0)]
-        for fb in fbs:
+        for fb in self.factor_balls:
             choices = [(c, max(fb.dist[u] for u in c))
                        for c in [(u,) for u in range(len(fb.vertices))] + fb.faces]
             stack = [(t + (c,), dim + len(c) - 1, reach + far)
                      for t, dim, reach in stack for c, far in choices
                      if reach + far <= self.radius]
-        for t, dim, _reach in stack:
-            if dim == 0:
-                continue
-            face = PolyFace([[fbs[i].vertices[u] for u in t[i]] for i in range(r)])
-            self.faces.append(face)
-            if face.dim_vector() == self.descriptor.dims:
-                self.chambers.append(face)
+        top = sum(self.descriptor.dims)
+        self.faces = FaceList(self.factor_balls,
+                              [t for t, dim, _reach in stack if dim])
+        self.chambers = FaceList(self.factor_balls,
+                                 [t for t, dim, _reach in stack if dim == top])
 
     def __contains__(self, v):
         return v in self.vid
@@ -505,13 +530,13 @@ class Ball:
                 kind["q"] = m.q
                 kind["var"] = m.var
             desc.append(kind)
-        verts = []
-        for i, v in enumerate(self.vertices):
-            verts.append({
-                "id": i,
-                "matrix_per_factor": [c.serialize() for c in v.components],
-                "label": list(self.labels[i]),
-            })
+        strs = [[c.serialize() for c in fb.vertices] for fb in self.factor_balls]
+        verts = [{"id": i,
+                  "matrix_per_factor": [s[u] for s, u in zip(strs, t)],
+                  "label": list(self.labels[i])}
+                 for i, t in enumerate(self._tid)]
+        lengths = [str(Fraction(1, m.ramification))
+                   for m in self.descriptor.models]
         edges = []
         for (a, b, i) in self.edges:
             # on an edge f(a, b) lies in 1..n-1 and is congruent to the
@@ -520,11 +545,10 @@ class Ball:
             fab = (self.labels[b][i] - self.labels[a][i]) % n
             fba = n - fab
             u, v_, fuv = (a, b, fab) if fab <= fba else (b, a, fba)
-            m = self.descriptor.models[i]
             edges.append({
                 "from": u, "to": v_, "factor": i,
                 "directed": fuv == 1,
-                "length": str(Fraction(1, m.ramification)),
+                "length": lengths[i],
             })
         obj = {"descriptor": desc,
                "center": 0,
@@ -532,8 +556,10 @@ class Ball:
                "vertices": verts,
                "edges": edges}
         if self.chambers is not None:
+            tid = self._tid
             obj["chambers"] = sorted(
-                sorted(self.vid[v] for v in ch.vertices()) for ch in self.chambers)
+                sorted(tid[combo] for combo in product(*t))
+                for t in self.chambers.ids)
         return obj
 
     def to_dot(self):

@@ -264,7 +264,7 @@ _FLAGS = {
 
 
 def emit(args, obj):
-    """Write the artifact obj: DOT text as it is, anything else as JSON."""
+    """Write the artifact obj: text as it is, anything else as JSON."""
     text = (obj if isinstance(obj, str)
             else json.dumps(obj, sort_keys=True, indent=2) + "\n")
     if args.out is None:
@@ -274,12 +274,66 @@ def emit(args, obj):
             fh.write(text)
 
 
+_ENC = json.encoder.encode_basestring_ascii
+
+
+def _json_list(items, indent):
+    """A JSON list at indent `indent` of items already written, as
+    `json.dumps(indent=2)` writes it."""
+    if not items:
+        return "[]"
+    sep = ",\n" + indent + "  "
+    return "[" + sep[1:] + sep.join(items) + "\n" + indent + "]"
+
+
+def _json_scalars(obj, indent):
+    """A JSON object of str and int values at indent `indent`, with sorted
+    keys, as `json.dumps(sort_keys=True, indent=2)` writes it."""
+    inner = indent + "  "
+    items = [f"{inner}{_ENC(k)}: {_ENC(v) if isinstance(v, str) else v}"
+             for k, v in sorted(obj.items())]
+    return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+
+
+_EDGE = ('{\n      "directed": %s,\n      "factor": %d,\n      "from": %d,'
+         '\n      "length": %s,\n      "to": %d\n    }')
+_VERTEX = ('{\n      "id": %d,\n      "label": %s,'
+           '\n      "matrix_per_factor": %s\n    }')
+
+
+def ball_json(obj):
+    """The text of `json.dumps(obj, sort_keys=True, indent=2) + "\n"` for
+    the dict of `Ball.to_json_obj`, written from its fixed schema."""
+    fields = {
+        "center": str(obj["center"]),
+        "descriptor": _json_list([_json_scalars(d, "    ")
+                                  for d in obj["descriptor"]], "  "),
+        "edges": _json_list([_EDGE % ("true" if e["directed"] else "false",
+                                      e["factor"], e["from"],
+                                      _ENC(e["length"]), e["to"])
+                             for e in obj["edges"]], "  "),
+        "radius": str(obj["radius"]),
+        "vertices": _json_list([_VERTEX % (
+            v["id"], _json_list(list(map(str, v["label"])), "      "),
+            _json_list([_json_list(list(map(_ENC, m)), "        ")
+                        for m in v["matrix_per_factor"]], "      "))
+            for v in obj["vertices"]], "  "),
+    }
+    if "chambers" in obj:
+        fields["chambers"] = _json_list(
+            [_json_list(list(map(str, ch)), "    ") for ch in obj["chambers"]],
+            "  ")
+    return "{\n" + ",\n".join(f'  "{k}": {fields[k]}'
+                               for k in sorted(fields)) + "\n}\n"
+
+
 # commands: each receives the values of the flags it reads, already checked,
 # and returns its exit code, None for 0
 def cmd_ball(args):
     b = ball(args.d, args.vertex or args.d.origin(), args.radius,
              detail=args.detail, budget=args.budget)
-    emit(args, b.to_dot() if args.format == "dot" else b.to_json_obj())
+    emit(args, b.to_dot() if args.format == "dot"
+         else ball_json(b.to_json_obj()))
 
 
 def cmd_project(args):

@@ -5,9 +5,9 @@ A homothety class is stored through its primitive representative
 (L <= O^n, L not <= pi O^n) in lower-triangular column-generator form:
 column c has its first nonzero entry pi^{a_c} on the diagonal, and the
 entry in row r > c is the canonical residue mod pi^{a_r}.  This form is
-unique, hashable and cheap to produce.  The exposed canonical matrix
-(`VertexClass.matrix()`) is the transposed, min-diagonal-0 rescaling of
-the same data, which is what gets serialized.
+unique, hashable and cheap to produce.  The exposed canonical matrix,
+which `VertexClass.serialize` writes from the digits, is the transposed,
+min-diagonal-0 rescaling of the same data.
 
 There is one reduction, `_triangularize_digits`, over pi-digit vectors in
 O/pi^M, one entry into it, `column_class`, and one precision rule,
@@ -366,27 +366,28 @@ class VertexClass:
                 mat[i][c] = self._decode(self.lower[c][i - c - 1], self.exps[i])
         return mat
 
-    def matrix(self):
-        """The canonical matrix: upper-triangular, diagonal pi^{a_j} with
-        min_j a_j = 0, entry (i,j), i<j, a canonical residue mod pi^{a_j}."""
-        model = self.model
-        pi = model.uniformizer()
-        m = min(self.exps)
-        scale = pi ** (-m) if m else None
-        prim = self.primitive_matrix()
-        n = self.n
-        out = [[prim[j][i] for j in range(n)] for i in range(n)]  # transpose
-        if scale is not None:
-            out = [[x * scale for x in row] for row in out]
-        return out
-
     def _decode(self, code, k):
         model = self.model
         return model.from_digits(to_base(code, model.residue_size, k))
 
     def serialize(self):
-        """Row-major list of element strings of the canonical matrix."""
-        return [self.model.elem_str(x) for row in self.matrix() for x in row]
+        """Row-major list of element strings of the canonical matrix: the
+        transposed primitive matrix times pi^(-m), m = min_j a_j.  It is
+        upper triangular with diagonal pi^(a_j - m), and entry (i, j), i < j,
+        is the residue of code lower[i][j-i-1] modulo pi^(a_j), times
+        pi^(-m); each string is written from those digits."""
+        model, n, exps = self.model, self.n, self.exps
+        q = model.residue_size
+        m = min(exps)
+        zero = model.elem_str(model.zero())
+        out = []
+        for i, codes in enumerate(self.lower):
+            out += [zero] * i
+            out.append(model.elem_str(model.from_digits((1,), exps[i] - m)))
+            for code, k in zip(codes, exps[i + 1:]):
+                out.append(model.elem_str(model.from_digits(
+                    to_base(code, q, k), -m)) if code else zero)
+        return out
 
     def digit_columns(self, ops):
         """Primitive columns in the digit backend (for the hot paths)."""

@@ -21,11 +21,13 @@ from .building import (ApartmentPoint, BuildingDescriptor, PolyVertex, act,
 from .drinfeld import (Poly, RigidPoint, deform, diagonalize_norm, eval_abs,
                        gauss_eval, membership_depth, omega_membership,
                        verify_diagonal, GaussSeminorm)
+from .errors import BudgetError
 from .field import (INF, ExtensionDescriptor, LaurentModel, PAdicModel,
                     enumerate_residues, valuation)
 from .lattice import (action, canonical_form, gaussian_binomial,
-                      neighbors_by_colength, pair_index_normalized,
-                      skeleton_distance, standard_vertex, vertex_from_diagonal)
+                      inverse_column_minima, neighbors_by_colength,
+                      pair_index_normalized, skeleton_distance,
+                      standard_vertex, vertex_from_diagonal)
 from .linalg import det, identity, matmul
 from .subdivision import (Marking, delta_restrict, eta_chambers,
                           eta_membership, nu_embed, nu_embed_point,
@@ -205,15 +207,23 @@ def suite_index_bfs(config):
 
 
 def suite_gaussian_binomials(config, qs=(2, 3), dmax=3):
+    """Enumerated neighbor counts against [d+1, w]_q.  Each enumeration is
+    charged its count, known before it runs, against the budget."""
     report = {"counts": []}
+    work = 0
     for q in qs:
         model = LaurentModel.get(q) if q != 2 else PAdicModel.get(2)
         for d in range(1, dmax + 1):
             n = d + 1
             v = standard_vertex(model, n)
             for w in range(1, n):
-                enumerated = len(neighbors_by_colength(v, w))
                 formula = gaussian_binomial(n, w, q)
+                work += formula
+                if work > config.budget:
+                    raise BudgetError(
+                        f"enumerating the neighbors up to q={q}, d={d}, w={w} "
+                        f"takes {work} (> budget {config.budget})")
+                enumerated = len(neighbors_by_colength(v, w))
                 # both candidate formulas are reported; the enumeration is
                 # the ground truth and matches binomial(d+1, w)
                 report["counts"].append({
@@ -273,7 +283,7 @@ def _gallery_propagate(b):
     """Propagate per-factor labels from the basic chamber through facet-
     adjacent chambers; compare with labelling_C."""
     descriptor = b.descriptor
-    chambers = b.chambers
+    chambers = list(b.chambers)
     delta = basic_chamber(descriptor)
     if delta not in chambers:
         return "basic chamber not among ball chambers"
@@ -375,7 +385,31 @@ def suite_apartment_rigidity(config):
                window_vertices=len(window))
 
 
+def _window_argmin(window):
+    """c -> the index of the unique minimizer of f(c, y) over the diagonal
+    classes y with primitive exponents in `window`, or None if there are
+    several.  `factor_window_fvals` reads c only through its column minima
+    w and v(det T), and v(det T) shifts every value equally, so the window
+    is scanned once per distinct w."""
+    memo = {}
+
+    def argmin(c):
+        w = tuple(inverse_column_minima(c))
+        if w not in memo:
+            fvals = factor_window_fvals(c, window)
+            best = min(fvals)
+            arg = [k for k, f in enumerate(fvals) if f == best]
+            memo[w] = arg[0] if len(arg) == 1 else None
+        return memo[w]
+
+    return argmin
+
+
 def suite_projection_agreement(config):
+    """Every window vertex's `project_apartment` against the argmin of
+    f(c, y) over the diagonal window, scanned once per distinct column
+    minima vector (`_window_argmin`), and sampled windowed f values against
+    `distance_f`."""
     checked = 0
     for q, d in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]:
         model = LaurentModel.get(q) if q != 2 else PAdicModel.get(2)
@@ -383,16 +417,14 @@ def suite_projection_agreement(config):
         b = ball(descriptor, descriptor.origin(), 2, detail="vertices",
                  budget=config.budget)
         window = window_exps(d + 1, 3)
-        apt_exps = [tuple(-m for m in w) for w in window]
+        argmin = _window_argmin(window)
         for x in b.vertices:
             c = x.components[0]
-            fvals = factor_window_fvals(c, window)
-            best = min(fvals)
-            arg = [k for k, f in enumerate(fvals) if f == best]
-            if len(arg) != 1:
+            k = argmin(c)
+            if k is None:
                 return _fail("minimizer not unique", q=q, d=d,
                              vertex=c.serialize())
-            want = ApartmentPoint([(None, apt_exps[arg[0]])])
+            want = ApartmentPoint([(None, tuple(-m for m in window[k]))])
             got = project_apartment(x)
             if got != want:
                 return _fail("projection disagrees with f-argmin", q=q, d=d,
@@ -413,17 +445,14 @@ def suite_projection_agreement(config):
     bp = ball(descriptor, descriptor.origin(), 2, detail="vertices",
               budget=config.budget)
     window = window_exps(2, 3)
-    apt_exps = [tuple(-m for m in w) for w in window]
+    argmin = _window_argmin(window)
     for x in bp.vertices:
-        want_factors = []
-        for i in range(2):
-            fvals = factor_window_fvals(x.components[i], window)
-            best = min(fvals)
-            arg = [k for k, f in enumerate(fvals) if f == best]
-            if len(arg) != 1:
-                return _fail("product minimizer not unique")
-            want_factors.append((None, apt_exps[arg[0]]))
-        if project_apartment(x) != ApartmentPoint(want_factors):
+        ks = [argmin(c) for c in x.components]
+        if None in ks:
+            return _fail("product minimizer not unique")
+        want = ApartmentPoint([(None, tuple(-m for m in window[k]))
+                               for k in ks])
+        if project_apartment(x) != want:
             return _fail("product projection disagrees with f-argmin")
         checked += 1
     return _ok(vertices_checked=checked)

@@ -535,9 +535,29 @@ def test_ball_faces_equal_per_combination_lookup(factors):
     D = BuildingDescriptor(factors)
     b = Ball(D, D.origin(), D.r, detail="faces", budget=10**6)
     faces, chambers = _faces_by_lookup(b)
-    assert b.faces == faces
-    assert b.chambers == chambers
+    assert list(b.faces) == faces
+    assert list(b.chambers) == chambers
+    assert [b.faces[k] for k in range(len(b.faces))] == faces
+    assert [b.chambers[k] for k in range(len(b.chambers))] == chambers
+    assert b.chambers[-1] == chambers[-1] and b.faces[1:4] == faces[1:4]
     assert chambers and all(b.contains_face(f) for f in faces)
+
+
+def test_window_faces_are_built_only_when_read(monkeypatch):
+    faces, chambers = _faces_by_lookup(Ball(B11, B11.origin(), 2, "faces"))
+    built = []
+    init = PolyFace.__init__
+
+    def spy(self, factors):
+        built.append(factors)
+        init(self, factors)
+
+    monkeypatch.setattr(PolyFace, "__init__", spy)
+    b = Ball(B11, B11.origin(), 2, detail="faces")
+    assert len(b.faces) == len(faces) and len(b.chambers) == len(chambers)
+    assert b.faces and b.chambers and "chambers" in b.to_json_obj()
+    assert built == []
+    assert b.chambers[0].dim_vector() == (1, 1) and len(built) == 1
 
 
 def test_exported_edges_follow_directed_distance(windows):

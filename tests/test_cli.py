@@ -5,12 +5,15 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from btbuildings import cli, verify
+from btbuildings import building, cli, verify
+from btbuildings.building import Ball, BuildingDescriptor
+from btbuildings.field import ExtensionDescriptor, LaurentModel, PAdicModel
 from btbuildings.cli import main, make_parser
 
 
@@ -95,6 +98,47 @@ def test_ball_and_dot(capsys, tmp_path):
                           "--out", dot_file, "ball"], capsys)
     assert code == 0
     assert open(dot_file).read().startswith("graph ball {")
+
+
+_Q2, _Q3, _F2T = PAdicModel.get(2), PAdicModel.get(3), LaurentModel.get(2)
+_WRITER_FACTORS = {
+    "Q_2": [(_Q2, 2)],
+    "Q_3": [(_Q3, 2)],
+    "F_2((t))": [(_F2T, 2)],
+    "F_4((t))": [(LaurentModel.get(4), 1)],
+    "F_2((s)), s^2 = t": [(ExtensionDescriptor(_F2T, e=2, f=1).extension, 2)],
+    "Q_2 x F_3((t))": [(_Q2, 1), (LaurentModel.get(3), 1)],
+}
+
+
+@pytest.mark.parametrize("detail", ["vertices", "edges", "faces"])
+@pytest.mark.parametrize("radius", [0, 1, 2])
+@pytest.mark.parametrize("factors", _WRITER_FACTORS.values(),
+                         ids=_WRITER_FACTORS.keys())
+def test_the_ball_writer_writes_the_json_of_its_object(factors, radius, detail):
+    D = BuildingDescriptor(factors)
+    obj = Ball(D, D.origin(), radius, detail=detail).to_json_obj()
+    assert cli.ball_json(obj) == json.dumps(obj, sort_keys=True,
+                                            indent=2) + "\n"
+    assert ("chambers" in obj) == (detail == "faces")
+    assert (obj["edges"] == []) == (radius == 0 or detail == "vertices")
+    if factors[0][0].ramification == 2 and obj["edges"]:
+        assert obj["edges"][0]["length"] == "1/2"
+
+
+def test_ball_writes_the_json_of_its_window(capsys, monkeypatch):
+    balls = []
+
+    def keep(*args, **kwargs):
+        balls.append(building.ball(*args, **kwargs))
+        return balls[-1]
+
+    monkeypatch.setattr(cli, "ball", keep)
+    code, out = run_cli(["--field", "padic:2,laurent:4", "--d", "1,2",
+                         "--radius", "2", "ball", "--detail", "faces"], capsys)
+    assert code == 0
+    assert out == json.dumps(balls[0].to_json_obj(), sort_keys=True,
+                             indent=2) + "\n"
 
 
 @pytest.mark.parametrize("fmt,unused", [("json", "to_dot"),
@@ -494,6 +538,16 @@ def test_a_budget_of_zero_is_exceeded(capsys):
     code = main(["--d", "1", "--radius", "1", "--budget", "0", "ball"])
     assert code == 3
     assert capsys.readouterr().err.startswith("budget exceeded: ")
+
+
+def test_gaussian_binomials_charges_its_counts_to_the_budget(capsys):
+    t0 = time.perf_counter()
+    code = main(["verify", "gaussian-binomials", "--q", "2", "--d", "9",
+                 "--budget", "1"])
+    assert code == 3 and time.perf_counter() - t0 < 1
+    assert capsys.readouterr().err == (
+        "budget exceeded: enumerating the neighbors up to q=2, d=1, w=1 "
+        "takes 3 (> budget 1)\n")
 
 
 def test_an_unknown_suite_is_a_value_error(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from btbuildings import lattice
-from btbuildings.field import INF, LaurentModel, PAdicModel
+from btbuildings.field import INF, ExtensionDescriptor, LaurentModel, PAdicModel
 from btbuildings.gf import GF
 from btbuildings.lattice import (
     PrecisionError, VertexClass, _standard_neighbors, _triangularize_digits,
@@ -456,6 +456,28 @@ def test_laurent_digit_backend_matches_field_arithmetic(q):
             assert ops.mul(a, b) == digits(x * y)
             if x.valuation() == 0:
                 assert ops.unit_inv(a) == digits(model.one() / x)
+
+
+def _serialize_by_matrix(v):
+    """Reference: the canonical matrix as FieldElements, the transposed
+    primitive matrix times pi^(-m), written entry by entry."""
+    model, n = v.model, v.n
+    scale = model.uniformizer() ** -min(v.exps)
+    prim = v.primitive_matrix()
+    return [model.elem_str(prim[j][i] * scale)
+            for i in range(n) for j in range(n)]
+
+
+def test_serialize_equals_the_field_element_matrix():
+    F2S = ExtensionDescriptor(F2T, e=2, f=1).extension
+    F4U = ExtensionDescriptor(F2T, e=2, f=2).extension
+    rng = random.Random(23)
+    for model in (Q2, Q3, Q5, F2T, F3T, F4T, F9T, F2S, F4U):
+        for n in (2, 3, 4):
+            for spread in (0, 1, 3):
+                for _ in range(4):
+                    v = random_vertex(model, n, rng, spread)
+                    assert v.serialize() == _serialize_by_matrix(v)
 
 
 def test_serialization_roundtrip():
