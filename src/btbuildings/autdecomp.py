@@ -7,8 +7,8 @@ that restores a word to a pure factor exchange on the standard apartment.
 from itertools import product
 
 from .building import (PolyVertex, apartment_point_of_vertex, basic_chamber,
-                       in_standard_apartment, labelling_C, labelling_D,
-                       matrix_power, shift_generator, sigma_mu)
+                       in_standard_apartment, labelling_D, matrix_power,
+                       shift_generator, sigma_mu)
 from .errors import BudgetError, WindowError
 from .lattice import action, dual, gaussian_binomial
 from .linalg import inverse, matmul, transpose
@@ -341,7 +341,7 @@ def label_action(word, b):
         img = word.apply(v)
         if img not in b.vid:
             raise WindowError("image of the basic chamber escapes the ball")
-        f[lab] = labelling_C(img)
+        f[lab] = b.labels[b.vid[img]]
     dec = decompose_hom(f, moduli, moduli)
     if not dec.is_automorphism():
         raise ValueError("label action is not an automorphism")
@@ -363,8 +363,7 @@ def label_action(word, b):
     for vid, v in enumerate(b.vertices):
         img = word.apply(v)
         if img in b.vid:
-            expected = dec.apply(labelling_C(v))
-            if labelling_C(img) != expected:
+            if b.labels[b.vid[img]] != dec.apply(b.labels[vid]):
                 raise ArithmeticError("C o phi != C o phi o D o C")
     return dec.mu, dec.gs, classification
 
@@ -403,13 +402,13 @@ def _offset_counts(b, v):
     """Per factor: {label offset w: number of neighbors of v with that
     offset}, counted on the ball's edge set."""
     vid = b.vid[v]
-    lab = labelling_C(v)
+    lab = b.labels[vid]
     moduli = b.descriptor.label_moduli()
     counts = [{} for _ in range(b.descriptor.r)]
     for (a, c, i) in b.edges:
         if a == vid or c == vid:
             other = c if a == vid else a
-            w = (labelling_C(b.vertices[other])[i] - lab[i]) % moduli[i]
+            w = (b.labels[other][i] - lab[i]) % moduli[i]
             counts[i][w] = counts[i].get(w, 0) + 1
     return counts
 

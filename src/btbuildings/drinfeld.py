@@ -190,9 +190,9 @@ def _merge_exps(e1, e2):
 
 class RigidPoint:
     """K-rational point of a product of Drinfeld spaces, in affine
-    coordinates (t_{i,0} = 1).  Validation checks the k_i-linear
-    independence of {1, x_{i,1}, .., x_{i,d_i}} by exact expansion of K
-    over k_i."""
+    coordinates (t_{i,0} = 1), with the norm tau(x) of each factor
+    (`_FactorNorm`); validation checks that {1, x_{i,1}, .., x_{i,d_i}}
+    is k_i-linearly independent by the rank of the norm's coordinates."""
 
     def __init__(self, descriptor, K, coords):
         self.descriptor = descriptor
@@ -204,16 +204,14 @@ class RigidPoint:
         for (model, d), factor in zip(descriptor.factors, self.coords):
             if len(factor) != d:
                 raise ValueError("coordinate count must equal the dimension")
+        norms = []
         for i in range(descriptor.r):
-            if not self._factor_independent(i):
+            norm = _FactorNorm(self, i)
+            if rank(norm.model, [col for _vb, col in norm.gens]) != norm.n:
                 raise ValueError(
                     f"factor {i}: coordinates lie on a rational hyperplane")
-
-    def _factor_independent(self, i):
-        model, d = self.descriptor.factors[i]
-        vals = [self.K.one()] + list(self.coords[i])
-        rows = [expand_over(v, model) for v in vals]
-        return rank(model, rows) == d + 1
+            norms.append(norm)
+        self.norms = tuple(norms)
 
     def value(self, i, j):
         """The coordinate value x_{i,j}, with x_{i,0} = 1."""
@@ -280,16 +278,10 @@ def _combine(coeffs, values, K):
 
 
 def _min_term(coeffs, values, e):
-    """(v, j): the least root valuation v(a_j)/e + v(v_j) over the nonzero
-    a_j, and the first index j that attains it."""
-    vmin, jmin = INF, None
-    for j, (a, v) in enumerate(zip(coeffs, values)):
-        va = a.valuation()
-        if va != INF:
-            tv = Fraction(va) / e + val_root(v)
-            if tv < vmin:
-                vmin, jmin = tv, j
-    return vmin, jmin
+    """The least root valuation v(a_j)/e + v(v_j) over the nonzero a_j."""
+    return min((Fraction(a.valuation()) / e + val_root(v)
+                for a, v in zip(coeffs, values) if a.valuation() != INF),
+               default=INF)
 
 
 class _FactorNorm:
@@ -307,8 +299,8 @@ class _FactorNorm:
         self.n = d + 1
         self.e = x.K.ramification // model.ramification
         values = [x.value(i, j) for j in range(d + 1)]
-        self.vmin = min(v.valuation() for v in values)
-        self.vmax = max(v.valuation() for v in values)
+        self.vals = [v.valuation() for v in values]
+        self.vmin, self.vmax = min(self.vals), max(self.vals)
         coords = [expand_over(v, model) for v in values]
         self.gens = [(vb, col) for vb, col
                      in zip(basis_valuations(x.K, model), zip(*coords))
@@ -374,8 +366,7 @@ def _membership_tests(x, n, closed):
     in (1/e_K)Z, so max <= bound iff no alpha reaches bound + 1/e_K."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return [(norm, norm.bound(n) + (1 if closed else 0))
-            for norm in (_FactorNorm(x, i) for i in range(x.descriptor.r))]
+    return [(norm, norm.bound(n) + (1 if closed else 0)) for norm in x.norms]
 
 
 def omega_membership(x, n, closed=True, budget=200000):
@@ -392,14 +383,13 @@ def membership_depth(x, max_n=3, budget=200000):
     Per factor, the max of nu over primitive alpha is found by bisection
     between max_j v(x_{i,j}) (reached by a unit vector) and the X[max_n]
     bound plus 1/e_K."""
-    norms = [_FactorNorm(x, i) for i in range(x.descriptor.r)]
-    caps = [norm.bound(max_n) + 1 for norm in norms]
-    if any(norm.vmax >= cap for norm, cap in zip(norms, caps)):
+    caps = [norm.bound(max_n) + 1 for norm in x.norms]
+    if any(norm.vmax >= cap for norm, cap in zip(x.norms, caps)):
         return None
     _check_budget(sum(((cap - norm.vmax - 1).bit_length() + 1) * norm.work(cap)
-                      for norm, cap in zip(norms, caps)), budget)
+                      for norm, cap in zip(x.norms, caps)), budget)
     depth = 1
-    for norm, cap in zip(norms, caps):
+    for norm, cap in zip(x.norms, caps):
         if norm.reaches(cap):
             return None
         lo, hi = norm.vmax, cap
@@ -414,19 +404,10 @@ def membership_depth(x, max_n=3, budget=200000):
 
 
 def tau_coordinates(x):
-    """The apartment point with exponents v_{k_i}(x_{i,j}): this is
-    tau_Lambda(tau(x))."""
-    factors = []
-    for i, (model, d) in enumerate(x.descriptor.factors):
-        e_i = model.ramification
-        exps = []
-        for j in range(d + 1):
-            v = val_root(x.value(i, j))
-            if v == INF:
-                raise ValueError("zero coordinate on a rigid point")
-            exps.append(v * e_i)
-        factors.append((None, tuple(exps)))
-    return ApartmentPoint(factors)
+    """The apartment point with exponents v_{k_i}(x_{i,j}) = v_K(x_{i,j}) / e,
+    e = e(K/k_i), read off the factor norms: this is tau_Lambda(tau(x))."""
+    return ApartmentPoint([(None, tuple(Fraction(v, norm.e) for v in norm.vals))
+                           for norm in x.norms])
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +426,7 @@ def diagonalize_norm(x, i, n, budget=200000):
     whole chain L_0 > .. > L_m > pi L_0; every N_lam splits in a basis
     adapted to it (`chamber_chart`), which is the max-property."""
     tests = _membership_tests(x, n, True)
-    norm = tests[i][0]
+    norm = x.norms[i]
     lams = range(norm.vmin, norm.vmin + norm.e)
     _check_budget(sum(nm.work(lam) for nm, lam in tests)
                   + sum(norm.work(lam, n) for lam in lams), budget)
@@ -481,8 +462,8 @@ def verify_diagonal(x, i, basis, depth, budget=200000):
     if count > budget:
         raise BudgetError(f"verification needs {count} vectors (> budget)")
     for alpha in unimodular_representatives(model, depth, d + 1):
-        vmin, _j = _min_term(alpha, values, model.ramification)
-        if val_root(_combine(alpha, values, x.K)) != vmin:
+        if val_root(_combine(alpha, values, x.K)) != \
+                _min_term(alpha, values, model.ramification):
             return False
     return True
 
@@ -551,36 +532,29 @@ def deform(x, t_exponent, p, i=0):
     keys = [(i, j) for j in range(1, d + 1)]
     assign = _assignment_for(x, p)
     deg = p.multidegree()
-    ranges = [range(deg.get(k, 0) + 1) for k in keys]
     best = INF
-    for N in product(*ranges):
+    for N in product(*[range(deg.get(k, 0) + 1) for k in keys]):
         if t_exponent == INF and any(N):
             continue
-        acc = x.K.zero()
-        for mono, c in p.terms.items():
-            mexp = dict(mono)
-            coeff = 1
-            ok = True
-            for key, nk in zip(keys, N):
-                ik = mexp.get(key, 0)
-                if ik < nk:
-                    ok = False
-                    break
-                coeff *= math.comb(ik, nk)
-            if not ok:
-                continue
-            term = c * x.K.element(coeff)
-            if term.valuation() == INF:
-                continue
-            for key, nn in mono:
-                term = term * assign[key] ** nn
-            acc = acc + term
-        v = val_root(acc)
+        v = val_root(_divided_derivative(p, dict(zip(keys, N)), x.K)
+                     .evaluate(assign))
         if v != INF and t_exponent != INF:
             v = v + t_exponent * sum(N)
         if v < best:
             best = v
     return AbsValue(best)
+
+
+def _divided_derivative(p, N, K):
+    """D_N(p) = sum_I prod_k C(i_k, n_k) a_I x^I over K, with N keyed like
+    the exponents I of p: C(i, n) = 0 for i < n, so only the terms with
+    I >= N remain, as Poly drops zero coefficients."""
+    terms = {}
+    for mono, c in p.terms.items():
+        exps = dict(mono)
+        coeff = math.prod(math.comb(exps.get(key, 0), n) for key, n in N.items())
+        terms[mono] = c * K.element(coeff)
+    return Poly(K, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ from .drinfeld import (Poly, RigidPoint, deform, diagonalize_norm, eval_abs,
 from .errors import BudgetError
 from .field import (INF, ExtensionDescriptor, LaurentModel, PAdicModel,
                     enumerate_residues, valuation)
-from .lattice import (action, canonical_form, gaussian_binomial,
+from .lattice import (action, canonical_form, column_class, digit_ops,
+                      gaussian_binomial, guard_precision,
                       inverse_column_minima, neighbors_by_colength,
                       pair_index_normalized, skeleton_distance,
                       standard_vertex, vertex_from_diagonal)
@@ -96,6 +97,24 @@ def window_exps(n, spread):
         if min(exps) == 0:
             out.append(exps)
     return out
+
+
+def least_containing_shift(v, j):
+    """The least c with pi^c e_j in L, L the primitive lattice of the class
+    v, by reduction alone: an oracle for -w_j, w the column minima of
+    v(T^-1).  Adjoining pi^c e_j to the columns of T spans L' >= L inside
+    O^n, and L' = L iff v(det L') = D = v(det L); as pi^D O^n <= L, some
+    c <= D works.  The generators are exact and v(det L') <= D, so
+    `guard_precision(D)` digits make each reduction exact."""
+    n, D = v.n, v.det_valuation()
+    ops = digit_ops(v.model, guard_precision(D))
+    for c in range(D + 1):
+        extra = [ops.shift_up(ops.residue_coeff(1), c) if i == j
+                 else ops.zero() for i in range(n)]
+        cls, _minval = column_class(ops, v.digit_columns(ops) + [extra])
+        if cls.det_valuation() == D:
+            return c
+    raise ArithmeticError(f"pi^{D} e_{j} is not in a lattice of colength {D}")
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +427,8 @@ def _window_argmin(window):
 def suite_projection_agreement(config):
     """Every window vertex's `project_apartment` against the argmin of
     f(c, y) over the diagonal window, scanned once per distinct column
-    minima vector (`_window_argmin`), and sampled windowed f values against
+    minima vector (`_window_argmin`); on sampled vertices, the column minima
+    against `least_containing_shift` and windowed f values against
     `distance_f`."""
     checked = 0
     for q, d in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]:
@@ -430,13 +450,18 @@ def suite_projection_agreement(config):
                 return _fail("projection disagrees with f-argmin", q=q, d=d,
                              vertex=c.serialize())
             checked += 1
-        # cross-check the windowed f values against distance_f on samples
+        # on samples: w against containment, windowed f against distance_f
         rng = config.rng()
         for _ in range(5):
             x = b.vertices[rng.randrange(len(b.vertices))]
             k = rng.randrange(len(window))
+            c = x.components[0]
+            if inverse_column_minima(c) != [-least_containing_shift(c, j)
+                                            for j in range(c.n)]:
+                return _fail("column minima vs least containing shift", q=q,
+                             d=d, vertex=c.serialize())
             y = PolyVertex((vertex_from_diagonal(model, window[k]),))
-            if factor_window_fvals(x.components[0], [window[k]])[0] != \
+            if factor_window_fvals(c, [window[k]])[0] != \
                     distance_f(x, y):
                 return _fail("window f vs distance_f", q=q, d=d)
     # r = 2: the product projection is the tuple of factor argmins

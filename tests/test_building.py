@@ -17,12 +17,12 @@ from btbuildings.errors import BudgetError
 from btbuildings.field import (INF, ExtensionDescriptor, LaurentModel,
                                PAdicModel)
 from btbuildings.lattice import (
-    _triangularize_digits, all_neighbors, canonical_form, class_pair_residue,
-    digit_ops, inverse_column_minima, neighbors_by_colength,
-    pair_index_normalized, skeleton_distance, standard_vertex,
-    vertex_from_diagonal)
+    all_neighbors, canonical_form, class_pair_residue, inverse_column_minima,
+    neighbors_by_colength, pair_index_normalized, skeleton_distance,
+    standard_vertex, vertex_from_diagonal)
 from btbuildings.linalg import det, solve, transpose
-from btbuildings.verify import random_unimodular, random_vertex, window_exps
+from btbuildings.verify import (least_containing_shift, random_unimodular,
+                                random_vertex, window_exps)
 
 Q2 = PAdicModel.get(2)
 Q3 = PAdicModel.get(3)
@@ -167,23 +167,6 @@ def test_project_commutes_with_diagonal_torus():
         assert pt_g == shifted
 
 
-def _least_containing_shift(v, j):
-    """Least c with pi^c e_j in L, L the primitive lattice of v, by
-    reduction alone: pi^c e_j lies in L iff adjoining it to the columns of
-    T keeps the pivot sum at v(det L) = D, and pi^D O^n <= L."""
-    n, D = v.n, v.det_valuation()
-    ops = digit_ops(v.model, 2 * D + 2)
-    one = ops.residue_coeff(1)
-    for c in range(D + 1):
-        extra = [ops.shift_up(one, c) if i == j else ops.zero()
-                 for i in range(n)]
-        exps, _lower, _ = _triangularize_digits(
-            ops, v.digit_columns(ops) + [extra], n)
-        if sum(exps) == D:
-            return c
-    raise AssertionError(f"pi^{D} e_{j} is not in a lattice of colength {D}")
-
-
 def _rational_valuation(r, p):
     if r == 0:
         return INF
@@ -210,7 +193,7 @@ def test_inverse_column_minima_are_the_least_containing_shifts():
             v = x.components[0]
             w = inverse_column_minima(v)
             assert project_apartment(x) == ApartmentPoint([(None, w)])
-            assert w == [-_least_containing_shift(v, j) for j in range(v.n)]
+            assert w == [-least_containing_shift(v, j) for j in range(v.n)]
             if isinstance(model, PAdicModel):
                 inv = sympy.Matrix([[int(e.raw) for e in row]
                                     for row in v.primitive_matrix()]).inv()

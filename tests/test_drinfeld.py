@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -327,6 +329,56 @@ def test_membership_is_gl_o_invariant_under_hypothesis(data):
     assert _memberships(x) == _memberships(y)
 
 
+def _norm_points():
+    """Seeded points over the `_INVARIANCE_CASES` towers (one and two
+    steps, d = 1 and d = 2), and two-factor products of such points."""
+    points = []
+    for case, (q, tower, d) in enumerate(_INVARIANCE_CASES):
+        points += _seeded_points(q, tower, d, 3, seed=70 + case)
+    lines = _seeded_points(2, ((2, 2),), 1, 2, seed=80)
+    planes = _seeded_points(2, ((2, 2),), 2, 2, seed=81)
+    B = BuildingDescriptor([(F2T, 1), (F2T, 2)])
+    for x, y in zip(lines, planes):
+        points.append(RigidPoint(B, x.K, [x.coords[0], y.coords[0]]))
+    return points
+
+
+def _tau_by_val_root(x):
+    """Test-side oracle for `tau_coordinates`: each coordinate's valuation
+    in units of the tower root, times the ramification of its factor field."""
+    return ApartmentPoint([
+        (None, tuple(val_root(x.value(i, j)) * model.ramification
+                     for j in range(d + 1)))
+        for i, (model, d) in enumerate(x.descriptor.factors)])
+
+
+def test_points_expand_each_coordinate_once(monkeypatch):
+    # a point expands its coordinates over k_i when it is built; the
+    # filtration tests, the depth bisection, the diagonalization and tau
+    # read its factor norms and expand nothing
+    calls = []
+    expand = ExtensionDescriptor.expand
+    monkeypatch.setattr(ExtensionDescriptor, "expand",
+                        lambda self, y: calls.append(y) or expand(self, y))
+    points = _norm_points()
+    built = len(calls)
+    assert built > 0
+    diagonalized = 0
+    for x in points:
+        for n in range(1, 4):
+            omega_membership(x, n, closed=True)
+            omega_membership(x, n, closed=False)
+        depth = membership_depth(x, max_n=3)
+        if depth is not None:
+            for i in range(x.descriptor.r):
+                diagonalize_norm(x, i, depth)
+            diagonalized += 1
+        assert tau_coordinates(x) == _tau_by_val_root(x)
+    assert len(calls) == built
+    assert diagonalized >= len(points) // 2
+    assert any(x.descriptor.r == 2 for x in points)
+
+
 def test_membership_depth_beyond_the_first_level():
     # alpha = (1+t^2, 1) gives v(alpha.x) = v(t^2 s) = 5/2 > 2
     x = _point_ram("1+s^4+s^5")
@@ -525,6 +577,79 @@ def test_deform_linear_constant_on_diagonal_points():
         base = eval_abs(x, p).exponent
         for t_exp in [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), INF]:
             assert deform(x, t_exp, p).exponent == base
+
+
+def _deform_by_terms(x, t_exponent, p, i=0):
+    """Test-side oracle for `deform`: max_N t^{|N|} |D_N(p)(x)|, with each
+    D_N(p)(x) summed term by term from the a_I x^I with I >= N."""
+    model, d = x.descriptor.factors[i]
+    keys = [(i, j) for j in range(1, d + 1)]
+    assign = x.assignment()
+    deg = p.multidegree()
+    ranges = [range(deg.get(k, 0) + 1) for k in keys]
+    best = INF
+    for N in product(*ranges):
+        if t_exponent == INF and any(N):
+            continue
+        acc = x.K.zero()
+        for mono, c in p.terms.items():
+            mexp = dict(mono)
+            coeff = 1
+            ok = True
+            for key, nk in zip(keys, N):
+                ik = mexp.get(key, 0)
+                if ik < nk:
+                    ok = False
+                    break
+                coeff *= math.comb(ik, nk)
+            if not ok:
+                continue
+            term = c * x.K.element(coeff)
+            if term.valuation() == INF:
+                continue
+            for key, nn in mono:
+                term = term * assign[key] ** nn
+            acc = acc + term
+        v = val_root(acc)
+        if v != INF and t_exponent != INF:
+            v = v + t_exponent * sum(N)
+        if v < best:
+            best = v
+    return best
+
+
+def _seeded_poly(x, rng, degree=3, terms=4):
+    """A polynomial in the variables (0, 0..d) of x with up to `terms`
+    monomials of degree at most `degree` in each variable, and seeded
+    coefficients in K (some of them zero)."""
+    K = x.K
+    d = x.descriptor.factors[0][1]
+    p = Poly.const(K, 0)
+    for _ in range(rng.randrange(1, terms + 1)):
+        term = Poly.const(K, K.from_digits(
+            [rng.randrange(K.q) for _ in range(3)], shift=rng.randrange(-1, 2)))
+        for j in range(d + 1):
+            for _ in range(rng.randrange(degree + 1) if j else rng.randrange(2)):
+                term = term * Poly.var(K, (0, j))
+        p = p + term
+    return p
+
+
+def test_deform_equals_the_term_by_term_oracle():
+    rng = random.Random(404)
+    points = (_seeded_points(2, ((2, 1),), 1, 3, seed=90)
+              + _seeded_points(3, ((2, 1),), 1, 2, seed=91)
+              + _seeded_points(2, ((2, 2),), 2, 3, seed=92)
+              + [_point_quartic(["w", "s*w"])])
+    ts = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), INF]
+    ds = set()
+    for x in points:
+        for _ in range(6):
+            p = _seeded_poly(x, rng)
+            for t in ts:
+                assert deform(x, t, p).exponent == _deform_by_terms(x, t, p)
+        ds.add(x.descriptor.factors[0][1])
+    assert ds == {1, 2}
 
 
 def test_deform_rejects_negative_t():

@@ -98,3 +98,31 @@ def test_only_lattice_imports_the_reduction():
     found = [name for name in _find(_imports_the_reduction)
              if not name.startswith("lattice.py:")]
     assert not found, f"reduce through lattice.column_class: {found}"
+
+
+def _call_scopes(path, name):
+    """The enclosing class and function names of each call of `name` in
+    the module at path, outermost first."""
+    scopes = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == name):
+            scopes.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), ())
+    return scopes
+
+
+def test_a_rigid_point_builds_its_factor_norms_once():
+    # a point expands each coordinate over k_i once, when it is built: the
+    # factor norms live on the point, and the lattice tests read them there
+    path = SRC / "drinfeld.py"
+    assert _call_scopes(path, "_FactorNorm") == [("RigidPoint", "__init__")]
+    scopes = _call_scopes(path, "expand_over")
+    assert scopes and all(scope[0] == "_FactorNorm" for scope in scopes)
