@@ -155,13 +155,25 @@ def _read_map(text, _got):  # the decomposition is the map's check
 
 
 def _read_ext(text, got):
-    """The field K at the top of the tower "e,f[;e,f..]" above factor 0's."""
-    model = got["d"].models[0]
+    """The field K at the top of the tower "e,f[;e,f..]" above factor 0's;
+    every factor's field must lie on that tower."""
+    models = got["d"].models
+    model = models[0]
     for part in text.split(";"):
         e_s, _, f_s = part.partition(",")
         if not (e_s.isdecimal() and f_s.isdecimal()):
             raise ValueError(f"entry {part!r} is not two integers e,f")
         model = ExtensionDescriptor(model, e=int(e_s), f=int(f_s)).extension
+    tower, below = [model], model
+    while below.ext is not None:
+        below = below.ext.base
+        tower.append(below)
+    for i, factor in enumerate(models):
+        if not any(factor is m for m in tower):
+            raise ValueError(
+                f"K does not lie above factor {i}'s field "
+                f"{factor.kind}:{factor.residue_size}; --ext builds K above "
+                f"factor 0's field {models[0].kind}:{models[0].residue_size}")
     return model
 
 

@@ -28,13 +28,24 @@ product Y_x T_y gives the minimal containment shift of a pair of classes
 (`class_pair_residue`).  `subdivision` and `drinfeld` reduce their digit
 generators through `column_class`.  The tests check the reduction against
 an exhaustive span oracle over O/pi^k.
+
+A digit vector of O/pi^M is one int in both backends, and no module outside
+this one reads its layout.  `PadDigitOps` keeps a residue in [0, p^M).
+`LauDigitOps`, over F_q with q = p^m, packs the vector by Kronecker
+substitution: slot (i, j) holds the F_p coefficient of t^i w^j, with
+W = 2m - 1 slots per t-digit so that the w-degrees of a product up to
+2m - 2 do not overlap.  A slot holds M m (p - 1)^2, the most a product
+sums, in the least of 8, 16, 32, .. bits that does: byte slots for F_2,
+F_3, F_4 and F_9 at the precisions the windows and queries use.  A product
+is one int product, masked to M digits and reduced per slot.  Unit
+inverses are Newton's iteration on packed ints.
 """
 
 from functools import lru_cache
 from itertools import combinations
 
 from .field import FieldElement, PAdicModel
-from .gf import from_base, series_div, to_base
+from .gf import from_base, pord, to_base
 
 
 # ---------------------------------------------------------------------------
@@ -105,81 +116,244 @@ class PadDigitOps:
         return r
 
 
+class _LauLayout:
+    """The packed layout of O/t^M over F_q, q = p^m, and its per-slot
+    arithmetic.  Every constant is an int of O(M) bits or a 256-byte table.
+
+    A vector is the int sum c_ij 2^(b (W i + j)): slot (i, j) holds the F_p
+    coefficient c_ij of t^i w^j, with W = 2m - 1 slots per t-digit, so the
+    w-degrees up to 2m - 2 of a product do not overlap.  A slot of a product
+    of two vectors sums at most M m products of two coefficients, so the
+    slot width b is the least of 8, 16, 32, 64, .. bits that holds
+    M m (p - 1)^2; that holds the 2p - 1 of a sum, and the (p - 1) +
+    (m - 1)(p - 1)^2 of a fold, too.  Vectors are kept normalized: c_ij < p,
+    and c_ij = 0 for j >= m and for i >= M."""
+
+    def __init__(self, gf, M):
+        p, m = gf.p, gf.m
+        W = 2 * m - 1
+        nbytes = 1
+        while 8 * nbytes < (M * m * (p - 1) ** 2).bit_length():
+            nbytes *= 2
+        self.bits = bits = 8 * nbytes
+        self.p, self.m, self.M, self.W = p, m, M, W
+        self.step = step = bits * W          # bits per t-digit
+        self.full = full = (1 << step * M) - 1
+        self.slot = slot = (1 << bits) - 1
+        size = M * W * nbytes                # bytes of a vector
+        every = sum(1 << step * i for i in range(M))   # bit 0 of each t-digit
+        used = sum(every << bits * j for j in range(m))
+        ones = sum(every << bits * j for j in range(W))
+        # a sum x of slots below 2p: x - p [x >= p] in every slot, with the
+        # flag read off the top bit of x + 2^(b-1) - p (p <= 2^(b-1), since
+        # (p - 1)^2 < 2^b)
+        self.top = bits - 1
+        self.pv, self.hi = p * used, used << bits - 1
+        self.off = self.hi - self.pv
+        if nbytes == 1:
+            self.slots = lambda x: x.to_bytes(size, "little")
+            self.pack = lambda vals: int.from_bytes(bytes(vals), "little")
+        else:
+            def slots(x):
+                buf = x.to_bytes(size, "little")
+                return [int.from_bytes(buf[i:i + nbytes], "little")
+                        for i in range(0, size, nbytes)]
+
+            def pack(vals):
+                return int.from_bytes(b"".join(v.to_bytes(nbytes, "little")
+                                               for v in vals), "little")
+            self.slots, self.pack = slots, pack
+        if p == 2:
+            def reduce(x):
+                return x & ones
+        elif nbytes == 1:
+            table = bytes(v % p for v in range(256))
+
+            def reduce(x):
+                return int.from_bytes(x.to_bytes(size, "little")
+                                      .translate(table), "little")
+        else:
+            slots, pack = self.slots, self.pack
+
+            def reduce(x):
+                return pack([v % p for v in slots(x)])
+        # w^j mod g for m <= j <= 2m - 2, in the slots of w^0 .. w^(m-1)
+        low, digit0 = used * slot, every * slot
+        folds = []
+        r = [0] * (m - 1) + [1]
+        for j in range(m, W):
+            r = [(a - r[-1] * g) % p for a, g in zip([0] + r[:-1], gf.modulus)]
+            folds.append((bits * j, sum(c << bits * i for i, c in enumerate(r))))
+        if m == 1:
+            def product(x):
+                return reduce(x & full)
+        else:
+            def product(x):
+                x = reduce(x & full)
+                acc = x & low
+                for shift, image in folds:
+                    acc += (x >> shift & digit0) * image
+                return reduce(acc)
+        self.product = product
+
+    def pack_digits(self, digits):
+        """The vector whose t^i w^j coefficient is digits[m i + j]."""
+        m = self.m
+        if m == 1:
+            return self.pack(digits)
+        gap = [0] * (m - 1)
+        slots = []
+        for i in range(0, len(digits), m):
+            slots += digits[i:i + m]
+            slots += gap
+        return self.pack(slots)
+
+    def digits(self, a, k):
+        """The F_p coefficients of t^i w^j in a for i < k, at m i + j."""
+        slots = self.slots(a)
+        if self.m == 1:
+            return list(slots[:k])
+        W, m = self.W, self.m
+        return [slots[W * i + j] for i in range(k) for j in range(m)]
+
+    def scalar(self, r):
+        """The vector of the GF int r at t^0."""
+        return r if r < self.p else self.from_gf((r,))
+
+    def digit0(self, a):
+        """The t^0 digit of a as a GF int."""
+        if self.m == 1:
+            return a & self.slot
+        out = 0
+        for j in range(self.m - 1, -1, -1):
+            out = out * self.p + (a >> self.bits * j & self.slot)
+        return out
+
+    def from_gf(self, coeffs):
+        """The vector of the t-digits `coeffs`, GF ints, low first."""
+        if self.m == 1:
+            return self.pack(coeffs)
+        p, m = self.p, self.m
+        return self.pack_digits([d for c in coeffs for d in to_base(c, p, m)])
+
+    def to_gf(self, a):
+        """The M t-digits of a as GF ints, low first."""
+        p, m = self.p, self.m
+        digits = self.digits(a, self.M)
+        if m == 1:
+            return digits
+        return [from_base(digits[i:i + m], p)
+                for i in range(0, len(digits), m)]
+
+
+@lru_cache(maxsize=None)
+def _lau_layout(gf, M):
+    return _LauLayout(gf, M)
+
+
 class LauDigitOps:
-    """O/t^M for a Laurent model; digit vectors are tuples of GF ints, len M.
-    Entries are added, subtracted and multiplied by reading the residue
-    field's add, sub and mul tables directly, for every q."""
+    """O/t^M for a Laurent model over F_q, q = p^m.  A digit vector is one
+    int in the packed layout of `_LauLayout`: slot (i, j) holds the F_p
+    coefficient of t^i w^j.  add and sub are one int operation and a
+    per-slot reduction mod p (XOR for p = 2).  mul is one int product
+    (Kronecker substitution) masked to M digits, reduced per slot (a mask
+    for p = 2, a bytes.translate for byte slots, a slice per slot for wider
+    ones) and with the w-degrees >= m folded down by the modulus of F_q.
+    val, the shifts and trunc are bit operations; unit_inv inverts a
+    constant in F_q and any other unit by Newton's iteration
+    x <- x (2 - a x), and from_field multiplies the packed numerator by the
+    inverse of the packed denominator."""
 
     def __init__(self, model, M):
         self.model = model
         self.M = M
         self.gf = model.gf
         self.q = model.q
-        self._zero = (0,) * M
-        self._inv_cache = {}
-        self._add = self.gf.add_table
-        self._sub = self.gf.sub_table
-        self._mul = self.gf.mul_table
+        self._lay = lay = _lau_layout(model.gf, M)
+        self._step, self._full, self._t = lay.step, lay.full, 1 << lay.step
+        self._binary = lay.p == 2
+        self._p, self._pv, self._off, self._hi, self._top = \
+            lay.p, lay.pv, lay.off, lay.hi, lay.top
+        self._product = lay.product
 
     def zero(self):
-        return self._zero
+        return 0
 
     def from_field(self, x):
-        return tuple(self.model.to_digits(x, self.M))
+        num, den = x.raw
+        if not num:
+            return 0
+        k = pord(den)
+        if pord(num) < k:
+            raise ValueError("negative valuation, not in O")
+        a = self._lay.from_gf(num[k:k + self.M])
+        if len(den) == k + 1 and den[k] == 1:
+            return a
+        return self.mul(a, self.unit_inv(self._lay.from_gf(den[k:k + self.M])))
 
     def to_field(self, a, shift=0):
-        return self.model.from_digits(list(a), shift)
+        return self.model.from_digits(self._lay.to_gf(a), shift)
 
     def val(self, a):
-        for i, c in enumerate(a):
-            if c:
-                return i
-        return self.M
+        if not a:
+            return self.M
+        return ((a & -a).bit_length() - 1) // self._step
 
     def add(self, a, b):
-        t = self._add
-        return tuple(t[x][y] for x, y in zip(a, b))
+        if self._binary:
+            return a ^ b
+        x = a + b
+        return x - ((x + self._off & self._hi) >> self._top) * self._p
 
     def sub(self, a, b):
-        t = self._sub
-        return tuple(t[x][y] for x, y in zip(a, b))
+        if self._binary:
+            return a ^ b
+        x = a + self._pv - b
+        return x - ((x + self._off & self._hi) >> self._top) * self._p
 
     def mul(self, a, b):
-        M = self.M
-        out = [0] * M
-        add = self._add
-        for i, ai in enumerate(a):
-            if ai:
-                row = self._mul[ai]
-                for j, bj in enumerate(b[:M - i], i):
-                    if bj:
-                        out[j] = add[out[j]][row[bj]]
-        return tuple(out)
+        return self._product(a * b)
 
     def shift_down(self, a, k):
-        return a[k:] + (0,) * k
+        return a >> self._step * k
 
     def shift_up(self, a, k):
-        return ((0,) * k + a)[: self.M]
+        return a << self._step * k & self._full if k < self.M else 0
 
     def unit_inv(self, a):
-        out = self._inv_cache.get(a)
-        if out is None:
-            out = self._inv_cache[a] = tuple(series_div(self.gf, (1,), a, self.M))
-        return out
+        x = self._lay.scalar(self.gf.inv(self._lay.digit0(a)))
+        if a < self._t:  # a constant, its own t^0 digit
+            return x
+        two = 2 % self._p
+        prec = 1
+        while prec < self.M:
+            x = self.mul(x, self.sub(two, self.mul(a, x)))
+            prec *= 2
+        return x
 
     def trunc(self, a, k):
-        return a[:k] + (0,) * (self.M - k)
+        return a & (1 << self._step * k) - 1
 
     def code(self, a, k):
-        return from_base(a[:k], self.q)
+        lay = self._lay
+        if k == 1:
+            return lay.digit0(a)
+        return from_base(lay.digits(a, min(k, self.M)), self._p)
 
     def from_code(self, code, k):
-        k = min(k, self.M)
-        return tuple(to_base(code, self.q, k)) + (0,) * (self.M - k)
+        if code < self._p:
+            return code if k > 0 else 0
+        lay = self._lay
+        return lay.pack_digits(to_base(code, self._p, lay.m * min(k, self.M)))
 
     def residue_coeff(self, r):
-        return (r,) + (0,) * (self.M - 1)
+        return self._lay.scalar(r)
+
+
+def embed_digits(ext, a, base_ops, ops):
+    """The image under t -> s^e of the vector a of `base_ops`, over the base
+    of the extension `ext`, as a vector of `ops`, over ext.extension."""
+    return ops._lay.from_gf(ext.embed_poly(base_ops._lay.to_gf(a))[:ops.M])
 
 
 def digit_ops(model, M):

@@ -12,7 +12,7 @@ from .building import ApartmentPoint, _chain_order, _label_order
 from .errors import BudgetError
 from .gf import row_space
 from .lattice import (action, class_pair_residue, column_class, digit_ops,
-                      guard_precision, pair_index_normalized,
+                      embed_digits, guard_precision, pair_index_normalized,
                       vertex_from_diagonal)
 
 
@@ -396,7 +396,8 @@ def _image_vertex_of_factor_point(fpoint, ext):
     G = sum_k s^(e - C_k) nu(L_k), C_k = e (lambda_0 + .. + lambda_k), where
     the representatives L_k = pi^(c_k) P_k are those of `_label_order` and
     nu embeds a basis entrywise: the primitive digit columns of P_k are
-    t-polynomials, and t -> s^e maps them to s-polynomials.
+    t-polynomials, and t -> s^e maps them to s-polynomials
+    (`lattice.embed_digits`).
 
     In a basis u adapted to the chain, L_k = <pi u_j (j < js_k), u_j
     (j >= js_k)> and min_k (e [j < js_k] + e - C_k) = e - e x_j, x the
@@ -419,6 +420,7 @@ def _image_vertex_of_factor_point(fpoint, ext):
     M = guard_precision(e * (D0 + n))
     # the primitive entries have degree <= max exps, so these digits are exact
     base_ops = digit_ops(ext.base, guard_precision(max(max(c.exps) for c in carrier)))
+    ops = digit_ops(ext.extension, M)
     cols = []
     C = 0
     for k, shift in zip(order, shifts):
@@ -426,7 +428,8 @@ def _image_vertex_of_factor_point(fpoint, ext):
         C += e * lam
         if C.denominator != 1:
             raise ArithmeticError("point is not 1/e-integral")
-        pad = (0,) * (e * shift + e - int(C))
+        pad = e * shift + e - int(C)
         for col in cls.digit_columns(base_ops):
-            cols.append([(pad + ext.embed_poly(x) + (0,) * M)[:M] for x in col])
-    return column_class(digit_ops(ext.extension, M), cols)[0]
+            cols.append([ops.shift_up(embed_digits(ext, x, base_ops, ops), pad)
+                         for x in col])
+    return column_class(ops, cols)[0]

@@ -283,6 +283,7 @@ def test_projection_agreement_stops_at_its_first_ball_over_budget(
 _V = '["1","0","0","2"]'
 _RETRACT = ["--field", "laurent:2", "--d", "1", "retract", "--point", '[["s"]]']
 _OMEGA = ["--field", "laurent:2", "--d", "1", "omega", "--point"]
+_TWO_FIELDS = ["--field", "laurent:2,laurent:4", "--d", "1,1"]
 
 
 def _map(pairs, sizes_out=(2,)):
@@ -449,6 +450,17 @@ _INPUT_ERRORS = {
                     "radius", "must be an integer, got 'x'"),
     "ext-zero": (_OMEGA + ['[["s"]]', "--ext", "0,1"],
                  "ext", "e and f must be >= 1"),
+    # --ext builds K above factor 0's field, F_2((t)); F_4((t)) is not on
+    # that tower
+    "ext-off-a-factor": (
+        _TWO_FIELDS + ["omega", "--point", '[["s"],["s"]]', "--ext", "2,1"],
+        "ext", "K does not lie above factor 1's field laurent:4; --ext builds "
+        "K above factor 0's field laurent:2"),
+    # retract refuses a product of two fields before it reads --ext
+    "retract-two-fields": (
+        _TWO_FIELDS + ["retract", "--point", '[["s"],["s"]]', "--ext", "2,1",
+                       "--poly", "[]"],
+        "d", "retract operates on one factor"),
     "budget-negative": (["--d", "1", "--radius", "1", "--budget", "-5", "ball"],
                         "budget", "must be at least 0, got -5"),
     "normal-form-radius-below-the-factors": (
@@ -486,6 +498,16 @@ def test_gaussian_binomials_rejects_d_below_one(d, capsys):
 def test_retract_with_an_unknown_variable_states_the_reason(capsys):
     _assert_input_error(_poly({"5": 1}), "poly", "unknown variable (0, 5)",
                         capsys)
+
+
+def test_omega_builds_k_above_a_product_of_one_field():
+    assert main(["--field", "laurent:2", "--d", "1,1", "omega", "--point",
+                 '[["s"],["s^3"]]', "--ext", "2,1", "--depth", "1"]) == 0
+
+
+def test_retract_builds_k_above_a_field_of_degree_two():
+    assert main(["--field", "laurent:4", "--d", "1", "retract", "--point",
+                 '[["s"]]', "--ext", "2,1", "--poly", "[]"]) == 0
 
 
 @pytest.mark.parametrize("argv,flag,reason", [

@@ -5,7 +5,7 @@ import pytest
 
 from btbuildings import lattice
 from btbuildings.field import INF, ExtensionDescriptor, LaurentModel, PAdicModel
-from btbuildings.gf import GF
+from btbuildings.gf import GF, from_base, series_div, to_base
 from btbuildings.lattice import (
     PrecisionError, VertexClass, _standard_neighbors, _triangularize_digits,
     all_neighbors, canonical_form, digit_ops, dual, gaussian_binomial,
@@ -404,9 +404,10 @@ def test_digit_and_exact_backends_agree():
 
 
 def test_digit_backends_agree_on_shifts_past_the_precision():
-    # pi^k x mod pi^M is 0 for every k >= M in both backends, and a tuple
-    # vector keeps its M digits, so the digit columns of a class with an
-    # exponent above M multiply like any others
+    # pi^k x mod pi^M is 0 for every k >= M in both backends: a residue mod
+    # p^M, and a packed Laurent vector masked to its M t-digits of 2m - 1
+    # slots each, so the digit columns of a class with an exponent above M
+    # multiply like any others
     M = 3
     for model in (Q2, Q3, F2T, F4T):
         ops = digit_ops(model, M)
@@ -434,28 +435,170 @@ def _integral(model, rng):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 512])
 def test_laurent_digit_backend_matches_field_arithmetic(q):
-    """LauDigitOps reads the GF tables directly, above the table cap too;
-    add, sub, mul, unit_inv and from_field equal the field model's
-    arithmetic truncated mod t^M."""
+    """add, sub, mul, unit_inv and from_field of LauDigitOps equal the
+    field model's arithmetic truncated mod t^M, above the GF table cap too.
+    The expected digits (the model's `to_digits`) enter the backend through
+    `from_code`, so packed vectors are compared with packed vectors."""
     model = LaurentModel.get(q)
     rng = random.Random(f"lau:{q}")
     t = model.uniformizer()
     for M in (1, 2, 4, 7):
         ops = digit_ops(model, M)
 
+        def packed(low):
+            return ops.from_code(from_base(low, q), M)
+
         def digits(x):
-            return tuple(model.to_digits(x, M))
+            return packed(model.to_digits(x, M))
 
         for _ in range(25):
             x, y = _integral(model, rng), _integral(model, rng)
             low = [rng.randrange(q) for _ in range(M)]
-            assert ops.from_field(model.element(low) + t ** M * x) == tuple(low)
+            assert ops.from_field(model.element(low) + t ** M * x) == packed(low)
             a, b = ops.from_field(x), ops.from_field(y)
             assert ops.add(a, b) == digits(x + y)
             assert ops.sub(a, b) == digits(x - y)
             assert ops.mul(a, b) == digits(x * y)
             if x.valuation() == 0:
                 assert ops.unit_inv(a) == digits(model.one() / x)
+
+
+class TupleLauDigitOps:
+    """The tuple backend that the packed `LauDigitOps` replaced, kept as its
+    differential oracle: O/t^M over F_q with digit vectors tuples of M GF
+    ints, low first, added, subtracted and multiplied entry by entry through
+    the GF tables, and unit inverses by power-series division."""
+
+    def __init__(self, model, M):
+        self.model = model
+        self.M = M
+        self.gf = model.gf
+        self.q = model.q
+        self._zero = (0,) * M
+        self._add = self.gf.add_table
+        self._sub = self.gf.sub_table
+        self._mul = self.gf.mul_table
+
+    def zero(self):
+        return self._zero
+
+    def from_field(self, x):
+        return tuple(self.model.to_digits(x, self.M))
+
+    def to_field(self, a, shift=0):
+        return self.model.from_digits(list(a), shift)
+
+    def val(self, a):
+        for i, c in enumerate(a):
+            if c:
+                return i
+        return self.M
+
+    def add(self, a, b):
+        t = self._add
+        return tuple(t[x][y] for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        t = self._sub
+        return tuple(t[x][y] for x, y in zip(a, b))
+
+    def mul(self, a, b):
+        M = self.M
+        out = [0] * M
+        add = self._add
+        for i, ai in enumerate(a):
+            if ai:
+                row = self._mul[ai]
+                for j, bj in enumerate(b[:M - i], i):
+                    if bj:
+                        out[j] = add[out[j]][row[bj]]
+        return tuple(out)
+
+    def shift_down(self, a, k):
+        return a[k:] + (0,) * k
+
+    def shift_up(self, a, k):
+        return ((0,) * k + a)[: self.M]
+
+    def unit_inv(self, a):
+        return tuple(series_div(self.gf, (1,), a, self.M))
+
+    def trunc(self, a, k):
+        return a[:k] + (0,) * (self.M - k)
+
+    def code(self, a, k):
+        return from_base(a[:k], self.q)
+
+    def from_code(self, code, k):
+        k = min(k, self.M)
+        return tuple(to_base(code, self.q, k)) + (0,) * (self.M - k)
+
+    def residue_coeff(self, r):
+        return (r,) + (0,) * (self.M - 1)
+
+
+@pytest.mark.parametrize(
+    "q", [2, 3, 4, 5, 7, 9, 11, 25, 512, 1009, 65537, 2 ** 32 + 15])
+def test_packed_laurent_backend_equals_the_tuple_oracle(q):
+    """Each of the 14 methods of LauDigitOps, and `column_class` over it,
+    equals the tuple backend on seeded vectors at every M from 1 to 40, so
+    every slot width runs: bytes, and wider slots read one slice per slot
+    (F_5 past M = 15, F_7 past 7, F_11 past 2, F_25 past 7, F_512 past 28,
+    F_1009 and F_65537 at every M, and 128-bit slots for F_p,
+    p = 2^32 + 15).  A tuple vector enters the packed backend by its
+    code; `to_field` reads both sides back as field elements."""
+    model = LaurentModel.get(q)
+    rng = random.Random(f"packed:{q}")
+    for M in range(1, 41):
+        ops, ref = digit_ops(model, M), TupleLauDigitOps(model, M)
+
+        def packed(v):
+            return ops.from_code(ref.code(v, M), M)
+
+        def vec():
+            low = rng.randrange(M + 1)
+            return (0,) * low + tuple(rng.randrange(q) for _ in range(M - low))
+
+        assert ops.zero() == packed(ref.zero())
+        for _ in range(3):
+            a, b = vec(), vec()
+            pa, pb = packed(a), packed(b)
+            shift = rng.randrange(-2, 3)
+            assert ops.to_field(pa, shift) == ref.to_field(a, shift)
+            assert ops.val(pa) == ref.val(a)
+            for name in ("add", "sub", "mul"):
+                assert getattr(ops, name)(pa, pb) == \
+                    packed(getattr(ref, name)(a, b)), name
+            for tail in (a[1:], (0,) * (M - 1)):
+                unit = (rng.randrange(1, q),) + tail
+                assert ops.unit_inv(packed(unit)) == packed(ref.unit_inv(unit))
+            for k in range(M + 2):
+                assert ops.shift_down(pa, k) == packed(ref.shift_down(a, k)[:M])
+                assert ops.shift_up(pa, k) == packed(ref.shift_up(a, k))
+                assert ops.shift_up(pa, M + k) == ops.zero()
+                assert ops.trunc(pa, k) == packed(ref.trunc(a, k))
+                assert ops.code(pa, k) == ref.code(a, k)
+                code = rng.randrange(q ** (k + 1))
+                assert ops.from_code(code, k) == packed(ref.from_code(code, k))
+            r = rng.randrange(q)
+            assert ops.residue_coeff(r) == packed(ref.residue_coeff(r))
+            x = _integral(model, rng)
+            assert ops.from_field(x) == packed(ref.from_field(x))
+            for backend in (ops, ref):
+                with pytest.raises(ValueError):
+                    backend.from_field(model.one() / model.uniformizer())
+            n = rng.choice((2, 3))
+            cols = [[vec() for _ in range(n)] for _ in range(n)]
+            try:
+                want = lattice.column_class(ref, [list(c) for c in cols])
+            except PrecisionError:
+                want = PrecisionError
+            try:
+                got = lattice.column_class(ops, [[packed(v) for v in c]
+                                                 for c in cols])
+            except PrecisionError:
+                got = PrecisionError
+            assert got == want
 
 
 def _serialize_by_matrix(v):
