@@ -19,7 +19,9 @@ This module also owns the encodings built on F_q: the base-b digit codec
 (`to_base`/`from_base`, low digit first) behind GF elements, pi-adic digit
 vectors and residue codes; the polynomial toolkit over a GF (tuples
 (c_0, c_1, ..) of GF ints, trimmed); and the truncated power-series
-division that gives t-adic digits and unit inverses.
+division `series_div`.  The digit backend `lattice.LauDigitOps` packs its
+own t-adic digits and inverts units by Newton's iteration, so `series_div`
+serves only as the tests' oracle of that backend.
 """
 
 import math

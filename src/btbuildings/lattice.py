@@ -30,15 +30,10 @@ generators through `column_class`.  The tests check the reduction against
 an exhaustive span oracle over O/pi^k.
 
 A digit vector of O/pi^M is one int in both backends, and no module outside
-this one reads its layout.  `PadDigitOps` keeps a residue in [0, p^M).
-`LauDigitOps`, over F_q with q = p^m, packs the vector by Kronecker
-substitution: slot (i, j) holds the F_p coefficient of t^i w^j, with
-W = 2m - 1 slots per t-digit so that the w-degrees of a product up to
-2m - 2 do not overlap.  A slot holds M m (p - 1)^2, the most a product
-sums, in the least of 8, 16, 32, .. bits that does: byte slots for F_2,
-F_3, F_4 and F_9 at the precisions the windows and queries use.  A product
-is one int product, masked to M digits and reduced per slot.  Unit
-inverses are Newton's iteration on packed ints.
+this one reads its layout: `PadDigitOps` keeps a residue in [0, p^M), and
+`LauDigitOps` packs the vector by Kronecker substitution, as its docstring
+describes.  `digit_ops(model, M)` builds one backend per (model, M) on first
+use, and a backend holds constants only.
 """
 
 from functools import lru_cache
@@ -60,7 +55,6 @@ class PadDigitOps:
         self.M = M
         self.p = model.p
         self.mod = model.p ** M
-        self._inv_cache = {}
 
     def zero(self):
         return 0
@@ -96,10 +90,7 @@ class PadDigitOps:
         return (a * self.p ** k) % self.mod
 
     def unit_inv(self, a):
-        out = self._inv_cache.get(a)
-        if out is None:
-            out = self._inv_cache[a] = pow(a, -1, self.mod)
-        return out
+        return pow(a, -1, self.mod)
 
     def trunc(self, a, k):
         return a % (self.p ** k)
@@ -116,30 +107,46 @@ class PadDigitOps:
         return r
 
 
-class _LauLayout:
-    """The packed layout of O/t^M over F_q, q = p^m, and its per-slot
-    arithmetic.  Every constant is an int of O(M) bits or a 256-byte table.
+class LauDigitOps:
+    """O/t^M for a Laurent model over F_q, q = p^m, in a layout packed by
+    Kronecker substitution (Harvey, "Faster polynomial multiplication via
+    multipoint Kronecker substitution", JSC 2009).
 
     A vector is the int sum c_ij 2^(b (W i + j)): slot (i, j) holds the F_p
     coefficient c_ij of t^i w^j, with W = 2m - 1 slots per t-digit, so the
     w-degrees up to 2m - 2 of a product do not overlap.  A slot of a product
     of two vectors sums at most M m products of two coefficients, so the
     slot width b is the least of 8, 16, 32, 64, .. bits that holds
-    M m (p - 1)^2; that holds the 2p - 1 of a sum, and the (p - 1) +
-    (m - 1)(p - 1)^2 of a fold, too.  Vectors are kept normalized: c_ij < p,
-    and c_ij = 0 for j >= m and for i >= M."""
+    M m (p - 1)^2: byte slots for F_2, F_3, F_4 and F_9 at the precisions the
+    windows and queries use.  That width holds the 2p - 1 of a sum, and the
+    (p - 1) + (m - 1)(p - 1)^2 of a fold, too.  Vectors are kept normalized:
+    c_ij < p, and c_ij = 0 for j >= m and for i >= M.  Every constant of the
+    backend is an int of O(M) bits or a 256-byte table.
 
-    def __init__(self, gf, M):
+    add and sub are one int operation and a per-slot reduction mod p (XOR
+    for p = 2).  mul is one int product masked to M digits, reduced per slot
+    (a mask for p = 2, a bytes.translate for byte slots, a slice per slot
+    for wider ones) and with the w-degrees >= m folded down by the modulus
+    of F_q.  val, the shifts and trunc are bit operations; unit_inv inverts
+    a constant in F_q and any other unit by Newton's iteration
+    x <- x (2 - a x), and from_field multiplies the packed numerator by the
+    inverse of the packed denominator."""
+
+    def __init__(self, model, M):
+        gf = model.gf
         p, m = gf.p, gf.m
         W = 2 * m - 1
         nbytes = 1
         while 8 * nbytes < (M * m * (p - 1) ** 2).bit_length():
             nbytes *= 2
+        self.model, self.M, self.gf = model, M, gf
+        self.p, self.m, self.W = p, m, W
         self.bits = bits = 8 * nbytes
-        self.p, self.m, self.M, self.W = p, m, M, W
         self.step = step = bits * W          # bits per t-digit
+        self.t = 1 << step                   # the vector of t
         self.full = full = (1 << step * M) - 1
         self.slot = slot = (1 << bits) - 1
+        self.binary = p == 2
         size = M * W * nbytes                # bytes of a vector
         every = sum(1 << step * i for i in range(M))   # bit 0 of each t-digit
         used = sum(every << bits * j for j in range(m))
@@ -196,6 +203,8 @@ class _LauLayout:
                 return reduce(acc)
         self.product = product
 
+    # -- the GF digits of a vector --
+
     def pack_digits(self, digits):
         """The vector whose t^i w^j coefficient is digits[m i + j]."""
         m = self.m
@@ -245,36 +254,7 @@ class _LauLayout:
         return [from_base(digits[i:i + m], p)
                 for i in range(0, len(digits), m)]
 
-
-@lru_cache(maxsize=None)
-def _lau_layout(gf, M):
-    return _LauLayout(gf, M)
-
-
-class LauDigitOps:
-    """O/t^M for a Laurent model over F_q, q = p^m.  A digit vector is one
-    int in the packed layout of `_LauLayout`: slot (i, j) holds the F_p
-    coefficient of t^i w^j.  add and sub are one int operation and a
-    per-slot reduction mod p (XOR for p = 2).  mul is one int product
-    (Kronecker substitution) masked to M digits, reduced per slot (a mask
-    for p = 2, a bytes.translate for byte slots, a slice per slot for wider
-    ones) and with the w-degrees >= m folded down by the modulus of F_q.
-    val, the shifts and trunc are bit operations; unit_inv inverts a
-    constant in F_q and any other unit by Newton's iteration
-    x <- x (2 - a x), and from_field multiplies the packed numerator by the
-    inverse of the packed denominator."""
-
-    def __init__(self, model, M):
-        self.model = model
-        self.M = M
-        self.gf = model.gf
-        self.q = model.q
-        self._lay = lay = _lau_layout(model.gf, M)
-        self._step, self._full, self._t = lay.step, lay.full, 1 << lay.step
-        self._binary = lay.p == 2
-        self._p, self._pv, self._off, self._hi, self._top = \
-            lay.p, lay.pv, lay.off, lay.hi, lay.top
-        self._product = lay.product
+    # -- the digit-backend methods --
 
     def zero(self):
         return 0
@@ -286,45 +266,45 @@ class LauDigitOps:
         k = pord(den)
         if pord(num) < k:
             raise ValueError("negative valuation, not in O")
-        a = self._lay.from_gf(num[k:k + self.M])
+        a = self.from_gf(num[k:k + self.M])
         if len(den) == k + 1 and den[k] == 1:
             return a
-        return self.mul(a, self.unit_inv(self._lay.from_gf(den[k:k + self.M])))
+        return self.mul(a, self.unit_inv(self.from_gf(den[k:k + self.M])))
 
     def to_field(self, a, shift=0):
-        return self.model.from_digits(self._lay.to_gf(a), shift)
+        return self.model.from_digits(self.to_gf(a), shift)
 
     def val(self, a):
         if not a:
             return self.M
-        return ((a & -a).bit_length() - 1) // self._step
+        return ((a & -a).bit_length() - 1) // self.step
 
     def add(self, a, b):
-        if self._binary:
+        if self.binary:
             return a ^ b
         x = a + b
-        return x - ((x + self._off & self._hi) >> self._top) * self._p
+        return x - ((x + self.off & self.hi) >> self.top) * self.p
 
     def sub(self, a, b):
-        if self._binary:
+        if self.binary:
             return a ^ b
-        x = a + self._pv - b
-        return x - ((x + self._off & self._hi) >> self._top) * self._p
+        x = a + self.pv - b
+        return x - ((x + self.off & self.hi) >> self.top) * self.p
 
     def mul(self, a, b):
-        return self._product(a * b)
+        return self.product(a * b)
 
     def shift_down(self, a, k):
-        return a >> self._step * k
+        return a >> self.step * k
 
     def shift_up(self, a, k):
-        return a << self._step * k & self._full if k < self.M else 0
+        return a << self.step * k & self.full if k < self.M else 0
 
     def unit_inv(self, a):
-        x = self._lay.scalar(self.gf.inv(self._lay.digit0(a)))
-        if a < self._t:  # a constant, its own t^0 digit
+        x = self.scalar(self.gf.inv(self.digit0(a)))
+        if a < self.t:  # a constant, its own t^0 digit
             return x
-        two = 2 % self._p
+        two = 2 % self.p
         prec = 1
         while prec < self.M:
             x = self.mul(x, self.sub(two, self.mul(a, x)))
@@ -332,31 +312,33 @@ class LauDigitOps:
         return x
 
     def trunc(self, a, k):
-        return a & (1 << self._step * k) - 1
+        return a & (1 << self.step * k) - 1
 
     def code(self, a, k):
-        lay = self._lay
         if k == 1:
-            return lay.digit0(a)
-        return from_base(lay.digits(a, min(k, self.M)), self._p)
+            return self.digit0(a)
+        return from_base(self.digits(a, min(k, self.M)), self.p)
 
     def from_code(self, code, k):
-        if code < self._p:
+        if code < self.p:
             return code if k > 0 else 0
-        lay = self._lay
-        return lay.pack_digits(to_base(code, self._p, lay.m * min(k, self.M)))
+        return self.pack_digits(to_base(code, self.p, self.m * min(k, self.M)))
 
     def residue_coeff(self, r):
-        return self._lay.scalar(r)
+        return self.scalar(r)
 
 
 def embed_digits(ext, a, base_ops, ops):
     """The image under t -> s^e of the vector a of `base_ops`, over the base
     of the extension `ext`, as a vector of `ops`, over ext.extension."""
-    return ops._lay.from_gf(ext.embed_poly(base_ops._lay.to_gf(a))[:ops.M])
+    return ops.from_gf(ext.embed_poly(base_ops.to_gf(a))[:ops.M])
 
 
+@lru_cache(maxsize=None)
 def digit_ops(model, M):
+    """The digit backend of O/pi^M over `model`: one per (model, M), built
+    on first use.  A backend holds constants only, so no result of one
+    computation is kept for the next."""
     if isinstance(model, PAdicModel):
         return PadDigitOps(model, M)
     return LauDigitOps(model, M)
@@ -569,8 +551,7 @@ class VertexClass:
         cols = []
         for c in range(n):
             col = [ops.zero()] * n
-            col[c] = ops.shift_up(ops.residue_coeff(1), self.exps[c]) \
-                if self.exps[c] else ops.residue_coeff(1)
+            col[c] = ops.shift_up(ops.residue_coeff(1), self.exps[c])
             for i in range(c + 1, n):
                 col[i] = ops.from_code(self.lower[c][i - c - 1], self.exps[i])
             cols.append(col)
@@ -629,17 +610,17 @@ def action(model, g):
                 raise ValueError("singular matrix") from None
             M = min(top, max(2 * M, guard_precision(err.pivot_sum or 0)))
     D_g = image.det_valuation()
-    by_precision = {M: (ops, gcols)}
+    by_precision = {M: gcols}
 
     def apply(v):
         if not v.det_valuation():
             return image
         M = guard_precision(D_g + v.det_valuation())
-        if M not in by_precision:
-            ops = digit_ops(model, M)
-            by_precision[M] = ops, [[ops.from_field(x) for x in col]
-                                    for col in zip(*rows)]
-        ops, gcols = by_precision[M]
+        ops = digit_ops(model, M)
+        gcols = by_precision.get(M)
+        if gcols is None:
+            gcols = by_precision[M] = [[ops.from_field(x) for x in col]
+                                       for col in zip(*rows)]
         return column_class(
             ops, _digit_product(ops, gcols, v.digit_columns(ops)))[0]
 

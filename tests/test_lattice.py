@@ -424,6 +424,34 @@ def test_digit_backends_agree_on_shifts_past_the_precision():
         assert ops.mul(cols[1][1], cols[0][1]) == ops.zero()
 
 
+
+@pytest.mark.parametrize("model", [Q2, F4T])
+def test_one_digit_backend_per_model_and_precision_holding_constants_only(model):
+    """`digit_ops` builds one backend per (model, M), and canonical forms,
+    neighbor enumerations and duals leave every backend as it was: a backend
+    holds constants only, so no result of one computation is kept for the
+    next.  The reductions run at precisions below 41 (asserted for the
+    neighbors and the dual), so each runs on a backend checked here."""
+    backends = {M: digit_ops(model, M) for M in range(1, 41)}
+    assert all(digit_ops(model, M) is ops for M, ops in backends.items())
+    before = {M: dict(vars(ops)) for M, ops in backends.items()}
+    rng = random.Random(f"backends:{model.key()}")
+    pi = model.uniformizer()
+    for n in (2, 3):
+        for _ in range(4):
+            diag = [[pi ** rng.randrange(3) if i == j else model.zero()
+                     for j in range(n)] for i in range(n)]
+            v = canonical_form(model, matmul(
+                model, matmul(model, random_unimodular(model, n, rng), diag),
+                random_unimodular(model, n, rng)))
+            D = v.det_valuation()
+            assert lattice.guard_precision(D + n - 1) <= 40
+            assert lattice.guard_precision((n - 1) * D, lost=D) <= 40
+            for w in range(1, n):
+                neighbors_by_colength(v, w)
+            assert dual(dual(v)) == v
+    assert {M: vars(ops) for M, ops in backends.items()} == before
+
 def _integral(model, rng):
     """A seeded element of O: a polynomial over a unit denominator."""
     q = model.q

@@ -38,3 +38,27 @@ def test_tracer_finds_every_wrapped_name():
     from btbuildings.field import ExtensionDescriptor
     assert ExtensionDescriptor.in_base.__qualname__ == \
         "ExtensionDescriptor.in_base"
+
+
+def test_cached_digit_backends_stay_traced():
+    """Backends that `digit_ops` built before `Tracer.install` still count
+    their operations: the tracer wraps the methods on the backend classes,
+    and no backend attribute shadows one of them."""
+    from btbuildings.field import LaurentModel, PAdicModel
+    from btbuildings.lattice import column_class, digit_ops
+    tracing = _load_tracer()
+    built = [digit_ops(PAdicModel.get(2), 6), digit_ops(LaurentModel.get(4), 6)]
+    for ops in built:
+        assert not set(vars(ops)) & set(tracing._DIGIT_METHODS)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for ops in built:
+            one = ops.residue_coeff(1)
+            column_class(ops, [[ops.shift_up(one, 1), one],
+                               [one, ops.add(one, one)]])
+            key = f"lattice.{type(ops).__name__}."
+            for name in ("mul", "sub", "val"):
+                assert tracer.stats[key + name][0] > 0, key + name
+    finally:
+        tracer.uninstall()

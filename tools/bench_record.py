@@ -45,7 +45,7 @@ CRITERION = re.compile(
     r"\[criterion (\d+)\] PASS \(([\d.]+)s(?: < ([\d.]+)s)?\)")
 CLOSING = re.compile(r"^=*\s*(.*\bin ([\d.]+)s\b.*?)\s*=*$")
 COUNT = re.compile(r"(\d+) (passed|failed|errors?|skipped|deselected)")
-README_REPEATS = 3
+README_REPEATS = 10
 
 
 def read_run(path):
