@@ -7,8 +7,8 @@ that restores a word to a pure factor exchange on the standard apartment.
 from itertools import product
 
 from .building import (PolyVertex, apartment_point_of_vertex, basic_chamber,
-                       in_standard_apartment, labelling_D, matrix_power,
-                       shift_generator, sigma_mu)
+                       in_standard_apartment, labelling_D, shift_generator,
+                       sigma_mu)
 from .errors import BudgetError, WindowError
 from .lattice import action, dual, gaussian_binomial
 from .linalg import inverse, matmul, transpose
@@ -282,8 +282,7 @@ def _step(descriptor, g):
     if not 0 <= i < r:
         raise ValueError("shift factor out of range")
     model, d = descriptor.factors[i]
-    f = action(model, matrix_power(model, shift_generator(model, d + 1),
-                                   power % (d + 1)))
+    f = action(model, shift_generator(model, d + 1, power % (d + 1)))
     return range(r), [(f,) if j == i else () for j in range(r)]
 
 
@@ -435,7 +434,7 @@ def _restoring_element(word, descriptor):
     for i, (comps, (model, d)) in enumerate(zip(images, descriptor.factors)):
         g = inverse(model, chamber_chart(comps)[0])[::-1]
         ell = action(model, g)(word.image(i, origin[word.source[i]])).label()
-        smat = matrix_power(model, shift_generator(model, d + 1), (-ell) % (d + 1))
+        smat = shift_generator(model, d + 1, (-ell) % (d + 1))
         g_full.append(matmul(model, smat, g))
     return g_full
 

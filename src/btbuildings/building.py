@@ -18,7 +18,6 @@ from .lattice import (
     neighbors_by_colength, pair_index_normalized, standard_neighbor_subspaces,
     standard_vertex, vertex_from_diagonal,
 )
-from .linalg import identity, inverse, matmul
 
 
 class BuildingDescriptor:
@@ -637,25 +636,19 @@ def act(gs, x):
                             for g, c in zip(gs, x.components)))
 
 
-def shift_generator(model, n):
-    """The cyclic generator f: T_j -> T_{j-1} (j > 0), T_0 -> pi T_{d}.
-    Its matrix has det valuation 1 and permutes the basic chamber cyclically."""
-    pi = model.uniformizer()
+def shift_generator(model, n, k=1):
+    """The k-th power (0 <= k < n) of the cyclic generator f: T_j -> T_{j-1}
+    (j > 0), T_0 -> pi T_{n-1}.  f has det valuation 1 and permutes the
+    basic chamber cyclically.  f^k maps T_j to T_{j-k} for j >= k and to
+    pi T_{j-k+n} for j < k: by induction, f^(k+1) T_j = f(f^k T_j) is
+    T_{j-k-1} for j > k, pi T_{n-1} for j = k (f T_0), and pi T_{j-k-1+n}
+    for j < k (f T_{j-k+n} with j - k + n > 0)."""
+    if not 0 <= k < n:
+        raise ValueError("shift power must lie in 0..n-1")
     mat = [[model.zero() for _ in range(n)] for _ in range(n)]
-    mat[n - 1][0] = pi
-    for j in range(1, n):
-        mat[j - 1][j] = model.one()
+    for j in range(n):
+        mat[(j - k) % n][j] = model.one() if j >= k else model.uniformizer()
     return mat
-
-
-def matrix_power(model, mat, k):
-    if k < 0:
-        mat = inverse(model, mat)
-        k = -k
-    out = identity(model, len(mat))
-    for _ in range(k):
-        out = matmul(model, out, mat)
-    return out
 
 
 def involution_lambda(x, mask):

@@ -6,7 +6,6 @@ absolute value of the tower root's uniformizer, so absolute values are
 carried as rational exponents (AbsValue) and never as floats.
 """
 
-import math
 from fractions import Fraction
 from itertools import product
 
@@ -66,7 +65,7 @@ class AbsValue:
         return "AbsValue(0)" if self.is_zero() else f"AbsValue(q^-({self.exponent}))"
 
     def serialize(self):
-        return "0" if self.is_zero() else str(self.exponent)
+        return "inf" if self.is_zero() else str(self.exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +459,8 @@ def verify_diagonal(x, i, basis, depth, budget=200000):
     values = [_combine(row, xs, x.K) for row in basis]
     count = unimodular_count(model.residue_size, depth, d + 1)
     if count > budget:
-        raise BudgetError(f"verification needs {count} vectors (> budget)")
+        raise BudgetError(f"verification needs {count} vectors "
+                          f"(> budget {budget})")
     for alpha in unimodular_representatives(model, depth, d + 1):
         if val_root(_combine(alpha, values, x.K)) != \
                 _min_term(alpha, values, model.ramification):
@@ -502,17 +502,14 @@ def gauss_eval(b, p, K):
                 assign[(i, j)] = acc
         for k in range(d + 1):
             exps_of[("e", i, k)] = exps[k]
-    q = p.substitute(assign)
-    best = INF
-    for mono, c in q.terms.items():
-        v = val_root(c)
-        if v == INF:
-            continue
-        for key, nn in mono:
-            v += nn * exps_of[key]
-        if v < best:
-            best = v
-    return AbsValue(best)
+    return AbsValue(_least_term(p.substitute(assign), exps_of))
+
+
+def _least_term(q, weights):
+    """min over the monomials c X^n of q of v(c) + sum_k n_k weights[k], in
+    root units; INF for q = 0."""
+    return min((val_root(c) + sum(n * weights[key] for key, n in mono)
+                for mono, c in q.terms.items()), default=INF)
 
 
 # ---------------------------------------------------------------------------
@@ -521,40 +518,28 @@ def gauss_eval(b, p, K):
 
 def deform(x, t_exponent, p, i=0):
     """rho_t(p) = max_N t^{|N|} |D_N(p)(x)| for one factor, with t given as
-    |pi_root|^{t_exponent} (t_exponent = 0 means t = 1; INF means t = 0).
+    |pi_root|^{t_exponent} (t_exponent = 0 means t = 1; INF means t = 0,
+    where only D_0(p)(x) = p(x) remains).
 
-    D_N(sum a_I x^I) = sum_{I >= N} prod C(i_k, n_k) a_I x^I."""
+    D_N(sum a_I x^I) = sum_{I >= N} prod C(i_k, n_k) a_I x^I is, by the
+    binomial theorem x^I prod (1 + X_k)^{i_k} = sum_N prod C(i_k, n_k) x^I
+    X^N, the coefficient of X^N in p(x_1 (1 + X_1), .., x_d (1 + X_d)), the
+    other variables at their values.  So rho_t(p) is the Gauss seminorm of
+    that one polynomial in the X_k with every radius t."""
     if t_exponent != INF and t_exponent < 0:
         raise ValueError("t_exponent must be >= 0")
     if any(nn < 0 for mono in p.terms for _key, nn in mono):
         raise ValueError("rho_t is defined for polynomials: negative exponent")
-    model, d = x.descriptor.factors[i]
-    keys = [(i, j) for j in range(1, d + 1)]
     assign = _assignment_for(x, p)
-    deg = p.multidegree()
-    best = INF
-    for N in product(*[range(deg.get(k, 0) + 1) for k in keys]):
-        if t_exponent == INF and any(N):
-            continue
-        v = val_root(_divided_derivative(p, dict(zip(keys, N)), x.K)
-                     .evaluate(assign))
-        if v != INF and t_exponent != INF:
-            v = v + t_exponent * sum(N)
-        if v < best:
-            best = v
-    return AbsValue(best)
-
-
-def _divided_derivative(p, N, K):
-    """D_N(p) = sum_I prod_k C(i_k, n_k) a_I x^I over K, with N keyed like
-    the exponents I of p: C(i, n) = 0 for i < n, so only the terms with
-    I >= N remain, as Poly drops zero coefficients."""
-    terms = {}
-    for mono, c in p.terms.items():
-        exps = dict(mono)
-        coeff = math.prod(math.comb(exps.get(key, 0), n) for key, n in N.items())
-        terms[mono] = c * K.element(coeff)
-    return Poly(K, terms)
+    if t_exponent == INF:
+        return AbsValue.of(p.evaluate(assign))
+    K, d = x.K, x.descriptor.factors[i][1]
+    taylor = {key: Poly.const(K, c) for key, c in assign.items()}
+    for j in range(1, d + 1):  # x_j (1 + X_j), X_j keyed like x_j
+        c = assign[(i, j)]
+        taylor[(i, j)] = Poly(K, {(): c, (((i, j), 1),): c})
+    return AbsValue(_least_term(p.substitute(taylor),
+                                dict.fromkeys(taylor, t_exponent)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from .lattice import (action, class_pair_residue, column_class, digit_ops,
 
 class AlcoveChart:
     """Chamber eta(sigma, a) of the standard apartment, named canonically
-    (a_0 = 0, lexicographically least among the namings of its chamber)."""
+    (a_0 = 0, lexicographically least among the namings of its chamber,
+    which is the one with sigma_0 = 0: see `eta_chambers`)."""
 
     __slots__ = ("d", "sigma", "a")
 
@@ -75,23 +76,28 @@ _ETA_N_BOUND = 6
 
 def eta_chambers(d, N):
     """The alcoves whose closed chamber lies inside eta_N, canonical names,
-    ordered by their sorted vertex sets.  |result| = N^d."""
+    ordered by their sorted vertex sets.  |result| = N^d.
+
+    An alcove has d + 1 namings, one per vertex z taken as its base vertex
+    (m = 0), so that a_i = z_(sigma_0) - z_(sigma_i) (a_0 = 0).  The base
+    vertex z + e_(sigma_d) + .. + e_(sigma_(d+1-m)) of name m names the
+    alcove with sigma rotated m places, so the namings' sigma are the d + 1
+    cyclic rotations of one of them, exactly one has sigma_0 = 0, and it is
+    the least.  An alcove inside eta_N has its base vertices in eta_N, so
+    its canonical name comes from one sigma with sigma_0 = 0 and one
+    integer point z of eta_N, a_i = z_0 - z_(sigma_i)."""
     if d > _ETA_D_BOUND or N > _ETA_N_BOUND:
         raise BudgetError(f"eta_chambers bounds exceeded: d={d}, N={N}")
     if N < 1:
         raise ValueError("N must be >= 1")
-    seen = {}
-    window = range(-(N + 1), N + 2)
-    for sigma in permutations(range(d + 1)):
-        for a_rest in product(window, repeat=d):
-            chart = AlcoveChart(d, sigma, (0,) + a_rest)
-            verts = chart.vertices()
-            if all(eta_membership(v, N) for v in verts):
-                key = tuple(sorted(verts))
-                prev = seen.get(key)
-                if prev is None or (chart.sigma, chart.a) < (prev.sigma, prev.a):
-                    seen[key] = chart
-    return [seen[k] for k in sorted(seen)]
+    charts = []
+    for rest, z in product(permutations(range(1, d + 1)),
+                           eta_integer_points(d, N)):
+        sigma = (0,) + rest
+        chart = AlcoveChart(d, sigma, [z[0] - z[j] for j in sigma])
+        if all(eta_membership(v, N) for v in chart.vertices()):
+            charts.append(chart)
+    return sorted(charts, key=AlcoveChart.key)
 
 
 def eta_integer_points(d, N):

@@ -11,11 +11,11 @@ from btbuildings.autdecomp import (
 from btbuildings.building import (
     BuildingDescriptor, PolyVertex, act, apartment_point_of_vertex,
     ball, basic_chamber, in_standard_apartment, involution_lambda, labelling_C,
-    matrix_power, shift_generator, sigma_mu)
+    shift_generator, sigma_mu)
 from btbuildings.cli import main
 from btbuildings.errors import BudgetError, WindowError
 from btbuildings.field import LaurentModel, PAdicModel
-from btbuildings.linalg import identity
+from btbuildings.linalg import identity, inverse, matmul
 from btbuildings.verify import random_unimodular
 
 Q2 = PAdicModel.get(2)
@@ -256,9 +256,19 @@ def _apply_by_dispatch(word, x):
         else:
             i, power = g["factor"], g["power"]
             model, d = word.descriptor.factors[i]
-            mat = matrix_power(model, shift_generator(model, d + 1), power)
+            mat = _matrix_power(model, shift_generator(model, d + 1), power)
             x = act([mat if j == i else None for j in range(r)], x)
     return x
+
+
+def _matrix_power(model, mat, k):
+    """mat^k as a k-fold product (of the inverse when k < 0)."""
+    if k < 0:
+        mat, k = inverse(model, mat), -k
+    out = identity(model, len(mat))
+    for _ in range(k):
+        out = matmul(model, out, mat)
+    return out
 
 
 def _random_generator(descriptor, kind, rng):
@@ -349,7 +359,7 @@ def test_label_action_maps_each_factor_class_once():
 def test_shift_generator_to_the_n_is_pi(model, n):
     pi_id = [[model.uniformizer() * x for x in row]
              for row in identity(model, n)]
-    assert matrix_power(model, shift_generator(model, n), n) == pi_id
+    assert _matrix_power(model, shift_generator(model, n), n) == pi_id
 
 
 @pytest.mark.parametrize("gen", [

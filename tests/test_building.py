@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 import sympy
@@ -11,7 +12,7 @@ from btbuildings.building import (
     ApartmentPoint, Ball, BuildingDescriptor, FactorBall, PolyFace, PolyVertex,
     _chain_order, act, apartment_point_of_vertex, ball,
     basic_chamber, distance_f, in_standard_apartment, involution_lambda,
-    is_directed_edge, is_face, labelling_C, labelling_D, matrix_power,
+    is_directed_edge, is_face, labelling_C, labelling_D,
     neighbor_steps, project_apartment, shift_generator, sigma_mu)
 from btbuildings.errors import BudgetError
 from btbuildings.field import (INF, ExtensionDescriptor, LaurentModel,
@@ -20,7 +21,7 @@ from btbuildings.lattice import (
     all_neighbors, canonical_form, class_pair_residue, inverse_column_minima,
     neighbors_by_colength, pair_index_normalized, skeleton_distance,
     standard_vertex, vertex_from_diagonal)
-from btbuildings.linalg import det, solve, transpose
+from btbuildings.linalg import det, identity, matmul, solve, transpose
 from btbuildings.verify import (least_containing_shift, random_unimodular,
                                 random_vertex, window_exps)
 
@@ -341,12 +342,18 @@ def test_ball_json_and_dot():
     assert dot.startswith("graph ball {") and "--" in dot
 
 
-def test_matrix_power_inverse():
-    f = shift_generator(Q2, 3)
-    finv = matrix_power(Q2, f, -1)
-    prod = matrix_power(Q2, f, 0)
-    x = PolyVertex((random_vertex(Q2, 3, random.Random(3)),))
-    assert act([finv], act([f], x)) == x
+@pytest.mark.parametrize("model", [Q2, F2T, LaurentModel.get(9)],
+                         ids=["Q2", "F2T", "F9T"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_shift_powers_equal_the_products_of_the_generator(model, n):
+    f = shift_generator(model, n)
+    for k in range(n):
+        want = reduce(lambda a, b: matmul(model, a, b), [f] * k,
+                      identity(model, n))
+        assert shift_generator(model, n, k) == want
+    for k in (-1, n):
+        with pytest.raises(ValueError):
+            shift_generator(model, n, k)
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,14 @@ def test_eta_command(capsys):
     assert obj["count"] == 4
 
 
+def test_eta_at_its_largest_bounds_keeps_its_bytes(capsys):
+    code, out = run_cli(["eta", "--d", "4", "--n", "6"], capsys)
+    assert code == 0
+    assert json.loads(out)["count"] == 6 ** 4
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "61d7cf5eeadd2fcce362fa2bed6fb62326a30d229c1dae7679844f81176b1a24")
+
+
 def test_project_identity_on_lambda(capsys):
     vertex = json.dumps([["1", "0", "0", "2"]])
     code, out = run_cli(["project", "--vertex", vertex], capsys)
@@ -244,6 +252,28 @@ def test_retract_command(capsys):
     obj = json.loads(out)
     assert obj["evaluation"] == "1"
     assert all(step["value_exponent"] == "1" for step in obj["path"])
+
+
+def test_retract_writes_a_zero_value_as_inf(capsys):
+    # p(x) = x + s at x = s is 2s = 0 in characteristic 2, while p = 1 has
+    # exponent 0: the two values must print differently
+    zero = json.dumps([{"coeff": "1", "monomial": {"1": 1}},
+                       {"coeff": "s", "monomial": {}}])
+    one = json.dumps([{"coeff": "1", "monomial": {}}])
+    outs = {}
+    for name, poly in (("zero", zero), ("one", one), ("empty", "[]")):
+        code, out = run_cli(_RETRACT + ["--ext", "2,1", "--poly", poly,
+                                        "--t", "0,1,inf"], capsys)
+        assert code == 0
+        outs[name] = json.loads(out)
+    assert outs["zero"]["evaluation"] == "inf"
+    assert outs["one"]["evaluation"] == "0"
+    assert [s["value_exponent"] for s in outs["one"]["path"]] == ["0"] * 3
+    assert [s["value_exponent"] for s in outs["empty"]["path"]] == ["inf"] * 3
+    assert outs["empty"]["evaluation"] == "inf"
+    # D_0(p)(x) = 0 and D_1(p)(x) = x = s, so rho_t(p) = t |s|
+    assert [s["value_exponent"] for s in outs["zero"]["path"]] == [
+        "1/2", "3/2", "inf"]
 
 
 def test_exit_codes(capsys):

@@ -402,6 +402,17 @@ def test_membership_budget_states_predicted_and_allowed_work():
         membership_depth(x, max_n=3, budget=10)
 
 
+def test_verification_budget_states_predicted_and_allowed_work():
+    x = _point_ram("s")
+    basis, _exps = diagonalize_norm(x, 0, 1)
+    # q = 2, depth 2, d + 1 = 2: 2 + 4 unimodular vectors
+    assert unimodular_count(2, 2, 2) == 6
+    with pytest.raises(BudgetError, match=r"^verification needs 6 vectors "
+                                          r"\(> budget 5\)$"):
+        verify_diagonal(x, 0, basis, 2, budget=5)
+    assert verify_diagonal(x, 0, basis, 2, budget=6)
+
+
 def test_tau_coordinates():
     x = _point_unram("w")
     pt = tau_coordinates(x)
@@ -650,6 +661,46 @@ def test_deform_equals_the_term_by_term_oracle():
                 assert deform(x, t, p).exponent == _deform_by_terms(x, t, p)
         ds.add(x.descriptor.factors[0][1])
     assert ds == {1, 2}
+
+
+def _seeded_product_points(count, seed):
+    """Rigid points over K4 of the product B_(1) x B_(2) of F_2((t))."""
+    B = BuildingDescriptor([(F2T, 1), (F2T, 2)])
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        coords = [[K4.from_digits([rng.randrange(K4.q) for _ in range(3)],
+                                  shift=rng.randrange(-1, 3))
+                   for _ in range(d)] for d in (1, 2)]
+        try:
+            out.append(RigidPoint(B, K4, coords))
+        except ValueError:
+            continue
+    return out
+
+
+def test_deform_on_a_product_equals_the_term_by_term_oracle():
+    # every polynomial has a monomial in (0, 1), (1, 1) and (1, 2) at once,
+    # so deforming either factor leaves the other factor's values in it
+    rng = random.Random(406)
+    keys = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)]
+    ts = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), INF]
+    for x in _seeded_product_points(4, seed=93):
+        for _ in range(4):
+            p = Poly.const(K4, 0)
+            for mixed in [True] + [False] * rng.randrange(1, 4):
+                term = Poly.const(K4, K4.from_digits(
+                    [rng.randrange(K4.q) for _ in range(3)],
+                    shift=rng.randrange(-1, 2)))
+                for key in keys:
+                    low = 1 if mixed and key[1] else 0
+                    for _ in range(rng.randrange(low, 3)):
+                        term = term * Poly.var(K4, key)
+                p = p + term
+            for t in ts:
+                for i in (0, 1):
+                    assert (deform(x, t, p, i).exponent
+                            == _deform_by_terms(x, t, p, i))
 
 
 def test_deform_rejects_negative_t():

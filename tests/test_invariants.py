@@ -75,11 +75,12 @@ def test_classes_come_from_one_lattice_path():
     # lattice.action or a digit computation, and action fixes its precision
     # by the reduction's own guard, so lattice needs no field-level linear
     # algebra at all; subdivision reads the residue flags of its chamber
-    # charts off lattice.class_pair_residue, so it needs none either
+    # charts off lattice.class_pair_residue, and building writes shift powers
+    # as monomial matrices, so they need none either
     found = [name for name in _find(_calls_canonical_form)
              if name.split(":")[0] not in ("cli.py", "verify.py")]
     assert not found, f"use lattice.action instead: {found}"
-    for module in ("lattice.py", "subdivision.py"):
+    for module in ("lattice.py", "subdivision.py", "building.py"):
         tree = ast.parse((SRC / module).read_text())
         names = {alias.name for node in tree.body
                  if isinstance(node, ast.ImportFrom) for alias in node.names

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from types import SimpleNamespace
 
 import pytest
@@ -45,6 +45,30 @@ def test_eta_chambers_counts():
 def test_eta_chambers_budget():
     with pytest.raises(BudgetError):
         eta_chambers(5, 2)
+
+
+def _eta_chambers_by_search(d, N):
+    """Oracle for `eta_chambers`: every naming (sigma, a) with a_0 = 0 and
+    a in a window box, kept when its vertices lie in eta_N, and per alcove
+    the lexicographically least naming."""
+    seen = {}
+    window = range(-(N + 1), N + 2)
+    for sigma in permutations(range(d + 1)):
+        for a_rest in product(window, repeat=d):
+            chart = AlcoveChart(d, sigma, (0,) + a_rest)
+            verts = chart.vertices()
+            if all(eta_membership(v, N) for v in verts):
+                key = tuple(sorted(verts))
+                prev = seen.get(key)
+                if prev is None or (chart.sigma, chart.a) < (prev.sigma, prev.a):
+                    seen[key] = chart
+    return [seen[k] for k in sorted(seen)]
+
+
+@pytest.mark.parametrize("d,N", [(d, N) for d in (1, 2, 3) for N in range(1, 7)]
+                         + [(4, 1), (4, 2)])
+def test_eta_chambers_equal_the_search_oracle(d, N):
+    assert eta_chambers(d, N) == _eta_chambers_by_search(d, N)
 
 
 def test_eta_charts_disjoint_and_cover():
