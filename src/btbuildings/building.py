@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import BudgetError
-from .gf import row_space, rref
+from .gf import rref
 from .lattice import (
     action, class_pair_residue, dual, inverse_column_minima,
     neighbors_by_colength, pair_index_normalized, standard_neighbor_subspaces,
@@ -291,7 +291,7 @@ def _containing(model, n, span):
     """Per colength w = 1..n-1, the flags [span <= W] over the standard
     neighbors' residue subspaces W; span is a reduced row-echelon basis."""
     gf = model.residue_gf()
-    return tuple(tuple(len(row_space(gf, W + span)) == len(W)
+    return tuple(tuple(len(rref(gf, W + span)) == len(W)
                        for W in standard_neighbor_subspaces(model, n, w))
                  for w in range(1, n))
 

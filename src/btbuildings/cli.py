@@ -201,13 +201,9 @@ def _read_poly(text, got):
         raise ValueError('must be a list of {"coeff": str, "monomial": '
                          '{"j": n}} objects, each key j the number of a '
                          'variable and n >= 0')
-    K, terms = got["ext"], {}
-    for term in poly:
-        exps = tuple(sorted(((0, int(j)), n)
-                            for j, n in term["monomial"].items()))
-        coeff = K.elem_parse(term["coeff"])
-        terms[exps] = terms[exps] + coeff if exps in terms else coeff
-    p = Poly(K, terms)
+    K = got["ext"]
+    p = Poly(K, [([((0, int(j)), n) for j, n in term["monomial"].items()],
+                  K.elem_parse(term["coeff"])) for term in poly])
     _assignment_for(got["point"], p)
     return p
 

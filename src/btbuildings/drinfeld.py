@@ -78,59 +78,43 @@ class Poly:
 
     __slots__ = ("model", "terms")
 
-    def __init__(self, model, terms=None):
+    def __init__(self, model, pairs=()):
+        """The sum of the terms c X^e over the (e, c) pairs: each monomial e
+        is normalized by `_norm_exps`, the coefficients of equal monomials
+        are added, and zero sums are dropped."""
         self.model = model
-        self.terms = {}
-        if terms:
-            for exps, c in terms.items():
-                if c.valuation() != INF:
-                    self.terms[_norm_exps(exps)] = c
+        terms = {}
+        for exps, c in pairs:
+            e = _norm_exps(exps)
+            terms[e] = terms[e] + c if e in terms else c
+        self.terms = {e: c for e, c in terms.items() if c.valuation() != INF}
 
     @classmethod
     def const(cls, model, c):
         c = c if isinstance(c, FieldElement) else model.element(c)
-        return cls(model, {(): c})
+        return cls(model, [((), c)])
 
     @classmethod
     def var(cls, model, key):
-        return cls(model, {((key, 1),): model.one()})
+        return cls(model, [(((key, 1),), model.one())])
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            if e in out:
-                s = out[e] + c
-                if s.valuation() == INF:
-                    del out[e]
-                else:
-                    out[e] = s
-            else:
-                out[e] = c
-        return Poly(self.model, out)
+        return Poly(self.model, [*self.terms.items(), *other.terms.items()])
 
     def __neg__(self):
-        return Poly(self.model, {e: -c for e, c in self.terms.items()})
+        return Poly(self.model, [(e, -c) for e, c in self.terms.items()])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = _merge_exps(e1, e2)
-                c = c1 * c2
-                if e in out:
-                    c = out[e] + c
-                if c.valuation() == INF:
-                    out.pop(e, None)
-                else:
-                    out[e] = c
-        return Poly(self.model, out)
+        return Poly(self.model, [(e1 + e2, c1 * c2)
+                                 for e1, c1 in self.terms.items()
+                                 for e2, c2 in other.terms.items()])
 
     def scale(self, c):
         c = c if isinstance(c, FieldElement) else self.model.element(c)
-        return Poly(self.model, {e: coef * c for e, coef in self.terms.items()})
+        return Poly(self.model, [(e, coef * c) for e, coef in self.terms.items()])
 
     def substitute(self, assign):
         """Substitute Poly values for variables (assign: key -> Poly)."""
@@ -173,14 +157,13 @@ class Poly:
 
 
 def _norm_exps(exps):
-    return tuple(sorted((k, n) for k, n in exps if n))
-
-
-def _merge_exps(e1, e2):
-    d = dict(e1)
-    for k, n in e2:
-        d[k] = d.get(k, 0) + n
-    return _norm_exps(d.items())
+    """The normal form of a monomial given as (variable, exponent) pairs:
+    the exponents of a repeated variable added, zero exponents dropped, and
+    the pairs sorted by variable."""
+    merged = {}
+    for k, n in exps:
+        merged[k] = merged.get(k, 0) + n
+    return tuple(sorted((k, n) for k, n in merged.items() if n))
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +520,7 @@ def deform(x, t_exponent, p, i=0):
     taylor = {key: Poly.const(K, c) for key, c in assign.items()}
     for j in range(1, d + 1):  # x_j (1 + X_j), X_j keyed like x_j
         c = assign[(i, j)]
-        taylor[(i, j)] = Poly(K, {(): c, (((i, j), 1),): c})
+        taylor[(i, j)] = Poly(K, [((), c), ((((i, j), 1),), c)])
     return AbsValue(_least_term(p.substitute(taylor),
                                 dict.fromkeys(taylor, t_exponent)))
 

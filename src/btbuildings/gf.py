@@ -149,32 +149,27 @@ def series_div(gf, num, den, n):
 
 # -- linear algebra over a GF: vectors are sequences of GF ints --
 
-def row_space(gf, vecs):
-    """An echelon basis (list of tuples) of the span of vecs over gf: every
-    row has leading entry 1, the leads increase, and each row is zero at the
-    leads of the rows it was reduced against (those that came before it)."""
-    basis = []
-    for v in vecs:
-        v = list(v)
-        for b in basis:
-            lead = next(i for i, x in enumerate(b) if x)
-            if v[lead]:
-                c = gf.mul(v[lead], gf.inv(b[lead]))
-                v = [gf.sub(x, gf.mul(c, y)) for x, y in zip(v, b)]
-        if any(v):
-            lead = next(i for i, x in enumerate(v) if x)
-            inv = gf.inv(v[lead])
-            basis.append(tuple(gf.mul(inv, x) for x in v))
-            basis.sort(key=lambda b: next(i for i, x in enumerate(b) if x))
-    return basis
-
-
 def rref(gf, vecs):
     """The reduced row-echelon basis (tuple of tuples) of the span of vecs,
-    which depends on the span alone.  `row_space` of an echelon basis taken
-    in decreasing lead order reduces each row against every row of larger
-    lead, and an echelon row is already zero at the smaller leads."""
-    return tuple(row_space(gf, row_space(gf, vecs)[::-1]))
+    which depends on the span alone, by one Gauss-Jordan pass: for each
+    column, a row below the rows already placed that is nonzero there is
+    swapped up, scaled to a leading 1, and cleared from every other row."""
+    rows = [list(v) for v in vecs]
+    placed = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(placed, len(rows)) if rows[r][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[placed], rows[pivot] = rows[pivot], rows[placed]
+        inv = gf.inv(rows[placed][col])
+        lead = rows[placed] = [gf.mul(inv, x) for x in rows[placed]]
+        for r, row in enumerate(rows):
+            c = row[col]
+            if c and r != placed:
+                rows[r] = [gf.sub(x, gf.mul(c, y)) for x, y in zip(row, lead)]
+        placed += 1
+    return tuple(map(tuple, rows[:placed]))
 
 
 def _is_irreducible(g, p):

@@ -225,10 +225,6 @@ class LauDigitOps:
         W, m = self.W, self.m
         return [slots[W * i + j] for i in range(k) for j in range(m)]
 
-    def scalar(self, r):
-        """The vector of the GF int r at t^0."""
-        return r if r < self.p else self.from_gf((r,))
-
     def digit0(self, a):
         """The t^0 digit of a as a GF int."""
         if self.m == 1:
@@ -301,7 +297,7 @@ class LauDigitOps:
         return a << self.step * k & self.full if k < self.M else 0
 
     def unit_inv(self, a):
-        x = self.scalar(self.gf.inv(self.digit0(a)))
+        x = self.residue_coeff(self.gf.inv(self.digit0(a)))
         if a < self.t:  # a constant, its own t^0 digit
             return x
         two = 2 % self.p
@@ -325,7 +321,8 @@ class LauDigitOps:
         return self.pack_digits(to_base(code, self.p, self.m * min(k, self.M)))
 
     def residue_coeff(self, r):
-        return self.scalar(r)
+        """The vector of the GF int r at t^0."""
+        return r if r < self.p else self.from_gf((r,))
 
 
 def embed_digits(ext, a, base_ops, ops):

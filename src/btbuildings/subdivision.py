@@ -6,11 +6,11 @@ bigger building equals the e-fold subdivision.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 from .building import ApartmentPoint, _chain_order, _label_order
 from .errors import BudgetError
-from .gf import row_space
+from .gf import rref
 from .lattice import (action, class_pair_residue, column_class, digit_ops,
                       embed_digits, guard_precision, pair_index_normalized,
                       vertex_from_diagonal)
@@ -101,13 +101,9 @@ def eta_chambers(d, N):
 
 
 def eta_integer_points(d, N):
-    """Integer points of eta_N, normalized z_0 = 0: 0 <= z_1 <= .. <= z_d <= N."""
-    out = []
-    for z_rest in product(range(N + 1), repeat=d):
-        z = (0,) + z_rest
-        if all(z[i] <= z[i + 1] for i in range(d)):
-            out.append(z)
-    return out
+    """Integer points of eta_N, normalized z_0 = 0: 0 <= z_1 <= .. <= z_d <= N,
+    in lexicographic order; these are the d-multisets of 0..N, sorted."""
+    return [(0, *z) for z in combinations_with_replacement(range(N + 1), d)]
 
 
 def _barycentric_of_point(z, N):
@@ -153,9 +149,10 @@ def chamber_chart(comps):
     L_k in L_0 / pi L_0 is the column space of the residue matrix of
     `class_pair_residue(L_0, L_k)`, read at the shift c_k: on a chain,
     pi^(c_k) P_k lies in L_0 but not in pi L_0, so c_k is the minimal
-    containment shift, and anything else is an ArithmeticError.  The flag
-    is diagonalized over the residue field and lifted through the
-    primitive basis T_0 of L_0."""
+    containment shift, and anything else is an ArithmeticError.  Each
+    flag member is read as its reduced row-echelon basis over the residue
+    field, an adapted basis of the flag is picked from those rows, and it
+    is lifted through the primitive basis T_0 of L_0."""
     model = comps[0].model
     n = comps[0].n
     found = _chain_order(comps)
@@ -172,17 +169,16 @@ def chamber_chart(comps):
         if m != -c:
             raise ArithmeticError("chain member is not at its minimal "
                                   "containment shift")
-        flags.append(row_space(gf, zip(*A)))
+        flags.append(rref(gf, zip(*A)))
     l0 = L0.label()
     js = [(cls.label() - l0) % n for cls in chain]
     # adapted residue basis: the last n - js[k] vectors span W_k; a
     # candidate is picked when it raises the rank of the picked vectors
     picked = []
-    spans = flags[::-1] + [row_space(gf, [[1 if i == j else 0 for i in range(n)]
-                                          for j in range(n)])]
-    for space in spans:
+    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    for space in [*flags[::-1], unit]:
         for cand in space:
-            if len(row_space(gf, picked + [cand])) > len(picked):
+            if len(rref(gf, [*picked, cand])) > len(picked):
                 picked.append(cand)
     if len(picked) != n:
         raise ArithmeticError("flag vectors do not span the residue space")

@@ -276,6 +276,21 @@ def test_retract_writes_a_zero_value_as_inf(capsys):
         "1/2", "3/2", "inf"]
 
 
+def test_retract_adds_a_zero_exponent_term_to_the_constant(capsys):
+    # 1 * x_1^0 + s is the constant 1 + s, of exponent 0: the term with the
+    # zero exponent adds to the constant instead of replacing it
+    outs = []
+    for poly in ([{"coeff": "1", "monomial": {"1": 0}},
+                  {"coeff": "s", "monomial": {}}],
+                 [{"coeff": "1+s", "monomial": {}}]):
+        code, out = run_cli(_RETRACT + ["--ext", "2,1", "--poly",
+                                        json.dumps(poly), "--t", "0"], capsys)
+        assert code == 0
+        outs.append(json.loads(out))
+    assert outs[0]["evaluation"] == outs[1]["evaluation"] == "0"
+    assert outs[0]["path"] == outs[1]["path"]
+
+
 def test_exit_codes(capsys):
     # input error
     code, _out = run_cli(["project", "--vertex", "not json"], capsys)

@@ -74,6 +74,48 @@ def test_eval_abs_examples():
     assert eval_abs(x, p).exponent == 1
 
 
+def test_poly_constructor_merges_every_monomial():
+    """Poly(K, pairs) equals the sum of its single-term Polys, its keys are
+    sorted with no zero exponent and no repeated variable, and it evaluates
+    to the sum of the c prod x^n of its pairs, computed term by term; the
+    pairs carry zero exponents, repeated variables and repeated monomials."""
+    rng = random.Random(505)
+    x = _point_quartic(["w", "s*w"])
+    assign = x.assignment()
+    keys = sorted(assign)
+    for _ in range(200):
+        pairs = []
+        for _ in range(rng.randrange(0, 6)):
+            mono = [(rng.choice(keys), rng.randrange(3))
+                    for _ in range(rng.randrange(4))]
+            c = K4.from_digits([rng.randrange(K4.q) for _ in range(2)],
+                               shift=rng.randrange(-1, 2))
+            pairs.append((mono, c))
+            if rng.randrange(3) == 0:  # the same monomial, written otherwise
+                again = [*mono, (rng.choice(keys), 0)]
+                rng.shuffle(again)
+                pairs.append((again, rng.choice([c, K4.one()])))
+        if rng.randrange(2) == 0:  # x_k x_k and x_k^2 cancel in char 2
+            k = rng.choice(keys)
+            pairs += [(((k, 1), (k, 1)), K4.one()), (((k, 2),), K4.one())]
+        rng.shuffle(pairs)
+        p = Poly(K4, pairs)
+        total = Poly(K4)
+        for pair in pairs:
+            total = total + Poly(K4, [pair])
+        assert p.terms == total.terms
+        for mono in p.terms:
+            assert list(mono) == sorted(mono)
+            assert all(n for _k, n in mono)
+            assert len({k for k, _n in mono}) == len(mono)
+        want = K4.zero()
+        for mono, c in pairs:
+            for k, n in mono:
+                c = c * assign[k] ** n
+            want = want + c
+        assert p.evaluate(assign) == want
+
+
 def test_eval_abs_axioms_random():
     rng = random.Random(2718)
     x = _point_quartic(["w", "s*w"])

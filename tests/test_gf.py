@@ -205,6 +205,33 @@ def test_series_div_times_den_is_num_mod_t_n(q):
         assert prod[:n] == list(num[:n]) + [0] * (n - len(num[:n]))
 
 
+def test_rref_spans_the_input():
+    """rref's rows span the span of the input, enumerated by brute force
+    over every coefficient vector, and are independent: they give
+    q^len(basis) distinct vectors.  This oracle needs no prime q.  Inputs
+    are lists and iterators, of 0 to 3 vectors."""
+    rng = random.Random(7)
+    for q, n in [(2, 4), (3, 3), (4, 3)]:
+        gf = GF.get(q)
+
+        def span(vecs):
+            out = set()
+            for coeffs in product(range(q), repeat=len(vecs)):
+                acc = [0] * n
+                for c, v in zip(coeffs, vecs):
+                    acc = [gf.add(x, gf.mul(c, y)) for x, y in zip(acc, v)]
+                out.add(tuple(acc))
+            return out
+
+        for _ in range(40):
+            vecs = [[rng.randrange(q) for _ in range(n)]
+                    for _ in range(rng.randrange(0, 4))]
+            basis = rref(gf, vecs)
+            assert rref(gf, iter(vecs)) == basis
+            assert span(basis) == span(vecs)
+            assert len(span(basis)) == q ** len(basis)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_rref_depends_on_the_span_alone(q):
     """rref is reduced (leading 1s, increasing leads, zero above and below

@@ -10,7 +10,7 @@ from btbuildings.building import (
     apartment_point_of_vertex, ball, basic_chamber, is_face, project_apartment)
 from btbuildings.errors import BudgetError
 from btbuildings.field import ExtensionDescriptor, LaurentModel, PAdicModel
-from btbuildings.gf import GF, row_space
+from btbuildings.gf import rref
 from btbuildings import building, drinfeld, subdivision
 from btbuildings.drinfeld import diagonalize_norm, membership_depth
 from btbuildings.lattice import (all_neighbors, canonical_form,
@@ -123,7 +123,8 @@ def _chart_by_solves(comps):
     """Reference chart: the chain order from the labels, the consecutive
     minimal containment shifts summed along it, one solve per chain member
     for its residue flag in L_0 / pi L_0, js from the flag dimensions, and
-    the adapted basis picked against a separately kept echelon form."""
+    the adapted basis picked from the flags' reduced row-echelon bases
+    against a separately kept echelon form."""
     model, n = comps[0].model, comps[0].n
     l0 = comps[0].label()
     order = tuple(sorted(range(len(comps)),
@@ -142,15 +143,15 @@ def _chart_by_solves(comps):
         shift += steps[k - 1]
         rhs = [[x * pi ** shift for x in col]
                for col in transpose(chain[k].primitive_matrix())]
-        flags.append(row_space(
+        flags.append(rref(
             gf, [[model.to_digits(x, 1)[0] for x in sol]
                  for sol in solve(model, T0, rhs)]))
     js = [0] + [n - len(f) for f in flags]
     picked, echelon = [], []
     unit = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    for space in flags[::-1] + [row_space(gf, unit)]:
+    for space in flags[::-1] + [unit]:
         for cand in space:
-            grown = row_space(gf, echelon + [cand])
+            grown = rref(gf, [*echelon, cand])
             if len(grown) > len(echelon):
                 picked.append(cand)
                 echelon = grown
@@ -400,33 +401,6 @@ def test_subdivision_orders_each_factor_chamber_once(monkeypatch):
     assert len(sub.subchambers) == 7056
     assert len(calls) == sum(map(len, distinct)) == 42
     assert set(calls) == distinct[0] | distinct[1]
-
-
-def test_row_space_spans_the_input():
-    """gf.row_space returns echelon rows (leading 1, increasing leads) whose
-    span is the span of the input and which are independent."""
-    rng = random.Random(7)
-    for q, n in [(2, 4), (3, 3), (4, 3)]:
-        gf = GF.get(q)
-
-        def span(vecs):
-            out = set()
-            for coeffs in product(range(q), repeat=len(vecs)):
-                acc = [0] * n
-                for c, v in zip(coeffs, vecs):
-                    acc = [gf.add(x, gf.mul(c, y)) for x, y in zip(acc, v)]
-                out.add(tuple(acc))
-            return out
-
-        for _ in range(40):
-            vecs = [[rng.randrange(q) for _ in range(n)]
-                    for _ in range(rng.randrange(0, 4))]
-            basis = row_space(gf, vecs)
-            leads = [next(i for i, x in enumerate(b) if x) for b in basis]
-            assert leads == sorted(set(leads))
-            assert all(b[k] == 1 for b, k in zip(basis, leads))
-            assert span(basis) == span(vecs)
-            assert len(span(basis)) == q ** len(basis)
 
 
 # -- nu and delta ------------------------------------------------------------
