@@ -194,10 +194,18 @@ class LaurentModel:
             raise ZeroDivisionError("zero denominator")
         if not num:
             return (), (1,)
-        g = pgcd(gf, num, den)
-        if len(g) > 1 or g[0] != 1:
-            num = pdivmod(gf, num, g)[0]
-            den = pdivmod(gf, den, g)[0]
+        k = len(den) - 1
+        if pord(den) == k:
+            # den = c t^k: t^j, j = min(k, ord num), divides both, and a
+            # common divisor of c t^k is a unit times a power of t, so
+            # gcd(num, den) = t^j and dividing by it is a slice
+            j = min(k, pord(num))
+            num, den = num[j:], den[j:]
+        else:
+            g = pgcd(gf, num, den)
+            if len(g) > 1 or g[0] != 1:
+                num = pdivmod(gf, num, g)[0]
+                den = pdivmod(gf, den, g)[0]
         lead_inv = gf.inv(den[-1])
         if lead_inv != 1:
             num = tuple(gf.mul(c, lead_inv) for c in num)

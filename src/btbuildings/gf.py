@@ -162,12 +162,15 @@ def rref(gf, vecs):
         if pivot is None:
             continue
         rows[placed], rows[pivot] = rows[pivot], rows[placed]
-        inv = gf.inv(rows[placed][col])
-        lead = rows[placed] = [gf.mul(inv, x) for x in rows[placed]]
+        # left of col the pivot row is 0, so scaling and clearing start at col
+        top = rows[placed]
+        inv = gf.inv(top[col])
+        lead = top[col:] = [gf.mul(inv, x) for x in top[col:]]
         for r, row in enumerate(rows):
             c = row[col]
             if c and r != placed:
-                rows[r] = [gf.sub(x, gf.mul(c, y)) for x, y in zip(row, lead)]
+                row[col:] = [gf.sub(x, gf.mul(c, y))
+                             for x, y in zip(row[col:], lead)]
         placed += 1
     return tuple(map(tuple, rows[:placed]))
 

@@ -15,17 +15,17 @@ O/pi^M, one entry into it, `column_class`, and one precision rule,
 `lost` digits, of a lattice of determinant valuation at most `bound`.  The
 reduction's guard certifies each pass or raises PrecisionError (an
 ArithmeticError), never a wrong class.  `action(model, g)` reduces g
-itself at a precision searched up to B+1 for a height bound B on v(det g),
-with no field-level elimination, and computes every image [g L] as a
-digit product (`_digit_product`): `canonical_form` of an outside basis is
-the image of the standard class, and the neighbors of [L] are the images
-[T U] of the standard neighbors U under its primitive matrix T.  Every
-question about T^{-1} reads Y = pi^D T^{-1}, D = v(det T), from one
-forward substitution (`_scaled_inverse`): `dual` reduces the rows of Y,
-`inverse_column_minima` reads the valuations of its columns, and the digit
-product Y_x T_y gives the minimal containment shift of a pair of classes
-(`class_pair_min`) and the residue matrix at that shift
-(`class_pair_residue`).  `subdivision` and `drinfeld` reduce their digit
+itself in one pass at B + 1 digits, for a height bound B on v(det g),
+with no field-level elimination and no search over the precision, and
+computes every image [g L] as a digit product (`_digit_product`):
+`canonical_form` of an outside basis is the image of the standard class,
+and the neighbors of [L] are the images [T U] of the standard neighbors U
+under its primitive matrix T.  Every question about T^{-1} reads
+Y = pi^D T^{-1}, D = v(det T), from one forward substitution
+(`_scaled_inverse`): `dual` reduces the rows of Y, `inverse_column_minima`
+reads the valuations of its columns, and the digit product Y_x T_y gives
+the minimal containment shift of a pair of classes (`class_pair_min`) and
+the residue matrix at that shift (`class_pair_residue`).  `subdivision` and `drinfeld` reduce their digit
 generators through `column_class`.  The tests check the reduction against
 an exhaustive span oracle over O/pi^k.
 
@@ -68,6 +68,8 @@ class PadDigitOps:
     def val(self, a):
         if a == 0:
             return self.M
+        if self.p == 2:
+            return (a & -a).bit_length() - 1
         v = 0
         while a % self.p == 0:
             a //= self.p
@@ -346,12 +348,7 @@ def digit_ops(model, M):
 # ---------------------------------------------------------------------------
 
 class PrecisionError(ArithmeticError):
-    """`_triangularize_digits` got fewer digits than its guard asks for;
-    `pivot_sum` is the pivot sum the pass read, None if a pivot vanished."""
-
-    def __init__(self, message, pivot_sum=None):
-        super().__init__(message)
-        self.pivot_sum = pivot_sum
+    """`_triangularize_digits` got fewer digits than its guard asks for."""
 
 
 def _triangularize_digits(ops, cols, n):
@@ -361,8 +358,7 @@ def _triangularize_digits(ops, cols, n):
 
     The N = M - minval digits left after the primitive scaling must exceed
     D' = a_0 + .. + a_{n-1}, the pivot sum the pass reads; PrecisionError
-    otherwise, with D' as its `pivot_sum`, and also when a pivot vanishes
-    modulo pi^M (`pivot_sum` None).
+    otherwise, and also when a pivot vanishes modulo pi^M.
 
     Guard lemma: a pass with N > D' is exact, and D' = D.  Let G be the
     O-matrix that the scaled columns agree with modulo pi^N.  Every step
@@ -421,8 +417,7 @@ def _triangularize_digits(ops, cols, n):
         exps.append(a)
     if M - minval <= sum(exps):
         raise PrecisionError(f"guard precision {M - minval} is below D+1 "
-                             f"for determinant valuation D = {sum(exps)}",
-                             sum(exps))
+                             f"for determinant valuation D = {sum(exps)}")
     # back-reduction: entry (row i, col c) for i > c reduced mod pi^{a_i};
     # the pivot entry is pi^{a_i}, so the step leaves the residue in col[i]
     for c in range(n):
@@ -563,10 +558,6 @@ def column_class(ops, cols):
     return VertexClass(ops.model, exps, lower), minval
 
 
-# The digit precision at which `action` starts its search.
-_SEARCH_START = 4
-
-
 def action(model, g):
     """The map [L] -> [g L] of an invertible matrix g (FieldElements or
     parseable strings); ValueError if g is singular.
@@ -575,13 +566,10 @@ def action(model, g):
     pi^(-m), m its minimal entry valuation, to a primitive O-matrix G, and
     the model bounds D_g = v(det G) by B without eliminating
     (`det_valuation_bound`; B >= 0, as G is primitive with no zero row).
-    The class [G] comes from a search over the digit precision M that the
-    guard of `_triangularize_digits` certifies, from M = `_SEARCH_START` to
-    at most B + 1 (`guard_precision`).  A pass at M > D_g always meets the
-    guard, and one that meets it is exact, so the search ends by B + 1 for
-    an invertible g; a singular g fails every pass, and its failure at B + 1
-    is the ValueError.  A failed pass retries at max(2M, D' + 1), D' >= M
-    the pivot sum a failed guard reads (0 when a pivot vanished).
+    The class [G] comes from one pass of `_triangularize_digits` at
+    M = B + 1 digits (`guard_precision`).  M > D_g, so by the guard lemma
+    the pass meets its guard and is exact for an invertible g; a singular g
+    fails it, and that failure is the ValueError.
 
     [G] is the image of the standard class, and its pivot sum is D_g.  The
     image of a class with primitive matrix T is the class of the digit
@@ -594,18 +582,13 @@ def action(model, g):
     if minval:
         scale = model.uniformizer() ** (-minval)
         rows = [[x * scale for x in row] for row in rows]
-    top = guard_precision(model.det_valuation_bound(rows))
-    M = min(_SEARCH_START, top)
-    while True:
-        ops = digit_ops(model, M)
-        gcols = [[ops.from_field(x) for x in col] for col in zip(*rows)]
-        try:
-            image, _ = column_class(ops, [list(col) for col in gcols])
-            break
-        except PrecisionError as err:
-            if M >= top:
-                raise ValueError("singular matrix") from None
-            M = min(top, max(2 * M, guard_precision(err.pivot_sum or 0)))
+    M = guard_precision(model.det_valuation_bound(rows))
+    ops = digit_ops(model, M)
+    gcols = [[ops.from_field(x) for x in col] for col in zip(*rows)]
+    try:
+        image, _ = column_class(ops, [list(col) for col in gcols])
+    except PrecisionError:
+        raise ValueError("singular matrix") from None
     D_g = image.det_valuation()
     by_precision = {M: gcols}
 
@@ -673,7 +656,7 @@ def canonical_form(model, basis):
     """Canonical homothety-class representative of the lattice whose columns
     are `basis` (FieldElements or parseable strings); errors on singular.
     It is the image of the standard class under `action`: the class that
-    its precision search certifies, with no second reduction."""
+    its one certified pass finds, with no second reduction."""
     return action(model, basis)(standard_vertex(model, len(basis)))
 
 

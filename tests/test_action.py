@@ -80,7 +80,7 @@ def test_act_and_dual_match_the_field_level_references(model):
     assert checked >= 50 and singular >= 10
 
 
-# -- the precision search against the determinant (test-only oracle) ---------
+# -- the one certified pass against the determinant (test-only oracle) -------
 
 S2 = ExtensionDescriptor(LaurentModel.get(2), e=2).extension   # s^2 = t
 SEARCH_FIELDS = [PAdicModel.get(2), PAdicModel.get(3), LaurentModel.get(2),
@@ -126,47 +126,60 @@ def _search_inputs(model, rng):
     return out
 
 
-def _spy_passes(monkeypatch, start=1):
-    """Record each `_triangularize_digits` pass as (M, outcome), with the
-    precision search started at `start` digits."""
+def _spy_passes(monkeypatch):
+    """Record each `_triangularize_digits` pass as (M, "pass" or "fail")."""
     passes = []
 
     def spy(ops, cols, n):
         try:
             out = _triangularize_digits(ops, cols, n)
-        except PrecisionError as err:
-            passes.append((ops.M, "vanish" if err.pivot_sum is None
-                           else "guard"))
+        except PrecisionError:
+            passes.append((ops.M, "fail"))
             raise
         passes.append((ops.M, "pass"))
         return out
 
     monkeypatch.setattr(lattice, "_triangularize_digits", spy)
-    monkeypatch.setattr(lattice, "_SEARCH_START", start)
     return passes
 
 
-@pytest.mark.parametrize("start", [1, lattice._SEARCH_START])
+def _primitive_bound(model, g):
+    """B = `det_valuation_bound` of the primitive scaling of g."""
+    m = min(x.valuation() for row in g for x in row)
+    scale = model.uniformizer() ** (-m)
+    return model.det_valuation_bound([[x * scale for x in row] for row in g])
+
+
+def _check_one_pass(model, g, passes):
+    """[g O^n] from `action` is the determinant class, from exactly one
+    pass, at B + 1 digits, that meets its guard."""
+    del passes[:]
+    apply = action(model, g)
+    assert passes == [(_primitive_bound(model, g) + 1, "pass")]
+    assert apply(standard_vertex(model, len(g))) == _det_class(model, g)
+    return apply
+
+
 @pytest.mark.parametrize("model", SEARCH_FIELDS, ids=repr)
-def test_the_precision_search_finds_the_determinant_class(model, start,
-                                                          monkeypatch):
+def test_one_pass_finds_the_determinant_class(model, monkeypatch):
+    # each image [g L] of a further class is one pass too, at the bound
+    # D_g + D(L) + 1 of its digit product
     rng = random.Random(f"search:{model!r}")
-    passes = _spy_passes(monkeypatch, start)
+    passes = _spy_passes(monkeypatch)
     checked = 0
     for g in _search_inputs(model, rng):
         if not det(model, g):
             continue
-        want = _det_class(model, g)
-        n = len(g)
-        apply = action(model, g)
-        assert apply(standard_vertex(model, n)) == want
-        v = random_vertex(model, n, rng)
+        apply = _check_one_pass(model, g, passes)
+        v = random_vertex(model, len(g), rng)
+        del passes[:]
         assert apply(v) == _det_class(
             model, matmul(model, g, v.primitive_matrix()))
+        D_g = _det_class(model, g).det_valuation()
+        assert passes == ([(D_g + v.det_valuation() + 1, "pass")]
+                          if v.det_valuation() else [])
         checked += 1
     assert checked >= 25
-    # the searches met vanishing pivots and failed guards on the way
-    assert {kind for _m, kind in passes} == {"vanish", "guard", "pass"}
 
 
 GUARD_FIELDS = [PAdicModel.get(2), PAdicModel.get(3), LaurentModel.get(2),
@@ -201,49 +214,26 @@ def test_the_guard_refuses_D_digits_and_certifies_D_plus_one(model):
     assert checked >= 25
 
 
-@pytest.mark.parametrize("row,bound,trace", [
-    (["1", "1+t"], 1, [(1, "vanish"), (2, "pass")]),
-    (["1", "1+t^5"], 5, [(1, "vanish"), (2, "vanish"), (4, "vanish"),
-                         (6, "pass")]),
-    (["1+t^20", "1+t^5+t^20"], 20, [(1, "vanish"), (2, "vanish"),
-                                    (4, "vanish"), (8, "pass")]),
-])
-def test_every_retry_branch_runs_from_one_digit(row, bound, trace,
-                                                monkeypatch):
-    # [[1, 1], row] has v(det) = 1 or 5 and the degree bound B = deg row:
-    # its second pivot vanishes below v(det) + 1 digits, and M doubles,
-    # capped at B + 1, until the pivot shows and the pass meets the guard
-    model = LaurentModel.get(2)
-    passes = _spy_passes(monkeypatch)
-    g = [[model.one(), model.one()], [model.element(x) for x in row]]
-    assert model.det_valuation_bound(g) == bound
-    assert action(model, g)(standard_vertex(model, 2)) == \
-        _det_class(model, g)
-    assert passes == trace
-
-
-@pytest.mark.parametrize("rows,bound,trace", [
-    ([["t", "t"], ["1", "1+t"]], 2,
-     [(1, "vanish"), (2, "guard"), (3, "pass")]),
-    ([["t", "t"], ["1+t^20", "1+t+t^20"]], 21,
-     [(1, "vanish"), (2, "guard"), (4, "pass")]),
+@pytest.mark.parametrize("rows,bound", [
+    ([["1", "1"], ["1", "1+t"]], 1),
+    ([["1", "1"], ["1", "1+t^5"]], 5),
+    ([["1", "1"], ["1+t^20", "1+t^5+t^20"]], 20),
+    ([["t", "t"], ["1", "1+t"]], 2),
+    ([["t", "t"], ["1+t^20", "1+t+t^20"]], 21),
     ([["t^3", "t^3", "t^3"], ["1+t^20", "1+t^3+t^20", "1+t^20"],
-      ["1", "1", "1+t^3"]], 26,
-     [(1, "vanish"), (2, "vanish"), (4, "guard"), (10, "pass")]),
+      ["1", "1", "1+t^3"]], 26),
 ])
-def test_a_failed_guard_retries_at_the_pivot_sum_or_twice_the_precision(
-        rows, bound, trace, monkeypatch):
-    # the first row lies in pi O, so the first pivot is pi^a with a > 0 and
-    # a pass that finds every pivot can read a pivot sum D' >= M.  The
-    # retry is at max(D' + 1, 2M), capped at B + 1: D' = 2 at M = 2 gives
-    # 4, capped at 3 in the first case; D' = 9 at M = 4 gives 10
+def test_one_pass_at_B_plus_one_where_fewer_digits_fail(rows, bound,
+                                                         monkeypatch):
+    # v(det) is 1, 5, 5, 2, 2 and 9.  Below v(det) + 1 digits a pivot of the
+    # first three vanishes, and the last three, whose first row lies in
+    # pi O, can read a pivot sum D' >= M; at B + 1 digits neither happens,
+    # so the one pass meets its guard
     model = LaurentModel.get(2)
     passes = _spy_passes(monkeypatch)
     g = [[model.element(x) for x in row] for row in rows]
     assert model.det_valuation_bound(g) == bound
-    assert action(model, g)(standard_vertex(model, len(g))) == \
-        _det_class(model, g)
-    assert passes == trace
+    _check_one_pass(model, g, passes)
 
 
 def _rank_deficient(model, rng, n=4):
@@ -273,7 +263,7 @@ def test_singular_matrices_fail_the_search(model, monkeypatch):
         with pytest.raises(ValueError, match="^singular matrix$"):
             action(model, g)
         assert all(kind != "pass" for _m, kind in passes)
-    # a primitive singular matrix fails every pass, the last at B + 1
+    # a primitive singular matrix fails its one pass, at B + 1
     g = _rank_deficient(model, rng, 3)
     m = min(x.valuation() for row in g for x in row)
     g = [[x * model.uniformizer() ** -m for x in row] for row in g]
@@ -281,6 +271,7 @@ def test_singular_matrices_fail_the_search(model, monkeypatch):
     with pytest.raises(ValueError, match="^singular matrix$"):
         action(model, g)
     assert passes[-1][0] == model.det_valuation_bound(g) + 1
+    assert len(passes) == 1
 
 
 @pytest.mark.parametrize("vertex", ['[["1","2","3","6"]]',

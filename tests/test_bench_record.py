@@ -147,11 +147,14 @@ def test_readme_examples_are_parsed_and_timed_per_side(tmp_path):
                         str(ROOT)]) == 0
     timed = json.loads(out.read_text())["readme"]
     assert timed["repeats"] == tool.README_REPEATS
-    assert set(timed["median_s"]) == {
+    assert set(timed["seconds"]) == {
         """label --vertex '[["1","0","0","2"]]'""", "--d 1 eta --n 1"}
-    for sides in timed["median_s"].values():
+    for sides in timed["seconds"].values():
         assert set(sides) == {"parent", "change"}
-        assert all(isinstance(s, float) for s in sides.values())
+        for s in sides.values():
+            assert set(s) == {"median", "q1", "q3", "runs"}
+            assert s["runs"] == tool.README_REPEATS
+            assert 0 < s["q1"] <= s["median"] <= s["q3"]
 
 
 def test_a_failing_readme_example_is_an_error(tmp_path, capsys):
@@ -163,3 +166,20 @@ def test_a_failing_readme_example_is_an_error(tmp_path, capsys):
                      + ["--out", str(tmp_path / "o.json"), "--readme",
                         str(readme), "--readme-change", str(ROOT)]) == 2
     assert "exited 2" in capsys.readouterr().err
+
+
+def test_readme_timings_alternate_sides_and_keep_quartiles(monkeypatch):
+    # a fake clock hands out 1, 2, 3, ..: the side that runs first
+    # alternates, and each side keeps the summary of its own runs
+    tool = _load()
+    clock = iter(range(1, 2 * tool.README_REPEATS + 1))
+    monkeypatch.setattr(tool, "_run_example",
+                        lambda checkout, argv: float(next(clock)))
+    timed = tool.time_readme([["label"]], {"parent": "P", "change": "C"})
+    firsts = range(1, 2 * tool.README_REPEATS + 1, 2)
+    parent = [t if (t // 2) % 2 == 0 else t + 1 for t in firsts]
+    change = [t + 1 if (t // 2) % 2 == 0 else t for t in firsts]
+    assert timed == {"label": {"parent": tool.summary(parent),
+                               "change": tool.summary(change)}}
+    assert timed["label"]["parent"]["runs"] == tool.README_REPEATS
+    assert timed["label"]["parent"]["q1"] < timed["label"]["parent"]["q3"]

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from btbuildings import field
 from btbuildings.field import (
     INF, ExtensionDescriptor, LaurentModel, PAdicModel,
     embed, enumerate_residues, expand_over, tower_embed, valuation,
 )
+from btbuildings.gf import pdivmod, pgcd, ptrim
 from btbuildings.verify import random_element
 
 
@@ -62,6 +64,41 @@ def test_monomial_sums_parse_to_their_value(q):
     for (s1, v1), (s2, v2) in zip(sums, sums[1:]):
         if v2 != model.zero():
             assert model.elem_parse(f"({s1})/({s2})") == v1 / v2
+
+
+def _reduce_by_gcd(model, num, den):
+    """Reference: num/den divided by their monic polynomial gcd, with the
+    denominator made monic."""
+    gf = model.gf
+    num, den = ptrim(num), ptrim(den)
+    if not num:
+        return (), (1,)
+    g = pgcd(gf, num, den)
+    num, den = pdivmod(gf, num, g)[0], pdivmod(gf, den, g)[0]
+    lead_inv = gf.inv(den[-1])
+    return (tuple(gf.mul(c, lead_inv) for c in num),
+            tuple(gf.mul(c, lead_inv) for c in den))
+
+
+@pytest.mark.parametrize("model", [
+    F2T, F3T, F4T, ExtensionDescriptor(F2T, e=2).extension], ids=repr)
+def test_a_monomial_denominator_reduces_without_a_gcd(model, monkeypatch):
+    # gcd(num, c t^k) = t^min(k, ord num): the slice gives the raw pair of
+    # the gcd path for every c != 0, k = 0..4 and ord num = 0..5 (and for
+    # num = 0), with no pgcd call
+    rng = random.Random(f"monomial-den:{model!r}")
+    q = model.gf.q
+    nums = [(), (0, 0, 0)] + [
+        (0,) * (i % 6) + tuple(rng.randrange(q) for _ in range(4))
+        + (rng.randrange(1, q),) for i in range(12)]
+    cases = [(num, (0,) * k + (c,))
+             for num in nums for k in range(5) for c in range(1, q)]
+    want = [_reduce_by_gcd(model, num, den) for num, den in cases]
+
+    def no_gcd(*args):
+        raise AssertionError("pgcd called on a monomial denominator")
+    monkeypatch.setattr(field, "pgcd", no_gcd)
+    assert [model._reduce(num, den) for num, den in cases] == want
 
 
 def test_negative_t_exponents_and_w_over_a_prime_field():

@@ -120,6 +120,27 @@ def test_canonical_form_matches_span_oracle(model, n):
     assert nondiagonal >= 4
 
 
+@pytest.mark.parametrize("model", [Q2, Q3], ids=repr)
+def test_padic_val_equals_the_division_loop(model):
+    # p = 2 reads the lowest set bit, odd p divides by p in a loop
+    def val_by_division(a, M):
+        if a == 0:
+            return M
+        v = 0
+        while a % model.p == 0:
+            a //= model.p
+            v += 1
+        return v
+    rng = random.Random(f"pad-val:{model!r}")
+    for M in (1, 2, 5, 13, 40):
+        ops = digit_ops(model, M)
+        residues = [0, 1, ops.mod - 1, model.p ** (M - 1)]
+        residues += [rng.randrange(ops.mod) * model.p ** rng.randrange(M)
+                     % ops.mod for _ in range(50)]
+        for a in residues:
+            assert ops.val(a) == val_by_division(a, M)
+
+
 @pytest.mark.parametrize("model", [Q2, F2T])
 def test_reduction_below_guard_precision_raises(model):
     # diag(1, pi^3) needs 3+1 digits; with fewer the reduction must refuse
@@ -134,11 +155,10 @@ def test_reduction_below_guard_precision_raises(model):
             _triangularize_digits(ops, cols(ops, (0, 3)), 2)
     ops = digit_ops(model, 4)
     assert _triangularize_digits(ops, cols(ops, (0, 3)), 2)[0] == (0, 3)
-    # diag(1, pi^2, pi^2) shows every pivot at 4 digits, and the guard
-    # refuses the pivot sum 4 it reads there
-    with pytest.raises(PrecisionError) as err:
+    # diag(1, pi^2, pi^2) has D = 4 and shows every pivot at D digits, and
+    # the guard refuses that D-digit pass; D + 1 digits pass
+    with pytest.raises(PrecisionError):
         _triangularize_digits(ops, cols(ops, (0, 2, 2)), 3)
-    assert err.value.pivot_sum == 4
     ops = digit_ops(model, 5)
     assert _triangularize_digits(ops, cols(ops, (0, 2, 2)), 3)[0] == (0, 2, 2)
 

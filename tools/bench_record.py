@@ -24,9 +24,9 @@ the run's pass and failure counts and wall time, from pytest's closing
 The README timings run each `btb` example of the README's CLI block (one
 per `btb ` line, continuation lines joined) README_REPEATS times in fresh
 processes against the `src/` of each checkout, the parent and the change
-taking turns to run first, and record the median wall seconds per example
-and side.  An example that exits nonzero is an error.  Standard library
-only.
+taking turns to run first, and record per example and side the median
+wall seconds, their quartiles and the run count.  An example that exits
+nonzero is an error.  Standard library only.
 """
 
 import argparse
@@ -111,7 +111,8 @@ def _run_example(checkout, argv):
 
 
 def time_readme(examples, checkouts):
-    """{command: {side: median seconds}} over README_REPEATS runs per side.
+    """{command: {side: `summary` of the seconds}} over README_REPEATS runs
+    per side.
 
     The side that runs first alternates from one repeat to the next."""
     out = {}
@@ -121,7 +122,7 @@ def time_readme(examples, checkouts):
             order = list(checkouts.items())
             for side, checkout in order[::-1] if repeat % 2 else order:
                 times[side].append(_run_example(checkout, argv))
-        out[shlex.join(argv)] = {side: statistics.median(ts)
+        out[shlex.join(argv)] = {side: summary(ts)
                                  for side, ts in times.items()}
     return out
 
@@ -201,8 +202,8 @@ def main(argv=None):
         if checkouts:
             bench["readme"] = {
                 "repeats": README_REPEATS,
-                "median_s": time_readme(readme_examples(args.readme),
-                                        checkouts)}
+                "seconds": time_readme(readme_examples(args.readme),
+                                       checkouts)}
     except (OSError, ValueError, KeyError) as ex:
         print(f"bench_record: {ex}", file=sys.stderr)
         return 2
