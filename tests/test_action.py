@@ -182,7 +182,59 @@ def test_one_pass_finds_the_determinant_class(model, monkeypatch):
     assert checked >= 25
 
 
-GUARD_FIELDS = [PAdicModel.get(2), PAdicModel.get(3), LaurentModel.get(2),
+def _searched_class(model, g, start, outcomes):
+    """The class of the primitive scaling of g from a precision search:
+    passes at start, 2 start, ... digits, capped at B + 1, until one meets
+    its guard.  Each pass is recorded in `outcomes` as "fail" or "pass"."""
+    m = min(x.valuation() for row in g for x in row)
+    scale = model.uniformizer() ** (-m)
+    cap = guard_precision(_primitive_bound(model, g))
+    M = min(start, cap)
+    while True:
+        ops = digit_ops(model, M)
+        cols = [[ops.from_field(row[c] * scale) for row in g]
+                for c in range(len(g))]
+        try:
+            cls, _ = column_class(ops, cols)
+        except PrecisionError:
+            outcomes.append("fail")
+            assert M < cap
+            M = min(2 * M, cap)
+            continue
+        outcomes.append("pass")
+        return cls
+
+
+@pytest.mark.parametrize("start", [1, 4])
+@pytest.mark.parametrize("model", SEARCH_FIELDS, ids=repr)
+def test_the_precision_search_finds_the_determinant_class(model, start):
+    # the guard lemma certifies a pass at any precision, not only at B + 1:
+    # a search from `start` digits, doubling up to the one pass of `action`,
+    # stops at the first pass that meets its guard, and that pass already
+    # reads the determinant class [g O^n], and [g L] for a further class
+    rng = random.Random(f"search:{model!r}")
+    outcomes = []
+    checked = 0
+    for g in _search_inputs(model, rng):
+        if not det(model, g):
+            continue
+        n = len(g)
+        apply = action(model, g)
+        want = _det_class(model, g)
+        assert _searched_class(model, g, start, outcomes) == want
+        assert apply(standard_vertex(model, n)) == want
+        v = random_vertex(model, n, rng)
+        gT = matmul(model, g, v.primitive_matrix())
+        want = _det_class(model, gT)
+        assert _searched_class(model, gT, start, outcomes) == want
+        assert apply(v) == want
+        checked += 1
+    assert checked >= 25
+    # the searches met failed passes below the cap on the way
+    assert set(outcomes) == {"fail", "pass"}
+
+
+GUARD_FIELDS =[PAdicModel.get(2), PAdicModel.get(3), LaurentModel.get(2),
                 LaurentModel.get(3), LaurentModel.get(4), S2]
 
 
